@@ -8,7 +8,7 @@ stall on the first gap.
 
 from repro.analysis.accuracy import score_run
 from repro.analysis.pipeline import evaluate, run_simulation
-from repro.core.refill import RefillOptions
+from repro.core.session import RefillOptions
 from repro.simnet.scenarios import citysee
 from repro.util.tables import render_table
 

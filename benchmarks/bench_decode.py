@@ -2,16 +2,19 @@
 
 Two microbenchmarks under the end-to-end serve numbers:
 
-- **Tokenizer throughput** — lines/s of the byte-level fast tokenizer
-  (``scan_log_bytes``) over a rendered 50-node corpus, against the legacy
-  token-loop scanner on identical input.  This is the pure parse cost the
-  serve ingest pays per line, with the network and the session out of the
-  picture.
+- **Tokenizer throughput** — lines/s of the tolerant scanner over raw
+  bytes (``scan_log_text(decode_text(...))``, the store loader's route) on
+  a rendered 50-node corpus, against the legacy token-loop scanner on
+  identical input.  This is the pure parse cost every door pays per line,
+  with the network and the session out of the picture.
 - **Reachability lookups** — inference-path queries/s through the
   compiled jump tables (:class:`CompiledReachability`) against fresh
-  legacy BFS walks, over the forwarder template's graph with the full
-  admissible mask.  This is the query mix the transition algorithm issues
-  while reconstructing.
+  BFS walks, over the forwarder template's graph with the full admissible
+  mask.  This is the query mix the transition algorithm issues while
+  reconstructing.
+
+Both legacy comparators are the test oracles in ``tests/events/oracle.py``
+and ``tests/fsm/oracle.py``.
 
 The run writes ``BENCH_decode.json`` at the repo root (schema-stamped like
 ``BENCH_serve.json``); ``bench_history.py`` gates its rates so a tokenizer
@@ -19,22 +22,20 @@ or jump-table regression needs an attributed trajectory entry to land.
 """
 
 import json
+import os
 import pathlib
 import time
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.events.codec import (
-    encode_event,
-    scan_log_bytes,
-    scan_log_text_legacy,
-)
-from repro.fsm.reachability import Reachability
+from repro.events.codec import decode_text, encode_event, scan_log_text
 from repro.fsm.templates import forwarder_template
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
 from repro.util.tables import render_table
 
 from benchmarks.conftest import BENCH_SCHEMA, bench_seed, run_metadata
+from tests.events.oracle import scan_log_text_legacy
+from tests.fsm.oracle import Reachability
 
 BASELINE_PATH = pathlib.Path(__file__).parent.parent / "BENCH_decode.json"
 
@@ -74,10 +75,10 @@ def test_decode_and_reachability_throughput(emit):
     data, n_lines = _corpus_bytes()
 
     fast_s, fast_events = _best_of(
-        lambda: sum(1 for _ in scan_log_bytes(data))
+        lambda: sum(1 for _ in scan_log_text(decode_text(data)))
     )
     legacy_s, legacy_events = _best_of(
-        lambda: sum(1 for _ in scan_log_text_legacy(data.decode("utf-8")))
+        lambda: sum(1 for _ in scan_log_text_legacy(decode_text(data)))
     )
     assert fast_events == legacy_events  # same corpus, same accept set
 
@@ -129,7 +130,7 @@ def test_decode_and_reachability_throughput(emit):
         render_table(
             ["operation", "n", "best_s", "per_s"],
             [
-                ("tokenize (bytes)", n_lines, f"{fast_s:.4f}", int(fast_rate)),
+                ("tokenize (fast)", n_lines, f"{fast_s:.4f}", int(fast_rate)),
                 ("tokenize (legacy)", n_lines, f"{legacy_s:.4f}", int(legacy_rate)),
                 ("reach lookup (compiled)", queries, f"{compiled_s:.4f}", int(compiled_rate)),
                 ("reach lookup (legacy)", queries, f"{legacy_walk_s:.4f}", int(legacy_walk_rate)),
@@ -141,7 +142,12 @@ def test_decode_and_reachability_throughput(emit):
     corpus = {"n_nodes": N_NODES, "days": 2, "lines": n_lines}
     baseline = {
         "schema": BENCH_SCHEMA,
-        "run": run_metadata("decode", seed=bench_seed("decode", 17), corpus=corpus),
+        "run": run_metadata(
+            "decode",
+            seed=bench_seed("decode", 17),
+            corpus=corpus,
+            cores=os.cpu_count(),
+        ),
         "corpus": corpus,
         "tokenize": {
             "lines_per_s": round(fast_rate, 1),

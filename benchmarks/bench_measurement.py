@@ -10,7 +10,7 @@ import time
 
 from repro.analysis.linkquality import observe_links, worst_links
 from repro.analysis.pipeline import default_loss_spec, evaluate, run_simulation
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.lognet.collector import collect_logs
 from repro.obs import MetricsRegistry, NullRegistry, use_registry
 from repro.simnet.network import Network
@@ -106,7 +106,7 @@ def test_instrumentation_overhead(emit):
 
     def run_once() -> float:
         start = time.perf_counter()
-        Refill().reconstruct(collected)
+        ReconstructionSession().reconstruct(collected)
         return time.perf_counter() - start
 
     with use_registry(NullRegistry()):

@@ -7,7 +7,7 @@ across network sizes and checks per-event cost stays roughly flat.
 """
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
 from repro.util.tables import render_table
@@ -36,15 +36,17 @@ def test_reconstruction_scalability(benchmark, emit):
     rows = []
     for n_nodes in SIZES:
         logs, events = prepare(n_nodes)
-        refill = Refill()
+        session = ReconstructionSession()
         start = time.perf_counter()
-        flows = refill.reconstruct(logs)
+        flows = session.reconstruct(logs)
         elapsed = time.perf_counter() - start
         rows.append((n_nodes, events, len(flows), elapsed, events / elapsed))
 
     # benchmark the largest size for the timing table
     logs, events = prepare(SIZES[-1])
-    benchmark.pedantic(lambda: Refill().reconstruct(logs), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: ReconstructionSession().reconstruct(logs), rounds=3, iterations=1
+    )
 
     # throughput stays in the same ballpark across sizes (no superlinear blowup)
     rates = [rate for *_, rate in rows]
@@ -73,15 +75,17 @@ def test_parallel_reconstruction(benchmark, emit):
     import os
     import time
 
-    from repro.core.parallel import ParallelRefill
+    from repro.core.backends import ProcessPoolBackend
 
     logs, events = prepare(SIZES[-1])
     serial_start = time.perf_counter()
-    serial_flows = Refill().reconstruct(logs)
+    serial_flows = ReconstructionSession().reconstruct(logs)
     serial_elapsed = time.perf_counter() - serial_start
 
     workers = min(4, os.cpu_count() or 1)
-    parallel = ParallelRefill(workers=workers, min_packets=1)
+    parallel = ReconstructionSession(
+        backend=ProcessPoolBackend(workers=workers, min_packets=1), batch_size=200
+    )
     parallel_flows = benchmark.pedantic(
         lambda: parallel.reconstruct(logs), rounds=3, iterations=1
     )

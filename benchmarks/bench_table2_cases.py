@@ -5,7 +5,7 @@ and asserts the outputs quoted in §IV-C, bracketed inferred events
 included.
 """
 
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -57,9 +57,9 @@ EXPECTED = {
 
 
 def reconstruct_all():
-    refill = Refill(forwarder_template(with_gen=False))
+    session = ReconstructionSession(forwarder_template(with_gen=False))
     return {
-        name: refill.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
+        name: session.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
         for name, logs in CASES.items()
     }
 

@@ -3,9 +3,10 @@
 
 Operators don't wait a month for logs — each collection round delivers
 another slice.  This example replays a simulated deployment's logs in
-arrival batches through :class:`repro.core.incremental.IncrementalRefill`
-and shows a packet's diagnosis *changing* as evidence lands (the sink-view
-"lost somewhere" becomes "acked loss at the sink").  Run:
+arrival batches through a :class:`repro.ReconstructionSession` with an
+:class:`~repro.core.backends.IncrementalBackend` and shows a packet's
+diagnosis *changing* as evidence lands (the sink-view "lost somewhere"
+becomes "acked loss at the sink").  Run:
 
     python examples/live_monitoring.py
 """
@@ -13,7 +14,8 @@ and shows a packet's diagnosis *changing* as evidence lands (the sink-view
 from collections import Counter
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.incremental import IncrementalRefill
+from repro.core.backends import IncrementalBackend
+from repro.core.session import ReconstructionSession
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
 
@@ -29,7 +31,9 @@ def main() -> None:
         perfect_clocks=frozenset({sim.base_station_node}),
     )
 
-    engine = IncrementalRefill(delivery_node=sim.base_station_node)
+    engine = ReconstructionSession(
+        backend=IncrementalBackend(), delivery_node=sim.base_station_node
+    )
 
     # batch the logs as three collection rounds: each node's log arrives in
     # thirds (per-node order preserved, as CTP collection does)

@@ -10,7 +10,7 @@ answers died.  Run:
 """
 
 from repro.core.diagnosis import classify_flow
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.core.transition_algorithm import PacketReconstructor
 from repro.events.merge import group_by_packet
 from repro.fsm.templates import FORWARDED, HEARD, query_templates
@@ -52,8 +52,7 @@ def main() -> None:
     )
 
     # 2. the answers, through the standard collection engines
-    refill = Refill()
-    flows = refill.reconstruct(lossy)
+    flows = ReconstructionSession().reconstruct(lossy)
     bs = campaign.base_station
     print("\nmissing answers, localized:")
     shown = 0

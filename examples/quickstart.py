@@ -8,7 +8,7 @@ recovers the ordering.  Run:
     python examples/quickstart.py
 """
 
-from repro import Refill, classify_flow
+from repro import ReconstructionSession, classify_flow
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -61,11 +61,11 @@ def main() -> None:
     # Table II has no explicit generation events, so the origin's engine
     # starts holding the packet (with_gen=False).  The simulator workload
     # uses the default forwarder_template() instead.
-    refill = Refill(forwarder_template(with_gen=False))
+    session = ReconstructionSession(forwarder_template(with_gen=False))
 
     for name, logs in CASES.items():
         node_logs = {node: NodeLog(node, events) for node, events in logs.items()}
-        flow = refill.reconstruct(node_logs)[PACKET]
+        flow = session.reconstruct(node_logs)[PACKET]
         report = classify_flow(flow)
         print(f"== {name}")
         print(f"   flow:      {flow.format()}")

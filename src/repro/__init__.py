@@ -24,17 +24,16 @@ Quickstart::
     flows = session.reconstruct(logs)  # logs: per-node NodeLog objects
     reports = session.diagnose(flows)
 
-(``Refill`` remains as a thin compatibility shim over a session; see
-``docs/API.md`` for the migration note and ``docs/ARCHITECTURE.md`` for
-the backend model.)
+Parallel and live runs pass a backend to the same session
+(``ProcessPoolBackend``, ``IncrementalBackend``); see ``docs/API.md`` and
+``docs/ARCHITECTURE.md`` for the backend model.
 """
 
 from repro.events.event import Event, EventType
 from repro.events.packet import PacketKey
 from repro.events.log import LogRecord, NodeLog
 from repro.core.event_flow import EventFlow, FlowEntry
-from repro.core.refill import Refill, RefillOptions
-from repro.core.session import ReconstructionSession, SessionResult
+from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
 from repro.core.backends import make_backend
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
 from repro.fsm.templates import forwarder_template
@@ -49,7 +48,6 @@ __all__ = [
     "NodeLog",
     "EventFlow",
     "FlowEntry",
-    "Refill",
     "RefillOptions",
     "ReconstructionSession",
     "SessionResult",

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 from repro.core.diagnosis import LossCause, LossReport
 from repro.core.event_flow import EventFlow
-from repro.core.refill import Refill, RefillOptions
+from repro.core.session import ReconstructionSession, RefillOptions
 from repro.events.event import EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -29,14 +29,14 @@ class NetCheckAnalyzer:
     """Isolated per-node replay + naive last-event diagnosis."""
 
     def __init__(self, template: Optional[FsmTemplate] = None) -> None:
-        self.refill = Refill(
+        self.session = ReconstructionSession(
             template or forwarder_template(),
             RefillOptions(enable_intra=False, enable_inter=False),
         )
 
     def reconstruct(self, logs: Mapping[int, NodeLog]) -> dict[PacketKey, EventFlow]:
         """Per-node validated replays, merged by timestamp where available."""
-        flows = self.refill.reconstruct(logs)
+        flows = self.session.reconstruct(logs)
         for flow in flows.values():
             self._timestamp_sort(flow)
         return flows

@@ -1,8 +1,9 @@
 """Log-corpus lint over a store directory (rule codes ``LC*``).
 
 Streams every ``node_*.log`` file through the tolerant codec scanner
-(:func:`repro.events.codec.scan_log_text` — the same scanner the store
-loader uses, so the two always agree on corruption) and checks:
+(:func:`repro.events.codec.scan_log_text` over
+:func:`~repro.events.codec.decode_text` — the same scanner and bytes rule
+the store loader uses, so the two always agree on corruption) and checks:
 
 - **decodability** (``LC001``): the line parses at all — this surfaces the
   counts that :func:`repro.events.store.load_store` only tallies in
@@ -31,7 +32,7 @@ from typing import Optional
 
 from repro.check.crossfsm import DeploymentSpec
 from repro.check.findings import Finding, cap_per_rule, error, warning
-from repro.events.codec import DecodeIssue, scan_log_text
+from repro.events.codec import DecodeIssue, decode_text, scan_log_text
 from repro.events.event import Event, EventType
 from repro.events.store import StoreMetadata
 
@@ -94,7 +95,7 @@ def _check_file(
     last_time_lineno = 0
     last_gen_seq: Optional[int] = None
 
-    for lineno, decoded in scan_log_text(file.read_text()):
+    for lineno, decoded in scan_log_text(decode_text(file.read_bytes())):
         stats["lines"] += 1
         loc = f"{file.name}:{lineno}"
         if isinstance(decoded, DecodeIssue):

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Optional
 
 import repro.fsm.validate  # full-path import: breaks the validate→check cycle
 from repro.check.findings import Finding, Severity, error, info, warning
+from repro.fsm.reachability import CompiledReachability
 from repro.fsm.templates import FsmTemplate
 
 
@@ -159,11 +160,14 @@ def _labels_toward(template: FsmTemplate, states: Iterable[str]) -> frozenset[st
     current state is unknown statically), which is the safe direction for
     cycle detection.
     """
-    targets = [s for s in states if template.graph.has_state(s)]
+    compiled = template.compiled
+    index = compiled.index
+    targets = [index[s] for s in states if s in index]
     labels = set()
     for t in template.graph.transitions:
         if any(
-            t.dst == s or template.reach.reachable(t.dst, s) for s in targets
+            compiled.dist(index[t.dst], s, compiled.full_mask) is not None
+            for s in targets
         ):
             labels.add(t.event)
     return frozenset(labels)
@@ -307,6 +311,37 @@ def _cycles(vertices, edges) -> list[list]:
 # ambiguous jump derivation (XF003)
 
 
+def shortest_path_counts(
+    compiled: CompiledReachability, src: str
+) -> tuple[dict[str, int], dict[str, int]]:
+    """BFS distances and *shortest-path counts* from ``src``.
+
+    Returns ``(dist, count)`` where ``dist[s]`` is the length of the
+    shortest normal-transition sequence ``src ⇝ s`` and ``count[s]`` how
+    many distinct shortest sequences achieve it (``dist[src] == 0``,
+    ``count[src] == 1``); unreachable states are absent from both maps.
+    ``count > 1`` means the engine picks among several equally short
+    inferred-event sequences by edge declaration order alone.
+    """
+    start = compiled.index[src]
+    dist = {start: 0}
+    count = {start: 1}
+    queue = [start]
+    for state in queue:  # FIFO: appends only, scanned left to right
+        for _bit, nxt, _t in compiled.outgoing[state]:
+            if nxt not in dist:
+                dist[nxt] = dist[state] + 1
+                count[nxt] = count[state]
+                queue.append(nxt)
+            elif dist[nxt] == dist[state] + 1:
+                count[nxt] += count[state]
+    names = compiled.states
+    return (
+        {names[s]: d for s, d in dist.items()},
+        {names[s]: c for s, c in count.items()},
+    )
+
+
 def _check_ambiguous_jumps(spec: DeploymentSpec) -> list[Finding]:
     findings: list[Finding] = []
     for role in sorted(spec.roles):
@@ -317,7 +352,7 @@ def _check_ambiguous_jumps(spec: DeploymentSpec) -> list[Finding]:
             if graph.transitions_from(state, label):
                 continue  # a normal transition wins; the jump is never used
             jump = template.intra[(state, label)]
-            dist, count = template.reach.shortest_path_stats(state)
+            dist, count = shortest_path_counts(template.compiled, state)
             candidates = []
             for t in graph.transitions_with_event(label):
                 if t.dst != jump.dst:

@@ -82,8 +82,9 @@ def preflight_check(
 ) -> Optional[CheckReport]:
     """Gate a pipeline run on its template's static analysis.
 
-    ``template`` is whatever :class:`~repro.core.refill.Refill` carries — a
-    single :class:`FsmTemplate` or a per-node factory.  Factories cannot be
+    ``template`` is whatever a
+    :class:`~repro.core.session.ReconstructionSession` carries — a single
+    :class:`FsmTemplate` or a per-node factory.  Factories cannot be
     enumerated statically, so they pass without analysis (``None`` return).
     Raises :class:`PreflightError` on model errors unless told otherwise.
     """

@@ -20,9 +20,6 @@ from repro.core.backends import (
     SerialBackend,
     make_backend,
 )
-from repro.core.refill import Refill
-from repro.core.parallel import ParallelRefill
-from repro.core.incremental import IncrementalRefill
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
 from repro.core.tracing import PacketTrace, trace_packet
 from repro.core.queries import (
@@ -69,9 +66,6 @@ __all__ = [
     "ProcessPoolBackend",
     "IncrementalBackend",
     "make_backend",
-    "Refill",
-    "ParallelRefill",
-    "IncrementalRefill",
     "RefillOptions",
     "LossCause",
     "LossReport",

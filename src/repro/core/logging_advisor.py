@@ -108,10 +108,13 @@ def _inter_recoverable(
     peers demand: the drive to that state walks the normal path and emits
     the label as an inferred event.
     """
-    reach = template.reach
+    compiled = template.compiled
+    index = compiled.index
+    # rules may name another role's states (multi-role wiring): never here
+    targets = [index[state] for state in prereq_states if state in index]
     for t in template.graph.transitions_with_event(label):
-        for state in prereq_states:
-            if t.dst == state or reach.reachable(t.dst, state):
+        for target in targets:
+            if compiled.dist(index[t.dst], target, compiled.full_mask) is not None:
                 return True
     return False
 

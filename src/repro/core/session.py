@@ -6,10 +6,10 @@ pipeline: stream packet groups out of the merge layer, apply
 :class:`RefillOptions` (including ``strip_times``) in exactly one place,
 delegate execution to a pluggable
 :class:`~repro.core.backends.ExecutionBackend`, diagnose, and record
-metrics.  ``Refill``, ``ParallelRefill``, and ``IncrementalRefill`` are thin
-compatibility shims over a session; ``analysis/pipeline.py`` and the CLI
-construct sessions directly — so preflight, metrics/spans, and options
-semantics are identical no matter which door you enter through.
+metrics.  Every caller — the library API, ``analysis/pipeline.py``, the CLI
+and the serve daemon — constructs a session directly and picks a backend,
+so preflight, metrics/spans, and options semantics are identical no matter
+which door you enter through.
 
 Two driving modes:
 
@@ -187,8 +187,8 @@ class ReconstructionSession:
     ) -> EventFlow:
         """One packet's flow from its per-node ordered events.
 
-        The single-packet door (``Refill.reconstruct_packet``); applies the
-        same normalization as the batch paths and runs in-process.
+        The single-packet door; applies the same normalization as the
+        batch paths and runs in-process.
         """
         ((_, normalized),) = self._normalize(
             [(packet, {n: list(evs) for n, evs in events_by_node.items()})]
@@ -361,7 +361,7 @@ class ReconstructionSession:
             if isinstance(self.template, FsmTemplate):
                 # Pre-register the template's event vocabulary so the decode
                 # fast path interns every expected label up front (one shared
-                # str per label, bytes spellings included).
+                # str per label).
                 intern_vocabulary(self.template.graph.events)
             self.backend.start(self.plan())
             self._started = True

@@ -18,11 +18,13 @@ with byte-identical accept/reject semantics and error messages.  The fast
 path may only ever produce exactly the event the legacy parser would have
 produced; equivalence is pinned by the differential corpus suite and the
 Hypothesis properties in ``tests/events/``.
+
+Raw bytes — store shards, tailed files, network chunks — become text
+through one rule, :func:`decode_text`, so every door sees the same lines.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Union
@@ -49,9 +51,9 @@ def scan_log_text(text: str) -> Iterator[tuple[int, Union[Event, DecodeIssue]]]:
 
     Yields ``(lineno, Event)`` for lines that parse and
     ``(lineno, DecodeIssue)`` for lines that do not (1-based line numbers;
-    blank lines are skipped).  This is the shared scanner behind both the
-    tolerant store loader and the ``refill check`` corpus lint, so the two
-    always agree on what counts as a corrupt line.
+    blank lines are skipped).  This is the one scanner behind the tolerant
+    store loader, the ``refill check`` corpus lint and the serve daemon's
+    ingest, so all three agree on what counts as a corrupt line.
     """
     fast = _decode_fast
     strict = _decode_event_strict
@@ -68,59 +70,11 @@ def scan_log_text(text: str) -> Iterator[tuple[int, Union[Event, DecodeIssue]]]:
                 yield lineno, DecodeIssue(lineno, line, str(exc))
 
 
-def scan_log_text_legacy(
-    text: str,
-) -> Iterator[tuple[int, Union[Event, DecodeIssue]]]:
-    """The pre-tokenizer reference scanner (legacy token-loop parser only).
-
-    Semantically identical to :func:`scan_log_text`; kept callable so the
-    differential suites can pin the fast tokenizer against it byte for byte.
-    """
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            yield lineno, _decode_event_strict(line)
-        except ValueError as exc:
-            yield lineno, DecodeIssue(lineno, line, str(exc))
-
-
-#: Bytes whose line-framing or whitespace semantics differ between ``bytes``
-#: and ``str`` (``str.splitlines`` breaks on \\v \\f \\x1c-\\x1e, and
-#: \\x1c-\\x1f are ``str``-whitespace but not ``bytes``-whitespace).  Any
-#: hit sends the whole buffer through the str scanner instead.
-_EXOTIC_BYTES = re.compile(rb"[\r\x0b\x0c\x1c\x1d\x1e\x1f]")
-
-
-def scan_log_bytes(data: bytes) -> Iterator[tuple[int, Union[Event, DecodeIssue]]]:
-    """:func:`scan_log_text` over raw bytes, with a bytes-level fast path.
-
-    One pre-scan decides whether the buffer is plain ASCII framed only by
-    ``\\n``; if so, lines are framed and tokenized as bytes and each field
-    is converted directly (``int``/``float`` accept ASCII bytes), so the
-    only per-line str decode is the short event-type label — or, on any
-    irregular line, the one-off decode feeding the legacy fallback.
-    Buffers that fail the pre-scan take the exact legacy route
-    (``data.decode("utf-8")`` + :func:`scan_log_text`), including its
-    ``UnicodeDecodeError`` on undecodable input.
-    """
-    if not data.isascii() or _EXOTIC_BYTES.search(data) is not None:
-        yield from scan_log_text(data.decode("utf-8"))
-        return
-    fast = _decode_fast_bytes
-    strict = _decode_event_strict
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        if not raw or raw.isspace():
-            continue
-        event = fast(raw)
-        if event is not None:
-            yield lineno, event
-        else:
-            line = raw.decode("ascii")
-            try:
-                yield lineno, strict(line)
-            except ValueError as exc:
-                yield lineno, DecodeIssue(lineno, line, str(exc))
+def decode_text(data: bytes) -> str:
+    """The one bytes-to-text rule for log input: UTF-8, undecodable bytes
+    replaced.  Damage then surfaces as a :class:`DecodeIssue` (or a U+FFFD
+    in a field value) downstream instead of an exception here."""
+    return data.decode("utf-8", errors="replace")
 
 
 class LineAssembler:
@@ -128,11 +82,10 @@ class LineAssembler:
 
     Network ingest reads whatever chunk sizes the transport hands over; this
     keeps the unterminated tail until its newline arrives.  :meth:`feed`
-    returns the newly *completed* lines, decoded as UTF-8 with undecodable
-    bytes replaced — damaged input becomes a :class:`DecodeIssue` downstream
-    instead of an exception here.  A line still unterminated when the peer
-    disconnects is simply never returned (mid-line disconnects drop the
-    fragment, they do not corrupt the stream).
+    returns the newly *completed* lines, decoded with :func:`decode_text`.
+    A line still unterminated when the peer disconnects is simply never
+    returned (mid-line disconnects drop the fragment, they do not corrupt
+    the stream).
     """
 
     __slots__ = ("_tail",)
@@ -146,10 +99,7 @@ class LineAssembler:
             self._tail = data
             return []
         *complete, self._tail = data.split(b"\n")
-        return [
-            part.decode("utf-8", errors="replace").rstrip("\r")
-            for part in complete
-        ]
+        return [decode_text(part).rstrip("\r") for part in complete]
 
     @property
     def partial(self) -> bool:
@@ -229,13 +179,13 @@ def _decode_event_strict(line: str) -> Event:
 #: shared string object, so downstream ``(state, label)`` table lookups hit
 #: pointer-equality fast paths.  Sessions pre-register their template's
 #: labels via :func:`intern_vocabulary`.
-_LABELS: dict[Union[str, bytes], str] = {}
+_LABELS: dict[str, str] = {}
 
-#: Memoized ``p<origin>.<seq>`` parses (``str`` and ``bytes`` spellings).
+#: Memoized ``p<origin>.<seq>`` parses.
 #: A corpus mentions each packet on many lines; parsing each key once makes
 #: the pkt field a dict hit.  Bounded defensively — a long-lived daemon
 #: fed unbounded distinct keys must not grow without limit.
-_PACKETS: dict[Union[str, bytes], PacketKey] = {}
+_PACKETS: dict[str, PacketKey] = {}
 _PACKETS_MAX = 1 << 16
 
 
@@ -244,26 +194,23 @@ def intern_vocabulary(labels: Iterable[str]) -> None:
     for label in labels:
         label = sys.intern(label)
         _LABELS[label] = label
-        if label.isascii():
-            _LABELS[label.encode("ascii")] = label
 
 
-def _intern_label(text: Union[str, bytes]) -> str:
+def _intern_label(text: str) -> str:
     label = _LABELS.get(text)
     if label is None:
-        label = sys.intern(text if isinstance(text, str) else text.decode("ascii"))
+        label = sys.intern(text)
         if len(_LABELS) < _PACKETS_MAX:
             _LABELS[text] = label
     return label
 
 
-def _parse_packet(text: Union[str, bytes]) -> PacketKey:
+def _parse_packet(text: str) -> PacketKey:
     packet = _PACKETS.get(text)
     if packet is None:
         if len(_PACKETS) >= _PACKETS_MAX:
             _PACKETS.clear()
-        spelled = text if isinstance(text, str) else text.decode("ascii")
-        packet = PacketKey.parse(spelled)  # ValueError falls through
+        packet = PacketKey.parse(text)  # ValueError falls through
         _PACKETS[text] = packet
     return packet
 
@@ -314,60 +261,6 @@ def _decode_fast(line: str) -> Optional[Event]:
             return None  # non-canonical order or duplicate: legacy decides
         keys.append(key)
         info.append((key, token[eq + 1 :]))
-    info.sort()
-    return Event(etype, node, src, dst, packet, time_, tuple(info))
-
-
-def _decode_fast_bytes(raw: bytes) -> Optional[Event]:
-    """Bytes twin of :func:`_decode_fast` for the ASCII corpus fast path.
-
-    Numeric fields convert straight from bytes (``int``/``float`` accept
-    ASCII digits); only the event-type label and any info tail are decoded
-    to str.  Caller guarantees ``raw`` is ASCII with no exotic whitespace,
-    which makes ``bytes.split`` agree with ``str.split`` exactly.
-    """
-    tokens = raw.split()
-    n = len(tokens)
-    if n < 2:
-        return None
-    t0, t1 = tokens[0], tokens[1]
-    if t0[:5] != b"node=" or t1[:5] != b"type=":
-        return None
-    try:
-        node = int(t0[5:])
-    except ValueError:
-        return None
-    etype = _intern_label(t1[5:])
-    src = dst = packet = time_ = None
-    i = 2
-    try:
-        if i < n and tokens[i][:4] == b"src=":
-            src = int(tokens[i][4:])
-            i += 1
-        if i < n and tokens[i][:4] == b"dst=":
-            dst = int(tokens[i][4:])
-            i += 1
-        if i < n and tokens[i][:4] == b"pkt=":
-            packet = _parse_packet(tokens[i][4:])
-            i += 1
-        if i < n and tokens[i][:2] == b"t=":
-            time_ = float(tokens[i][2:])
-            i += 1
-    except ValueError:
-        return None
-    if i == n:
-        return Event(etype, node, src, dst, packet, time_)
-    info: list[tuple[str, str]] = []
-    keys: list[str] = []
-    for token in tokens[i:]:
-        eq = token.find(b"=")
-        if eq < 1:
-            return None
-        key = token[:eq].decode("ascii")
-        if key in _RESERVED_SET or key in keys:
-            return None
-        keys.append(key)
-        info.append((key, token[eq + 1 :].decode("ascii")))
     info.sort()
     return Event(etype, node, src, dst, packet, time_, tuple(info))
 

@@ -7,7 +7,9 @@ sensing period, the server-outage operations log).
 
 Field data is dirty: ``load_store`` defaults to *tolerant* decoding, where
 undecodable lines (truncated flash pages, bit flips) are counted and
-skipped instead of aborting the whole analysis.
+skipped instead of aborting the whole analysis.  Bytes become text through
+:func:`~repro.events.codec.decode_text`, the same rule the serve daemon
+applies, so both doors see identical lines.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from repro.events.codec import DecodeIssue, encode_log, scan_log_bytes
+from repro.events.codec import DecodeIssue, decode_text, encode_log, scan_log_text
 from repro.events.event import Event
 from repro.events.log import NodeLog
 
@@ -103,9 +105,7 @@ def _decode_shard(
     """Decode one ``node_*.log`` file: ``(log, bad_line_count)``."""
     events: list[Event] = []
     bad = 0
-    # bytes in, tolerant scan: the ASCII fast path frames and tokenizes the
-    # raw buffer without a per-field str decode (see codec.scan_log_bytes)
-    for _lineno, decoded in scan_log_bytes(file.read_bytes()):
+    for _lineno, decoded in scan_log_text(decode_text(file.read_bytes())):
         if isinstance(decoded, DecodeIssue):
             if strict:
                 raise ValueError(decoded.error)
@@ -145,9 +145,8 @@ def read_complete_lines(file, start_line: int = 0) -> list[str]:
     A trailing unterminated line (a writer caught mid-append) is excluded, so
     repeated polls that pass the previous total as ``start_line`` see every
     line exactly once — the offset substrate shared by the serve layer's file
-    tailer and the resumable store-push client.  Undecodable bytes are
-    replaced rather than raised (the tolerant scanner downstream counts the
-    wreckage).
+    tailer and the resumable store-push client.  Lines are decoded with
+    :func:`~repro.events.codec.decode_text`, the rule the store loader uses.
     """
     if start_line < 0:
         raise ValueError("start_line must be >= 0")
@@ -155,10 +154,7 @@ def read_complete_lines(file, start_line: int = 0) -> list[str]:
     # after split, the final piece is b"" iff the file ended in a newline;
     # anything else there is an unterminated partial line
     complete = parts[:-1]
-    return [
-        part.decode("utf-8", errors="replace").rstrip("\r")
-        for part in complete[start_line:]
-    ]
+    return [decode_text(part).rstrip("\r") for part in complete[start_line:]]
 
 
 def load_store(directory, *, strict: bool = False) -> LoadedStore:

@@ -4,7 +4,7 @@ The transition graph ``G = (S, T, E)`` is a directed multigraph whose edges
 carry event labels; several edges may carry the same label.  On top of the
 raw graph this package derives:
 
-- reachability and shortest normal-transition paths
+- compiled reachability and shortest normal-transition paths
   (:mod:`repro.fsm.reachability`),
 - *intra-node* jump transitions, which let an engine skip over lost events
   when the target state is unambiguous (:mod:`repro.fsm.intra`),
@@ -16,7 +16,7 @@ raw graph this package derives:
 """
 
 from repro.fsm.graph import Transition, TransitionGraph
-from repro.fsm.reachability import Reachability
+from repro.fsm.reachability import CompiledReachability
 from repro.fsm.intra import IntraTransition, derive_intra_transitions
 from repro.fsm.prerequisites import PrereqRule, Peer
 from repro.fsm.templates import (
@@ -26,13 +26,13 @@ from repro.fsm.templates import (
     forwarder_template,
     query_templates,
 )
-from repro.fsm.mining import accepts, mine_fsm
+from repro.learn.ktails import accepts, mine_fsm
 from repro.fsm.validate import validate_role_family, validate_template
 
 __all__ = [
     "Transition",
     "TransitionGraph",
-    "Reachability",
+    "CompiledReachability",
     "IntraTransition",
     "derive_intra_transitions",
     "PrereqRule",

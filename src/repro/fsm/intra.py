@@ -11,7 +11,8 @@ normal path were lost.
 The derivation is purely structural, so it is computed once per graph.  The
 *inferred path* (which concrete lost events to emit) is context dependent —
 templates may veto edges (e.g. ``gen`` on a non-origin node) — so it is
-resolved lazily at processing time via :class:`~repro.fsm.reachability.Reachability`.
+resolved lazily at processing time via
+:class:`~repro.fsm.reachability.CompiledReachability`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.fsm.graph import TransitionGraph
-from repro.fsm.reachability import Reachability
+from repro.fsm.reachability import CompiledReachability
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +57,7 @@ class IntraTransition:
 
 def derive_intra_transitions(
     graph: TransitionGraph,
-    reach: Optional[Reachability] = None,
+    compiled: Optional[CompiledReachability] = None,
 ) -> dict[tuple[str, str], IntraTransition]:
     """Derive all intra-node transitions of ``graph``.
 
@@ -66,12 +67,15 @@ def derive_intra_transitions(
     too — at processing time normal transitions take precedence, but the
     derived jump documents the full relation and is exercised by tests.
     """
-    reach = reach or Reachability(graph)
+    compiled = compiled or CompiledReachability(graph)
+    index = compiled.index
     derived: dict[tuple[str, str], IntraTransition] = {}
     for event in graph.events:
         targets = list(dict.fromkeys(t.dst for t in graph.transitions_with_event(event)))
         for state in graph.states:
-            reachable_targets = [s for s in targets if reach.reachable(state, s)]
+            reachable_targets = [
+                s for s in targets if compiled.reaches(index[state], index[s])
+            ]
             if len(reachable_targets) == 1:
                 derived[(state, event)] = IntraTransition(state, reachable_targets[0], event)
     return derived

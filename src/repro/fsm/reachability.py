@@ -8,7 +8,6 @@ jump and to drive an engine to an inter-node prerequisite state.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from repro.fsm.graph import Transition, TransitionGraph
@@ -19,161 +18,24 @@ from repro.fsm.graph import Transition, TransitionGraph
 EdgeFilter = Callable[[Transition], bool]
 
 
-class Reachability:
-    """Precomputed reachability over a transition graph.
-
-    The relation is irreflexive unless the state lies on a cycle, matching
-    the paper's definition (a transition sequence has at least one
-    transition).
-    """
-
-    def __init__(self, graph: TransitionGraph) -> None:
-        self.graph = graph
-        self._reach: dict[str, frozenset[str]] = {}
-        for state in graph.states:
-            self._reach[state] = frozenset(self._bfs_states(state))
-
-    def _bfs_states(self, start: str) -> set[str]:
-        seen: set[str] = set()
-        queue: deque[str] = deque(self.graph.successors(start))
-        seen.update(queue)
-        while queue:
-            state = queue.popleft()
-            for nxt in self.graph.successors(state):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    def reachable(self, src: str, dst: str) -> bool:
-        """Whether ``src ≻ dst`` (via at least one normal transition)."""
-        return dst in self._reach[src]
-
-    def reachable_set(self, src: str) -> frozenset[str]:
-        """All states reachable from ``src`` by non-empty paths."""
-        return self._reach[src]
-
-    def shortest_path(
-        self,
-        src: str,
-        dst: str,
-        edge_filter: Optional[EdgeFilter] = None,
-    ) -> Optional[list[Transition]]:
-        """Shortest sequence of normal transitions from ``src`` to ``dst``.
-
-        Returns ``None`` when no admissible path exists, ``[]`` when
-        ``src == dst`` (already there).  Ties are broken deterministically by
-        edge declaration order.
-        """
-        if src == dst:
-            return []
-        parent: dict[str, Transition] = {}
-        queue: deque[str] = deque([src])
-        visited = {src}
-        while queue:
-            state = queue.popleft()
-            for t in self.graph.outgoing(state):
-                if edge_filter is not None and not edge_filter(t):
-                    continue
-                if t.dst in visited:
-                    continue
-                parent[t.dst] = t
-                if t.dst == dst:
-                    return self._unwind(parent, src, dst)
-                visited.add(t.dst)
-                queue.append(t.dst)
-        return None
-
-    def shortest_path_stats(
-        self,
-        src: str,
-        edge_filter: Optional[EdgeFilter] = None,
-    ) -> tuple[dict[str, int], dict[str, int]]:
-        """BFS distances and *shortest-path counts* from ``src``.
-
-        Returns ``(dist, count)`` where ``dist[s]`` is the length of the
-        shortest normal-transition sequence ``src ⇝ s`` and ``count[s]`` how
-        many distinct shortest sequences achieve it (``dist[src] == 0``,
-        ``count[src] == 1``).  Unreachable states are absent from both maps.
-        Used by the static analyzer to flag ambiguous jump derivations:
-        ``count > 1`` means :meth:`shortest_path` picked among several
-        equally short inferred-event sequences by declaration order alone.
-        """
-        dist: dict[str, int] = {src: 0}
-        count: dict[str, int] = {src: 1}
-        queue: deque[str] = deque([src])
-        while queue:
-            state = queue.popleft()
-            for t in self.graph.outgoing(state):
-                if edge_filter is not None and not edge_filter(t):
-                    continue
-                nxt = t.dst
-                if nxt not in dist:
-                    dist[nxt] = dist[state] + 1
-                    count[nxt] = count[state]
-                    queue.append(nxt)
-                elif dist[nxt] == dist[state] + 1:
-                    count[nxt] += count[state]
-        return dist, count
-
-    @staticmethod
-    def _unwind(parent: dict[str, Transition], src: str, dst: str) -> list[Transition]:
-        path: list[Transition] = []
-        cur = dst
-        while cur != src:
-            t = parent[cur]
-            path.append(t)
-            cur = t.src
-        path.reverse()
-        return path
-
-    def shortest_path_via_event(
-        self,
-        src: str,
-        target: str,
-        event: str,
-        edge_filter: Optional[EdgeFilter] = None,
-    ) -> Optional[list[Transition]]:
-        """Shortest path ``src ⇝ s_ic --event--> target``.
-
-        Among all transitions with label ``event`` whose destination is
-        ``target``, pick the one whose source minimizes the normal-transition
-        path from ``src``; the returned path *excludes* that final ``event``
-        edge (its label corresponds to the real, observed event — only the
-        prefix is made of inferred lost events, paper §IV-B).
-        """
-        best: Optional[list[Transition]] = None
-        for t in self.graph.transitions_with_event(event):
-            if t.dst != target:
-                continue
-            if edge_filter is not None and not edge_filter(t):
-                continue
-            prefix = self.shortest_path(src, t.src, edge_filter)
-            if prefix is None:
-                continue
-            if best is None or len(prefix) < len(best):
-                best = prefix
-        return best
-
-
 class CompiledReachability:
     """Dense-index shortest-path tables, built once per template graph.
 
-    :class:`Reachability` answers every query with a fresh BFS plus a
-    Python-level predicate call per considered edge; the hot reconstruction
-    loop asks the same handful of questions thousands of times per corpus.
-    This compiles the graph once — states interned to dense integer ids,
-    adjacency in exactly :meth:`TransitionGraph.outgoing` order — and keys
-    whole BFS trees (distance + parent-edge arrays) by ``(source state,
-    admissible-edge bitmask)``.  Admissibility is evaluated once per mask as
-    a bitmask over the declaration-ordered edge list, so repeat queries under
-    the same context become two list lookups and an unwind.
+    The hot reconstruction loop asks the same handful of path questions
+    thousands of times per corpus.  This compiles the graph once — states
+    interned to dense integer ids, adjacency in exactly
+    :meth:`TransitionGraph.outgoing` order — and keys whole BFS trees
+    (distance + parent-edge arrays) by ``(source state, admissible-edge
+    bitmask)``.  Admissibility is evaluated once per mask as a bitmask over
+    the declaration-ordered edge list, so repeat queries under the same
+    context become two list lookups and an unwind.
 
-    Equivalence with the legacy walks is exact, not approximate: a full BFS
+    Ties break exactly like an early-exit BFS over the graph: a full BFS
     assigns each state the parent edge it is *first* discovered through, and
-    with identical FIFO order, identical adjacency order, and identical edge
-    admissibility that parent equals the one the legacy early-exit BFS
-    records — pinned by the jump-table property test in ``tests/fsm``.
+    with the same FIFO order, adjacency order and edge admissibility that
+    parent is the one an early-exit walk records.  The reference walks live
+    in ``tests/fsm/oracle.py``; the jump-table property tests pin every
+    query against them.
     """
 
     def __init__(self, graph: TransitionGraph) -> None:
@@ -247,16 +109,32 @@ class CompiledReachability:
                     dist[dst] = d
                     parent[dst] = t
                     queue.append(dst)
-            # the source keeps dist 0 / no parent: like the legacy BFS it
-            # starts "visited", so paths back into it are never recorded
+            # the source keeps dist 0 / no parent: it starts "visited", so
+            # paths back into it are never recorded
             self._trees[key] = tree = (dist, parent)
         return tree
+
+    def reaches(self, src: int, dst: int) -> bool:
+        """Whether ``src ≻ dst``: a *non-empty* normal-transition path exists.
+
+        Differs from ``dist(src, dst, full_mask) is not None`` only at
+        ``src == dst``, which holds iff ``src`` lies on a cycle — some edge
+        into it leaves a state reachable from it.
+        """
+        dist = self._tree(src, self.full_mask)[0]
+        if src != dst:
+            return dist[dst] is not None
+        return any(
+            dist[self.index[t.src]] is not None
+            for t in self.edges
+            if self.index[t.dst] == dst
+        )
 
     def dist(self, src: int, dst: int, mask: int) -> Optional[int]:
         """Shortest admissible path length, ``None`` when unreachable.
 
-        ``0`` when ``src == dst`` (already there), matching
-        :meth:`Reachability.shortest_path` returning ``[]``.
+        ``0`` when ``src == dst`` (already there; :meth:`path` returns
+        ``[]``).
         """
         if src == dst:
             return 0
@@ -283,10 +161,14 @@ class CompiledReachability:
     def path_via_event(
         self, src: int, target: int, event: str, mask: int
     ) -> Optional[list[Transition]]:
-        """Compiled :meth:`Reachability.shortest_path_via_event`.
+        """Shortest path ``src ⇝ s_ic --event--> target``, final edge excluded.
 
-        Ties break to the first candidate in edge declaration order (strict
-        ``<``), exactly like the legacy scan over ``transitions_with_event``.
+        Among the ``event`` transitions landing on ``target``, picks the one
+        whose source is nearest to ``src``; the returned prefix is made of
+        inferred lost events only (the final label is the real, observed
+        event, paper §IV-B).  Ties break to the first candidate in edge
+        declaration order (strict ``<``), as a scan over
+        ``transitions_with_event`` does.
         """
         candidates = self.by_event.get(event)
         if not candidates:

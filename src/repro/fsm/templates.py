@@ -28,7 +28,7 @@ from repro.events.packet import PacketKey
 from repro.fsm.graph import Transition, TransitionGraph
 from repro.fsm.intra import IntraTransition, Selection, derive_intra_transitions
 from repro.fsm.prerequisites import Peer, PrereqRule
-from repro.fsm.reachability import CompiledReachability, Reachability
+from repro.fsm.reachability import CompiledReachability
 
 #: Hoisted label constants: ``EventType.X.value`` is an enum descriptor
 #: access, measurably hot when realizers/admissibility run per inferred
@@ -73,9 +73,10 @@ class FsmTemplate:
     ) -> None:
         self.name = name
         self.graph = graph
-        self.reach = Reachability(graph)
+        #: Compiled shortest-path tables shared by every engine instance.
+        self.compiled = CompiledReachability(graph)
         self.intra: dict[tuple[str, str], IntraTransition] = derive_intra_transitions(
-            graph, self.reach
+            graph, self.compiled
         )
         self.prereqs: dict[str, tuple[PrereqRule, ...]] = {
             label: tuple(rules) for label, rules in (prereqs or {}).items()
@@ -83,8 +84,6 @@ class FsmTemplate:
         self._admissible = admissible
         self._realize = realize
         self._initial_for = initial_for
-        #: Compiled shortest-path tables shared by every engine instance.
-        self.compiled = CompiledReachability(graph)
         #: Precomputed transition selection: normal transitions shadow
         #: derived jumps, and among normal transitions the first declared
         #: per (state, label) wins — the same precedence engines used to

@@ -75,9 +75,10 @@ def validate_template(template: FsmTemplate) -> ValidationReport:
                 )
 
     # connectivity from the initial state
-    reachable = {graph.initial} | set(template.reach.reachable_set(graph.initial))
+    compiled = template.compiled
+    initial = compiled.index[graph.initial]
     for state in graph.states:
-        if state not in reachable:
+        if compiled.dist(initial, compiled.index[state], compiled.full_mask) is None:
             report._add(
                 Severity.ERROR,
                 "TP002",

@@ -6,7 +6,7 @@ lightly lossy log corpus into a runnable, serializable deployment spec:
 - :mod:`repro.learn.traces` — per-(packet, node) label-trace extraction
   with role tagging, label-side classification, and a lossy-trace filter;
 - :mod:`repro.learn.ktails` — deterministic, determinizing k-tails mining
-  (the single implementation behind :mod:`repro.fsm.mining`);
+  (also re-exported from :mod:`repro.fsm`);
 - :mod:`repro.learn.prereqs` — PRINS-style stitching of inter-node
   prerequisite rules from cross-node ordering support;
 - :mod:`repro.learn.spec` — the JSON-round-trippable

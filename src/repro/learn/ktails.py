@@ -1,7 +1,7 @@
 """k-tails passive automaton learning (paper §IV-A's "automatic tools").
 
-The single mining implementation behind both :mod:`repro.fsm.mining` (thin
-re-exports kept for compatibility) and the ``refill learn`` pipeline.  Given
+The single mining implementation behind the ``refill learn`` pipeline (also
+re-exported from :mod:`repro.fsm`).  Given
 complete per-node event-label traces it infers a transition graph by:
 
 1. **canonicalization** — traces are deduplicated and sorted, so the result

@@ -299,8 +299,23 @@ def reshard_manifest(path, new_shards: int) -> ClusterManifest:
 
 
 def _atomic_write(path: pathlib.Path, payload: dict[str, Any]) -> pathlib.Path:
+    """Write-temp, fsync, rename, fsync the directory.
+
+    The file fsync puts the bytes on disk before the rename can expose
+    them; the directory fsync makes the rename itself survive a power
+    loss, so a committed manifest never names an epoch file whose bytes
+    were lost.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     return path

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.deltas import compare_windows, window_diagnosis
 from repro.analysis.linkquality import LinkObservation, observe_links, worst_links
 from repro.core.diagnosis import LossCause, LossReport
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -50,7 +50,7 @@ class TestObserveLinks:
             ]),
             2: NodeLog(2, [Event.make("recv", 2, src=1, dst=2, packet=pkt1)]),
         }
-        return Refill(forwarder_template(with_gen=False)).reconstruct(logs)
+        return ReconstructionSession(forwarder_template(with_gen=False)).reconstruct(logs)
 
     def test_counts(self):
         observations = observe_links(self.make_flows())
@@ -65,7 +65,7 @@ class TestObserveLinks:
         # not count as radio evidence
         pkt = PacketKey(1, 1)
         logs = {3: NodeLog(3, [Event.make("recv", 3, src=2, dst=3, packet=pkt)])}
-        flows = Refill(forwarder_template(with_gen=False)).reconstruct(logs)
+        flows = ReconstructionSession(forwarder_template(with_gen=False)).reconstruct(logs)
         observations = observe_links(flows)
         assert observations[(2, 3)].acked == 0
         assert observations[(2, 3)].arrivals == 1

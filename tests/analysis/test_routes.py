@@ -9,7 +9,7 @@ from repro.analysis.routes import (
     route_timelines,
     switch_point_counts,
 )
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -30,8 +30,8 @@ def make_flows(paths_by_packet):
             logs.setdefault(a, []).append(
                 Event.make(EventType.ACK, a, src=a, dst=b, packet=packet)
             )
-    refill = Refill(forwarder_template(with_gen=False))
-    return refill.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})
+    session = ReconstructionSession(forwarder_template(with_gen=False))
+    return session.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})
 
 
 class TestRouteTimelines:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.diagnosis import LossCause, classify_flow
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -18,8 +18,8 @@ def ev(etype, node, src=None, dst=None):
 
 
 def reconstruct(logs):
-    refill = Refill(forwarder_template(with_gen=False))
-    return refill.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
+    session = ReconstructionSession(forwarder_template(with_gen=False))
+    return session.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
 
 
 class TestCauses:
@@ -96,16 +96,16 @@ class TestCauses:
         assert report.position == 1
 
     def test_empty_flow_is_unknown(self):
-        refill = Refill(forwarder_template(with_gen=False))
-        flow = refill.reconstruct_packet(PKT, {})
+        session = ReconstructionSession(forwarder_template(with_gen=False))
+        flow = session.reconstruct_group(PKT, {})
         report = classify_flow(flow, delivery_node=BS)
         assert report.cause is LossCause.UNKNOWN
         assert report.position is None
 
     def test_gen_last_maps_to_received_loss_at_origin(self):
-        refill = Refill(forwarder_template(with_gen=True))
+        session = ReconstructionSession(forwarder_template(with_gen=True))
         pkt = PacketKey(5, 3)
-        flow = refill.reconstruct_packet(
+        flow = session.reconstruct_group(
             pkt, {5: [Event.make("gen", 5, packet=pkt)]}
         )
         report = classify_flow(flow, delivery_node=BS)
@@ -120,8 +120,8 @@ class TestAnchorSelection:
         from tests.integration.test_table2_cases import TestCase4
 
         logs = {n: NodeLog(n, evs) for n, evs in TestCase4.LOGS.items()}
-        refill = Refill(forwarder_template(with_gen=False))
-        flow = refill.reconstruct(logs)[PKT]
+        session = ReconstructionSession(forwarder_template(with_gen=False))
+        flow = session.reconstruct(logs)[PKT]
         report = classify_flow(flow, delivery_node=BS)
         assert report.anchor.etype == "trans"
         assert report.position == 2

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.incremental import IncrementalRefill
-from repro.core.refill import Refill
+from repro.core.backends import IncrementalBackend
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -18,7 +18,11 @@ def ev(etype, node, src=None, dst=None, pkt=PKT):
 
 @pytest.fixture()
 def engine():
-    return IncrementalRefill(forwarder_template(with_gen=False), delivery_node=99)
+    return ReconstructionSession(
+        forwarder_template(with_gen=False),
+        backend=IncrementalBackend(),
+        delivery_node=99,
+    )
 
 
 class TestIngestAndRefresh:
@@ -78,9 +82,9 @@ class TestMatchesBatchReconstruction:
                 all_events.setdefault(node, []).extend(events)
         incremental = engine.flows()[PKT]
 
-        refill = Refill(forwarder_template(with_gen=False))
+        session = ReconstructionSession(forwarder_template(with_gen=False))
         logs = {n: NodeLog(n, evs) for n, evs in all_events.items()}
-        oneshot = refill.reconstruct(logs)[PKT]
+        oneshot = session.reconstruct(logs)[PKT]
         assert incremental.labels() == oneshot.labels()
 
     def test_node_log_batches_accepted(self, engine):

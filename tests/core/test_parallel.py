@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.parallel import ParallelRefill
-from repro.core.refill import Refill, RefillOptions
+from repro.core.backends import ProcessPoolBackend
+from repro.core.session import ReconstructionSession, RefillOptions
 from repro.lognet.collector import collect_logs
 from repro.obs import MetricsRegistry, use_registry
 from repro.simnet.scenarios import citysee, small_network
@@ -24,10 +24,10 @@ def collected_logs():
 
 class TestParallelMatchesSerial:
     def test_identical_flows(self, collected_logs):
-        serial = Refill().reconstruct(collected_logs)
-        parallel = ParallelRefill(workers=2, min_packets=1, batch_size=50).reconstruct(
-            collected_logs
-        )
+        serial = ReconstructionSession().reconstruct(collected_logs)
+        parallel = ReconstructionSession(
+            backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=50
+        ).reconstruct(collected_logs)
         assert set(serial) == set(parallel)
         for packet in serial:
             assert serial[packet].labels() == parallel[packet].labels(), packet
@@ -35,18 +35,20 @@ class TestParallelMatchesSerial:
 
     def test_small_inputs_run_serially(self, collected_logs):
         # below min_packets no pool is spun up (and results still correct)
-        refill = ParallelRefill(workers=4, min_packets=10**9)
-        flows = refill.reconstruct(collected_logs)
-        serial = Refill().reconstruct(collected_logs)
+        session = ReconstructionSession(
+            backend=ProcessPoolBackend(workers=4, min_packets=10**9)
+        )
+        flows = session.reconstruct(collected_logs)
+        serial = ReconstructionSession().reconstruct(collected_logs)
         assert {p: f.labels() for p, f in flows.items()} == {
             p: f.labels() for p, f in serial.items()
         }
 
     def test_options_forwarded(self, collected_logs):
         options = RefillOptions(enable_inter=False)
-        serial = Refill(options=options).reconstruct(collected_logs)
-        parallel = ParallelRefill(
-            options=options, workers=2, min_packets=1
+        serial = ReconstructionSession(options=options).reconstruct(collected_logs)
+        parallel = ReconstructionSession(
+            options=options, backend=ProcessPoolBackend(workers=2, min_packets=1)
         ).reconstruct(collected_logs)
         sample = sorted(serial)[:50]
         for packet in sample:
@@ -63,19 +65,23 @@ class TestParallelMatchesSerial:
         reconstructor options, silently dropping ``strip_times`` — workers
         reconstructed from timestamped events while a serial run did not."""
         options = RefillOptions(strip_times=True)
-        parallel = ParallelRefill(
-            options=options, workers=2, min_packets=1, batch_size=50
+        parallel = ReconstructionSession(
+            options=options,
+            backend=ProcessPoolBackend(workers=2, min_packets=1),
+            batch_size=50,
         ).reconstruct(collected_logs)
         for packet, flow in parallel.items():
             assert all(e.time is None for e in flow.events), packet
-        serial = Refill(options=options).reconstruct(collected_logs)
+        serial = ReconstructionSession(options=options).reconstruct(collected_logs)
         assert {p: f.labels() for p, f in parallel.items()} == {
             p: f.labels() for p, f in serial.items()
         }
 
     def test_single_worker_degrades_to_serial(self, collected_logs):
-        flows = ParallelRefill(workers=1, min_packets=1).reconstruct(collected_logs)
-        serial = Refill().reconstruct(collected_logs)
+        flows = ReconstructionSession(
+            backend=ProcessPoolBackend(workers=1, min_packets=1)
+        ).reconstruct(collected_logs)
+        serial = ReconstructionSession().reconstruct(collected_logs)
         assert {p: f.labels() for p, f in flows.items()} == {
             p: f.labels() for p, f in serial.items()
         }
@@ -86,22 +92,22 @@ class TestWorkerMetricsMerge:
         """Worker registries merged back == one serial registry, counter for
         counter — the pool must not lose or double-count work."""
         with use_registry(MetricsRegistry()) as serial_reg:
-            Refill().reconstruct(collected_logs)
+            ReconstructionSession().reconstruct(collected_logs)
         with use_registry(MetricsRegistry()) as parallel_reg:
-            ParallelRefill(workers=2, min_packets=1, batch_size=50).reconstruct(
-                collected_logs
-            )
+            ReconstructionSession(
+                backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=50
+            ).reconstruct(collected_logs)
         serial = serial_reg.snapshot().counters
         parallel = parallel_reg.snapshot().counters
         assert serial == parallel
         # and the run actually counted something
-        assert serial["refill.packets"] == len(Refill().reconstruct(collected_logs))
+        assert serial["refill.packets"] == len(ReconstructionSession().reconstruct(collected_logs))
         assert serial["refill.events.logged"] > 0
 
     def test_span_observations_cover_every_packet(self, collected_logs):
         with use_registry(MetricsRegistry()) as reg:
-            flows = ParallelRefill(
-                workers=2, min_packets=1, batch_size=50
+            flows = ReconstructionSession(
+                backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=50
             ).reconstruct(collected_logs)
         per_packet = reg.snapshot().histograms["span.reconstruct.packet"]
         assert per_packet.count == len(flows)

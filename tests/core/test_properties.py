@@ -19,7 +19,6 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.refill import Refill
 from repro.core.transition_algorithm import PacketReconstructor
 from repro.events.event import Event, EventType
 from repro.events.packet import PacketKey

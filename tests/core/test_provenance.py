@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -16,8 +16,8 @@ def ev(etype, node, src=None, dst=None):
 
 
 def reconstruct(logs):
-    refill = Refill(forwarder_template(with_gen=False))
-    return refill.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
+    session = ReconstructionSession(forwarder_template(with_gen=False))
+    return session.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
 
 
 class TestProvenance:

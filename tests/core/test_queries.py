@@ -8,7 +8,7 @@ from repro.core.queries import (
     packet_stats,
     retransmission_hotspots,
 )
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -22,8 +22,8 @@ def ev(etype, node, src=None, dst=None, t=None):
 
 
 def reconstruct(logs):
-    refill = Refill(forwarder_template(with_gen=False))
-    return refill.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})
+    session = ReconstructionSession(forwarder_template(with_gen=False))
+    return session.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})
 
 
 class TestEstimateDelay:
@@ -77,7 +77,7 @@ class TestPacketStats:
 class TestNetworkStats:
     def make_flows(self):
         p0, p1 = PacketKey(1, 0), PacketKey(1, 1)
-        refill = Refill(forwarder_template(with_gen=False))
+        session = ReconstructionSession(forwarder_template(with_gen=False))
         logs = {
             1: NodeLog(1, [
                 Event.make("trans", 1, src=1, dst=9, packet=p0),
@@ -85,7 +85,7 @@ class TestNetworkStats:
             ]),
             9: NodeLog(9, [Event.make("recv", 9, src=1, dst=9, packet=p0)]),
         }
-        return refill.reconstruct(logs)
+        return session.reconstruct(logs)
 
     def test_aggregates(self):
         flows = self.make_flows()
@@ -106,7 +106,7 @@ class TestNetworkStats:
 
 class TestRetransmissionHotspots:
     def test_counts_repeat_transmissions(self):
-        refill = Refill(forwarder_template(with_gen=False))
+        session = ReconstructionSession(forwarder_template(with_gen=False))
         logs = {
             1: NodeLog(1, [
                 ev("trans", 1, 1, 2),
@@ -115,7 +115,7 @@ class TestRetransmissionHotspots:
                 ev("timeout", 1, 1, 2),
             ]),
         }
-        flows = refill.reconstruct(logs)
+        flows = session.reconstruct(logs)
         hotspots = retransmission_hotspots(flows)
         assert hotspots[0] == ((1, 2), 2)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.core.serialize import (
     event_from_dict,
     event_to_dict,
@@ -31,7 +31,7 @@ def sample_flow():
         1: NodeLog(1, [ev("trans", 1, 1, 2), ev("ack_recvd", 1, 1, 2)]),
         3: NodeLog(3, [ev("dup", 3, 9, 3)]),  # will be omitted
     }
-    return Refill(forwarder_template(with_gen=False)).reconstruct(logs)[PKT]
+    return ReconstructionSession(forwarder_template(with_gen=False)).reconstruct(logs)[PKT]
 
 
 class TestEventRoundTrip:

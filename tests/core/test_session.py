@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.backends import IncrementalBackend, SerialBackend, make_backend
-from repro.core.refill import Refill
 from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
+from repro.core.transition_algorithm import PacketReconstructor
 from repro.events.event import Event
 from repro.events.log import NodeLog
+from repro.events.merge import group_by_packet
 from repro.events.packet import PacketKey
 from repro.fsm.templates import forwarder_template
 from repro.obs import MetricsRegistry, use_registry
@@ -28,12 +29,15 @@ def logs():
 
 
 class TestOneShot:
-    def test_matches_refill_shim(self, logs):
-        session = ReconstructionSession(forwarder_template(with_gen=False))
-        flows = session.reconstruct(logs)
-        legacy = Refill(forwarder_template(with_gen=False)).reconstruct(logs)
+    def test_matches_per_packet_reconstructor(self, logs):
+        template = forwarder_template(with_gen=False)
+        flows = ReconstructionSession(template).reconstruct(logs)
+        direct = {
+            packet: PacketReconstructor(template, packet).reconstruct(events)
+            for packet, events in group_by_packet(logs).items()
+        }
         assert {p: f.labels() for p, f in flows.items()} == {
-            p: f.labels() for p, f in legacy.items()
+            p: f.labels() for p, f in direct.items()
         }
 
     def test_run_bundles_flows_and_reports(self, logs):

@@ -1,6 +1,6 @@
 """Unit tests for per-packet tracing (paper §II, §V)."""
 
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.core.tracing import trace_packet
 from repro.events.event import Event
 from repro.events.log import NodeLog
@@ -15,8 +15,8 @@ def ev(etype, node, src=None, dst=None):
 
 
 def reconstruct(logs):
-    refill = Refill(forwarder_template(with_gen=False))
-    return refill.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
+    session = ReconstructionSession(forwarder_template(with_gen=False))
+    return session.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})[PKT]
 
 
 class TestTracePacket:
@@ -62,17 +62,17 @@ class TestTracePacket:
         assert trace.final_position == 1
 
     def test_empty_flow(self):
-        refill = Refill(forwarder_template(with_gen=False))
-        flow = refill.reconstruct_packet(PKT, {})
+        session = ReconstructionSession(forwarder_template(with_gen=False))
+        flow = session.reconstruct_group(PKT, {})
         trace = trace_packet(flow)
         assert trace.path == []
         assert trace.final_position is None
         assert trace.path_string() == "(empty)"
 
     def test_gen_starts_path(self):
-        refill = Refill(forwarder_template(with_gen=True))
+        session = ReconstructionSession(forwarder_template(with_gen=True))
         pkt = PacketKey(7, 0)
-        flow = refill.reconstruct_packet(pkt, {
+        flow = session.reconstruct_group(pkt, {
             7: [
                 Event.make("gen", 7, packet=pkt),
                 Event.make("trans", 7, src=7, dst=8, packet=pkt),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.refill import Refill, RefillOptions
+from repro.core.session import ReconstructionSession, RefillOptions
 from repro.core.transition_algorithm import (
     PacketReconstructor,
     ReconstructorOptions,
@@ -175,8 +175,8 @@ class TestRefillFacade:
             ]),
             2: NodeLog(2, [ev("recv", 2, 1, 2, p0)]),
         }
-        refill = Refill(forwarder_template(with_gen=False))
-        flows = refill.reconstruct(logs)
+        session = ReconstructionSession(forwarder_template(with_gen=False))
+        flows = session.reconstruct(logs)
         assert set(flows) == {p0, p1}
         assert len(flows[p0].events) == 2
         assert len(flows[p1].events) == 1
@@ -185,17 +185,17 @@ class TestRefillFacade:
         logs = {
             1: NodeLog(1, [ev("trans", 1, 1, 2).with_time(5.0)]),
         }
-        refill = Refill(
+        session = ReconstructionSession(
             forwarder_template(with_gen=False), RefillOptions(strip_times=True)
         )
-        flow = refill.reconstruct(logs)[PKT]
+        flow = session.reconstruct(logs)[PKT]
         assert flow.events[0].time is None
 
     def test_diagnose_maps_all_packets(self):
         logs = {
             1: NodeLog(1, [ev("trans", 1, 1, 2), ev("ack_recvd", 1, 1, 2)]),
         }
-        refill = Refill(forwarder_template(with_gen=False))
-        reports = refill.diagnose(refill.reconstruct(logs))
+        session = ReconstructionSession(forwarder_template(with_gen=False))
+        reports = session.diagnose(session.reconstruct(logs))
         assert set(reports) == {PKT}
         assert reports[PKT].cause.value == "acked"

@@ -1,15 +1,17 @@
 """Differential golden-corpus suite: fast tokenizer vs legacy scanner.
 
-The codec's two-tier decode (``_decode_fast`` / ``_decode_fast_bytes`` with
-the legacy token-loop parser as fallback) must be *observationally
-identical* to the pre-tokenizer scanner on every corpus the repo ships:
+The codec's two-tier decode (``_decode_fast`` with the legacy token-loop
+parser as fallback) must be *observationally identical* to the
+pre-tokenizer scanner (:mod:`tests.events.oracle`) on every corpus the repo
+ships:
 committed fixture stores, stress-garbled mutations of them, and a
 simulated-deployment corpus like the ones ``examples/`` build.  "Identical"
 means the full scan output — line numbers, event payloads, ``DecodeIssue``
 errors — compared by ``repr`` (events can carry ``nan`` times, and
 ``nan != nan``).
 
-``scan_log_bytes`` is additionally pinned against the text scanners on the
+The store loader's route — raw bytes through ``decode_text`` into
+``scan_log_text`` — is additionally pinned against the legacy scanner on the
 raw bytes of every corpus, and ``load_store``'s corrupt-line counts are
 re-derived from the legacy scanner so the tolerant loader can never drift.
 """
@@ -20,17 +22,12 @@ import random
 import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.events.codec import (
-    DecodeIssue,
-    encode_event,
-    scan_log_bytes,
-    scan_log_text,
-    scan_log_text_legacy,
-)
+from repro.events.codec import DecodeIssue, decode_text, encode_event, scan_log_text
 from repro.events.store import load_store
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
 from repro.stress.faults import GarbleLines
+from tests.events.oracle import scan_log_text_legacy
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -53,10 +50,10 @@ def _render(scan):
 
 
 def _assert_equivalent(text: str) -> None:
-    """All three scanners agree on ``text`` (bytes path fed its encoding)."""
+    """Both scanners agree on ``text`` (bytes route fed its encoding)."""
     reference = _render(scan_log_text_legacy(text))
     assert _render(scan_log_text(text)) == reference
-    assert _render(scan_log_bytes(text.encode("utf-8"))) == reference
+    assert _render(scan_log_text(decode_text(text.encode("utf-8")))) == reference
 
 
 @pytest.mark.parametrize(
@@ -67,7 +64,7 @@ def test_committed_fixture_logs_scan_identically(log_file):
     text = data.decode("utf-8")
     reference = _render(scan_log_text_legacy(text))
     assert _render(scan_log_text(text)) == reference
-    assert _render(scan_log_bytes(data)) == reference
+    assert _render(scan_log_text(decode_text(data))) == reference
 
 
 @pytest.mark.parametrize("store_dir", STORE_DIRS, ids=lambda p: p.name)

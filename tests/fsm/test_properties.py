@@ -1,14 +1,24 @@
 """Property-based tests for transition graphs, reachability and intra-node
-derivation on randomly generated FSMs."""
+derivation on randomly generated FSMs, built-in templates and a learned spec.
+
+The reference walks in :mod:`tests.fsm.oracle` are the oracle: the compiled
+index, the derived jump tables and the XF003 shortest-path counts must
+answer exactly like them."""
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.crossfsm import shortest_path_counts
+from repro.check.specs import load_spec
 from repro.fsm.graph import Transition, TransitionGraph
-from repro.fsm.intra import derive_intra_transitions
-from repro.fsm.reachability import CompiledReachability, Reachability
+from repro.fsm.intra import Selection, derive_intra_transitions
+from repro.fsm.reachability import CompiledReachability
+from repro.fsm.templates import FsmTemplate, chain_template
+from tests.fsm import oracle
+from tests.fsm.oracle import Reachability
 
 
 @st.composite
@@ -148,7 +158,7 @@ class TestIntraDerivationProperties:
     @given(random_graphs())
     def test_uniqueness_condition_holds_exactly(self, graph):
         reach = Reachability(graph)
-        derived = derive_intra_transitions(graph, reach)
+        derived = derive_intra_transitions(graph)
         for event in graph.events:
             targets = list(dict.fromkeys(t.dst for t in graph.transitions_with_event(event)))
             for state in graph.states:
@@ -168,3 +178,59 @@ class TestIntraDerivationProperties:
             assert any(
                 t.dst == jump.dst for t in graph.transitions_with_event(jump.event)
             )
+
+
+def _builtin_templates() -> list[FsmTemplate]:
+    templates = [
+        template
+        for name in ("ctp", "ctp-nogen", "dissemination", "query-flood")
+        for _role, template in sorted(load_spec(name).roles.items())
+    ]
+    templates.append(chain_template("chain", ["a", "b", "c"]))
+    return templates
+
+
+def _assert_jump_tables_match_oracle(template: FsmTemplate) -> None:
+    """``intra``, ``select_table`` and the XF003 counts equal the oracle's."""
+    graph = template.graph
+    intra = oracle.derive_intra_transitions(graph)
+    assert template.intra == intra
+    select: dict[tuple[str, str], Selection] = {}
+    for t in graph.transitions:
+        select.setdefault((t.src, t.event), Selection("normal", t.dst))
+    for key, jump in intra.items():
+        select.setdefault(key, Selection("intra", jump.dst))
+    assert template.select_table == select
+    reach = Reachability(graph)
+    for state in graph.states:
+        assert shortest_path_counts(template.compiled, state) == (
+            reach.shortest_path_stats(state)
+        )
+
+
+class TestJumpTablesMatchOracle:
+    @pytest.mark.parametrize(
+        "template", _builtin_templates(), ids=lambda t: t.name
+    )
+    def test_builtin_templates(self, template):
+        _assert_jump_tables_match_oracle(template)
+
+    def test_learned_spec(self):
+        from repro.analysis.pipeline import run_simulation
+        from repro.learn import learn_from_logs
+        from repro.lognet.collector import collect_logs
+        from repro.lognet.loss import LogLossSpec
+        from repro.simnet.scenarios import small_network
+
+        sim = run_simulation(small_network(n_nodes=25, minutes=30.0))
+        logs = collect_logs(sim.true_logs, LogLossSpec.lossless(), 11)
+        spec = learn_from_logs(
+            logs, sink=sim.sink, base_station=sim.base_station_node
+        )
+        for template in spec.deployment_spec().roles.values():
+            _assert_jump_tables_match_oracle(template)
+
+    @given(random_graphs())
+    @settings(max_examples=120)
+    def test_random_graphs(self, graph):
+        _assert_jump_tables_match_oracle(FsmTemplate("random", graph))

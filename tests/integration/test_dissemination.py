@@ -6,7 +6,6 @@ on a simulated protocol rather than the hand-built Fig. 3 graphs.
 
 import pytest
 
-from repro.core.refill import Refill
 from repro.core.transition_algorithm import PacketReconstructor
 from repro.events.event import Event
 from repro.events.log import NodeLog

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.pipeline import evaluate
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -30,12 +30,12 @@ class TestTinyNetworks:
 
 class TestDegenerateLogs:
     def test_empty_log_collection(self):
-        flows = Refill().reconstruct({})
+        flows = ReconstructionSession().reconstruct({})
         assert flows == {}
 
     def test_logs_with_no_packet_events(self):
         logs = {1: NodeLog(1, [Event.make("parent_change", 1, old="2", new="3")])}
-        assert Refill().reconstruct(logs) == {}
+        assert ReconstructionSession().reconstruct(logs) == {}
 
     def test_single_event_per_thousand_packets(self):
         template = forwarder_template(with_gen=False)
@@ -45,7 +45,7 @@ class TestDegenerateLogs:
                 for i in range(1000)
             ])
         }
-        flows = Refill(template).reconstruct(logs)
+        flows = ReconstructionSession(template).reconstruct(logs)
         assert len(flows) == 1000
         assert all(len(f.entries) == 1 for f in flows.values())
 
@@ -59,7 +59,7 @@ class TestDegenerateLogs:
             logs.setdefault(a, []).append(Event.make("trans", a, src=a, dst=b, packet=pkt))
             logs.setdefault(b, []).append(Event.make("recv", b, src=a, dst=b, packet=pkt))
             logs.setdefault(a, []).append(Event.make("ack_recvd", a, src=a, dst=b, packet=pkt))
-        flows = Refill(template).reconstruct(
+        flows = ReconstructionSession(template).reconstruct(
             {n: NodeLog(n, evs) for n, evs in logs.items()}
         )
         flow = flows[pkt]
@@ -78,7 +78,7 @@ class TestDegenerateLogs:
             for i in range(1, 41)
         }
         logs[41] = NodeLog(41, [Event.make("recv", 41, src=40, dst=41, packet=pkt)])
-        flows = Refill(template).reconstruct(logs)
+        flows = ReconstructionSession(template).reconstruct(logs)
         flow = flows[pkt]
         inferred_recvs = [e for e in flow.inferred_events() if e.etype == "recv"]
         assert len(inferred_recvs) == 39

@@ -9,7 +9,7 @@ a flow + diagnosis, possibly with anomalies recorded, never an exception.
 import pytest
 
 from repro.core.diagnosis import classify_flow
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.codec import decode_log
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
@@ -25,7 +25,7 @@ def ev(etype, node, src=None, dst=None):
 
 @pytest.fixture()
 def refill():
-    return Refill(forwarder_template(with_gen=False))
+    return ReconstructionSession(forwarder_template(with_gen=False))
 
 
 def run(refill, logs):

@@ -9,7 +9,7 @@ where did missing answers die?
 import pytest
 
 from repro.core.diagnosis import classify_flow
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.core.transition_algorithm import PacketReconstructor
 from repro.events.merge import group_by_packet
 from repro.fsm.templates import FORWARDED, HEARD, query_templates
@@ -125,8 +125,8 @@ class TestQueryReconstruction:
 
 class TestResponsesEndToEnd:
     def test_missing_answers_localized(self, campaign):
-        refill = Refill()
-        flows = refill.reconstruct(campaign.true_logs)
+        session = ReconstructionSession()
+        flows = session.reconstruct(campaign.true_logs)
         bs = campaign.base_station
         lost_answer_nodes = campaign.answered - campaign.delivered_answers()
         for node in lost_answer_nodes:
@@ -137,8 +137,8 @@ class TestResponsesEndToEnd:
             assert report.position is not None
 
     def test_delivered_answers_diagnosed_delivered(self, campaign):
-        refill = Refill()
-        flows = refill.reconstruct(campaign.true_logs)
+        session = ReconstructionSession()
+        flows = session.reconstruct(campaign.true_logs)
         bs = campaign.base_station
         for node in campaign.delivered_answers():
             report = classify_flow(flows[campaign.responses[node]], delivery_node=bs)

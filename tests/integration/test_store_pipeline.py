@@ -10,7 +10,7 @@ from repro.analysis.causes import attribute_server_outages, cause_shares
 from repro.analysis.pipeline import default_loss_spec, run_simulation
 from repro.baselines.sink_view import SinkView
 from repro.core.diagnosis import classify_flow
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.store import StoreMetadata, load_store, save_store
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
@@ -38,7 +38,7 @@ def roundtrip(tmp_path_factory):
 
 
 def diagnose(logs, metadata):
-    flows = Refill().reconstruct(logs)
+    flows = ReconstructionSession().reconstruct(logs)
     reports = {
         p: classify_flow(f, delivery_node=metadata.base_station)
         for p, f in flows.items()

@@ -8,7 +8,7 @@ recover the correct ordering from individual, unsynchronized logs.
 import pytest
 
 from repro.core.diagnosis import LossCause, classify_flow
-from repro.core.refill import Refill, RefillOptions
+from repro.core.session import ReconstructionSession
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -36,7 +36,7 @@ def recv(a, b):
 @pytest.fixture()
 def refill():
     # Table II has no generation events: origin starts with the packet.
-    return Refill(forwarder_template(with_gen=False))
+    return ReconstructionSession(forwarder_template(with_gen=False))
 
 
 def flow_for(refill, logs):

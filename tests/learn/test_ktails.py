@@ -93,9 +93,9 @@ class TestReplayStates:
         assert replay_states(graph, []) == [graph.initial]
 
 
-class TestMiningShim:
-    def test_fsm_mining_reexports_the_same_functions(self):
-        from repro.fsm import mining
+class TestFsmReexports:
+    def test_fsm_package_reexports_the_same_functions(self):
+        from repro import fsm
 
-        assert mining.mine_fsm is mine_fsm
-        assert mining.accepts is accepts
+        assert fsm.mine_fsm is mine_fsm
+        assert fsm.accepts is accepts

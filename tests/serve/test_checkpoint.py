@@ -1,6 +1,8 @@
 """Checkpoint format, atomic persistence, and session state round-trips."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -56,6 +58,35 @@ class TestCheckpointFile:
         save_checkpoint(path, Checkpoint(session_state={}))
         assert path.exists()
         assert list(path.parent.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "manifest"])
+    def test_atomic_write_fsyncs_file_then_directory(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """The temp file is fsynced before the rename and the directory
+        after it, for v1 checkpoints and v2 manifests alike."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            calls.append("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "cp.json"
+        if kind == "checkpoint":
+            save_checkpoint(path, Checkpoint(session_state={}))
+        else:
+            save_manifest(
+                path, ClusterManifest(shards=1, epoch=1, offsets={}, shard_files=())
+            )
+        assert calls == ["fsync-file", "replace", "fsync-dir"]
 
     def test_version_mismatch_raises(self, tmp_path):
         path = tmp_path / "cp.json"

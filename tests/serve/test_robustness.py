@@ -2,6 +2,7 @@
 queues.  Reuses the stress harness's fault operators so "corrupt" means the
 same thing here as in the fault-injection campaigns."""
 
+import json
 import random
 import shutil
 import socket
@@ -11,7 +12,16 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.events.store import load_store, read_complete_lines
+from repro.events.event import Event
+from repro.events.log import NodeLog
+from repro.events.packet import PacketKey
+from repro.events.store import (
+    StoreMetadata,
+    load_store,
+    read_complete_lines,
+    save_store,
+    shard_path,
+)
 from repro.serve import ServeConfig, ServerThread
 from repro.serve.client import push_store
 from repro.stress.faults import GarbleLines
@@ -73,6 +83,55 @@ class TestGarbledCorpus:
             if name.startswith("codec.corrupt_lines")
         ]
         assert corrupt and sum(corrupt) > 0
+
+
+@pytest.fixture()
+def undecodable_store(tmp_path):
+    """A one-node store whose second line ends in bytes that are not UTF-8."""
+    out = tmp_path / "store"
+    events = []
+    for seq in range(2):
+        packet = PacketKey(1, seq)
+        events += [
+            Event.make("gen", 1, packet=packet, time=seq * 10.0),
+            Event.make("trans", 1, src=1, dst=2, packet=packet, time=seq * 10.0 + 1),
+        ]
+    save_store(out, {1: NodeLog(1, events)}, StoreMetadata(2, 2, 10.0))
+    shard = shard_path(out, 1)
+    lines = shard.read_bytes().split(b"\n")
+    lines[1] += b" x=\xff\xfe"
+    shard.write_bytes(b"\n".join(lines))
+    return out
+
+
+class TestUndecodableBytes:
+    """Both doors decode bytes with one replace rule: an undecodable byte
+    is neither a crash in batch nor a silent divergence from the daemon."""
+
+    def test_batch_flows_equal_served_flows(self, undecodable_store, tmp_path):
+        flows_out = tmp_path / "flows.json"
+        code = main(["analyze", "-q", "--logs", str(undecodable_store),
+                     "--flows-out", str(flows_out)])
+        assert code == 0
+        config = ServeConfig(
+            store=str(undecodable_store),
+            checkpoint_path=str(tmp_path / "cp.json"),
+            flush_interval=0.05,
+        )
+        with ServerThread(config) as thread:
+            push_store(undecodable_store, port=thread.tcp_port)
+            wait_ready(thread.http_port)
+            status, served = http_req(thread.http_port, "/flows")
+        assert status == 200
+        assert json.loads(served).keys() == {"p1.0", "p1.1"}
+        assert served.encode("utf-8") == flows_out.read_bytes()
+
+    def test_check_reports_findings(self, undecodable_store, capsys):
+        code = main(["check", "--logs", str(undecodable_store)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "TP003" in out
+        assert "corrupt=0, events=4" in out
 
 
 class TestBrokenPeers:

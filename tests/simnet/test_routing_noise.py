@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.log import NodeLog
 from repro.simnet.scenarios import citysee, run_scenario
 
@@ -27,13 +27,13 @@ class TestParentChangeEvents:
             assert "new" in event.info_dict
 
     def test_refill_ignores_routing_noise(self, result):
-        refill = Refill()
-        with_noise = refill.reconstruct(result.true_logs)
+        session = ReconstructionSession()
+        with_noise = session.reconstruct(result.true_logs)
         stripped = {
             node: NodeLog(node, (e for e in log if e.etype != "parent_change"))
             for node, log in result.true_logs.items()
         }
-        without_noise = refill.reconstruct(stripped)
+        without_noise = session.reconstruct(stripped)
         assert set(with_noise) == set(without_noise)
         sample = sorted(with_noise)[:100]
         for packet in sample:
@@ -43,8 +43,8 @@ class TestParentChangeEvents:
         """The two independent views of routing churn agree in direction."""
         from repro.analysis.routes import route_timelines, network_churn
 
-        refill = Refill()
-        flows = refill.reconstruct(result.true_logs)
+        session = ReconstructionSession()
+        flows = session.reconstruct(result.true_logs)
         timelines = route_timelines(
             flows, exclude=frozenset({result.base_station_node})
         )

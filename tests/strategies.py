@@ -200,8 +200,7 @@ NOISE_CHARS = "=\x00\x7fÿ  \t#"
 
 
 #: Separators whose framing semantics differ between ``str.splitlines``
-#: and byte-level ``\n`` splitting — the cases ``scan_log_bytes``'s
-#: pre-scan must route to the str path.
+#: and byte-level ``\n`` splitting.
 _EXOTIC_SEPARATORS = (
     "\n", "\r\n", "\r", "\x0b", "\x0c",
     "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
@@ -217,8 +216,9 @@ def log_line_bytes(draw) -> bytes:
 
     Draws a valid encoded line, a GarbleLines-style mutated line, raw
     binary garbage, a line truncated mid-UTF-8-sequence, or a valid line
-    with an embedded newline-class separator — everything the byte-level
-    tokenizer must classify exactly like the legacy str scanner.
+    with an embedded newline-class separator — everything the bytes route
+    into the tolerant scanner must classify exactly like the legacy str
+    scanner.
     """
     mode = draw(st.integers(min_value=0, max_value=4))
     if mode == 0:  # valid canonical line
