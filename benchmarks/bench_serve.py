@@ -24,7 +24,7 @@ from repro.analysis.pipeline import default_loss_spec, run_simulation
 from repro.lognet.collector import collect_logs
 from repro.obs import FlightRecorder, MetricsRegistry, NullRegistry, use_recorder
 from repro.obs.registry import use_registry
-from repro.serve import RefillServer, ServeConfig, ServerThread
+from repro.serve import ServeConfig, ServerThread, ShardWorker
 from repro.serve.client import push_lines
 from repro.serve.ingest import IngestItem
 from repro.simnet.scenarios import citysee
@@ -202,14 +202,14 @@ def _ingest_direct(lines, sink, registry, recorder):
     """Seconds to push the corpus through the consumer's ingest path.
 
     Bypasses the sockets: the batches are fed straight to
-    ``RefillServer._ingest_item`` (decode -> session -> refresh), which is
-    exactly the code the tracing spans instrument — so the measured delta
-    is instrumentation cost, not network noise.
+    ``ShardWorker.ingest_item`` (decode -> session), then one refresh —
+    exactly the spans the tracing instruments, so the measured delta is
+    instrumentation cost, not network noise.
     """
     config = ServeConfig(
         flush_interval=0.05, delivery_node=sink, checkpoint_interval=0.0
     )
-    server = RefillServer(config, registry=registry)
+    worker = ShardWorker(config)
     batch = config.ingest_batch_lines
     items = [
         IngestItem(
@@ -224,10 +224,10 @@ def _ingest_direct(lines, sink, registry, recorder):
     with use_registry(registry), use_recorder(recorder):
         start = time.perf_counter()
         for item in items:
-            server._ingest_item(item)
-        server.session.refresh()
+            worker.ingest_item(item)
+        worker.session.refresh()
         elapsed = time.perf_counter() - start
-    return elapsed, len(server.session.packets())
+    return elapsed, len(worker.session.packets())
 
 
 def test_serve_ingest_overhead(emit):

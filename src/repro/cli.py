@@ -504,30 +504,36 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeConfig, make_server
+    from repro.serve import RefillServer, ServeConfig
 
-    config = ServeConfig(
-        store=args.logs,
-        host=args.host,
-        port=args.port,
-        unix_socket=args.unix_socket,
-        http_host=args.http_host,
-        http_port=args.http_port,
-        checkpoint_path=args.checkpoint,
-        checkpoint_interval=args.checkpoint_interval,
-        flush_interval=args.flush_interval,
-        ingest_queue_batches=args.queue_batches,
-        ingest_batch_lines=args.batch_lines,
-        batch_size=args.batch_size,
-        tail=tuple(args.tail or ()),
-        tail_interval=args.tail_interval,
-        delivery_node=args.delivery_node,
-        metrics_out=args.metrics_out,
-        trace_out=args.trace_out,
-        trace_capacity=args.trace_capacity,
-        shards=args.shards,
-    )
-    server = make_server(config)
+    try:
+        config = ServeConfig(
+            store=args.logs,
+            host=args.host,
+            port=args.port,
+            unix_socket=args.unix_socket,
+            http_host=args.http_host,
+            http_port=args.http_port,
+            checkpoint_path=args.checkpoint,
+            checkpoint_interval=args.checkpoint_interval,
+            flush_interval=args.flush_interval,
+            ingest_queue_batches=args.queue_batches,
+            ingest_batch_lines=args.batch_lines,
+            batch_size=args.batch_size,
+            tail=tuple(args.tail or ()),
+            tail_interval=args.tail_interval,
+            delivery_node=args.delivery_node,
+            metrics_out=args.metrics_out,
+            trace_out=args.trace_out,
+            trace_capacity=args.trace_capacity,
+            shards=args.shards,
+        )
+        server = RefillServer(config)
+        server.restore()
+    except ValueError as exc:
+        # bad flags, or a checkpoint this daemon must not resume from
+        log.error("serve.bad-input", error=str(exc))
+        return 2
 
     def _ready(running) -> None:
         if args.print_ports:
@@ -785,7 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--checkpoint", default=None, metavar="FILE",
-        help="checkpoint file (default: <store>/refill-checkpoint.json)",
+        help="checkpoint manifest; shard files sit next to it "
+             "(default: <store>/refill-checkpoint.json)",
     )
     p_srv.add_argument(
         "--checkpoint-interval", type=float, default=30.0, metavar="SECS",
@@ -826,9 +833,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="shard workers: 1 = single-process daemon (default); N > 1 = "
-             "router + N subprocess workers partitioned by packet key, "
-             "byte-identical output either way",
+        help="shards: 1 = state in the daemon's process (default); N > 1 = "
+             "N subprocess workers partitioned by packet key; byte-identical "
+             "output and the same checkpoint format either way",
     )
     p_srv.add_argument(
         "--metrics-out", default=None, metavar="FILE",

@@ -5,10 +5,10 @@ arrive over line-framed TCP/unix-socket connections or tailed files, flow
 through a bounded queue into an incremental
 :class:`~repro.core.session.ReconstructionSession`, and are queryable over a
 small HTTP/JSON API whose flow payloads are byte-identical to a batch
-``refill analyze`` of the same lines.  With ``--shards N`` the same surface
-fronts a router/worker cluster (:mod:`repro.serve.router`): lines are
-hashed by packet key across ``N`` subprocess workers
-(:mod:`repro.serve.shard`) and queries are scatter-gathered back into the
+``refill analyze`` of the same lines.  :class:`RefillServer` is the one
+daemon at every ``--shards``; with ``--shards N`` it hashes lines by packet
+key across ``N`` subprocess workers (:mod:`repro.serve.router`,
+:mod:`repro.serve.shard`) and scatter-gathers queries back into the
 identical bytes.  See ``docs/SERVING.md``.
 """
 
@@ -26,8 +26,7 @@ from repro.serve.checkpoint import (
 )
 from repro.serve.client import LineSender, PushResult, push_lines, push_store
 from repro.serve.config import ServeConfig
-from repro.serve.router import ClusterServer
-from repro.serve.runner import ServerThread, make_server, read_printed_ports
+from repro.serve.runner import ServerThread, read_printed_ports
 from repro.serve.server import RefillServer
 from repro.serve.shard import ShardSpec, ShardWorker
 from repro.serve.sharding import shard_for_key, shard_for_line, shard_for_packet
@@ -37,7 +36,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "Checkpoint",
     "ClusterManifest",
-    "ClusterServer",
     "LineSender",
     "PushResult",
     "RefillServer",
@@ -48,7 +46,6 @@ __all__ = [
     "ShardWorker",
     "load_checkpoint",
     "load_manifest",
-    "make_server",
     "push_lines",
     "push_store",
     "read_printed_ports",

@@ -1,30 +1,34 @@
-"""Checkpoint/restore of a live reconstruction daemon (single and sharded).
+"""Checkpoint/restore of a live reconstruction daemon, at every ``--shards``.
 
-A **v1 checkpoint** is one JSON file pairing the session's resumable state
-(:meth:`ReconstructionSession.export_state` — backend accumulations, flow
-and report caches) with the daemon's *per-source ingest offsets*.  The two
-travel together because they are only meaningful together: the offsets say
-which lines are already inside the session, so a restarted server can tell
+The file at the configured checkpoint path is always a **manifest**
+(:class:`ClusterManifest`, format version 2).  It holds the daemon's
+*per-source ingest offsets* and names one epoch-stamped **shard file** per
+shard, each a :class:`Checkpoint` (format version 1) pairing that shard's
+resumable session state (:meth:`ReconstructionSession.export_state` —
+backend accumulations, flow and report caches) with its line counts.
+Offsets and state are only meaningful together: the offsets say which
+lines are already inside the sessions, so a restarted daemon can tell
 every reconnecting source exactly how much to skip and never reprocesses
 the corpus.
 
-A **v2 cluster checkpoint** is a *manifest* (written at the configured
-checkpoint path) plus one v1-format file per shard next to it.  The shard
-files are stamped with an **epoch**: a coordinated checkpoint first has
-every shard write ``<stem>.shard<k>.e<epoch>.json``, and only then replaces
-the manifest — the manifest swap is the commit point.  A crash between the
-two leaves the previous manifest pointing at the previous epoch's intact
-files; a restart never sees a torn or half-advanced cluster state.  Old
-epochs are garbage-collected after the swap.
+A checkpoint is a two-phase commit.  Every shard first writes
+``<stem>.shard<k>.e<epoch>.json``; only then is the manifest replaced — the
+manifest swap is the commit point.  A crash between the two leaves the
+previous manifest pointing at the previous epoch's intact files, so a
+restart never sees a torn or half-advanced state.  Old epochs are
+garbage-collected after the swap.  :func:`open_manifest` is the one
+start-up check: the manifest must match the requested ``--shards`` and
+every file it names must exist.
 
 Both layers write atomically (temp file + ``os.replace`` in the same
-directory).  :func:`reshard_checkpoint` migrates a v1 file into N per-shard
-checkpoints — per-packet state is split by the cluster hash, while the
-per-source offsets (not per-packet partitionable) are assigned wholesale to
-shard 0; cluster consumers only ever read per-source sums across shards, so
-the attribution is sound.  :func:`merge_checkpoints` is the inverse, used
-by the offline rebalancing path (merge N shards to one v1 file, restart
-with a different ``--shards``).
+directory).  :func:`reshard_checkpoint` splits one checkpoint into N
+per-shard checkpoints — per-packet state is split by the cluster hash,
+while the per-source offsets (not per-packet partitionable) are assigned
+wholesale to shard 0; consumers only ever read per-source sums across
+shards, so the attribution is sound.  :func:`merge_checkpoints` is the
+inverse.  :func:`reshard_manifest` uses both to rewrite a stopped daemon's
+checkpoint for a new ``--shards``, and converts a lone version-1 file
+into a manifest.
 """
 
 from __future__ import annotations
@@ -33,18 +37,18 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-#: Format version of a single-shard checkpoint file.
+#: Format version of a shard checkpoint file.
 CHECKPOINT_VERSION = 1
 
-#: Format version of a cluster checkpoint manifest.
+#: Format version of the manifest at the configured checkpoint path.
 MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Everything a restarted server needs to resume ingest."""
+    """Everything a restarted shard needs to resume ingest."""
 
     #: :meth:`ReconstructionSession.export_state` payload.
     session_state: dict[str, Any]
@@ -69,12 +73,6 @@ class Checkpoint:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Checkpoint":
         version = data.get("version")
-        if version == MANIFEST_VERSION:
-            shards = data.get("shards", "N")
-            raise ValueError(
-                f"checkpoint version {version!r} is a cluster manifest "
-                f"(shards={shards}); start the daemon with --shards {shards}"
-            )
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
         return cls(
@@ -99,7 +97,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------- #
-# cluster manifests (v2)
+# manifests (v2)
 
 
 class ShardMismatchError(ValueError):
@@ -108,12 +106,13 @@ class ShardMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ClusterManifest:
-    """The cluster-level half of a v2 checkpoint: who owns what, and where.
+    """The daemon-level half of a checkpoint: who owns what, and where.
 
-    Holds the *router's* books (per-source resume offsets, total routed
-    lines) and names the epoch's per-shard checkpoint files.  Per-shard
-    session state lives in those files; the invariant is that the sum of
-    the shard files' ``lines_ingested`` equals :attr:`lines_routed`.
+    Holds the daemon's public books (per-source resume offsets, total
+    accepted lines) and names the epoch's per-shard checkpoint files.
+    Per-shard session state lives in those files; the invariant is that
+    the sum of the shard files' ``lines_ingested`` equals
+    :attr:`lines_routed`.
     """
 
     #: Cluster width the shard files were written for.
@@ -141,19 +140,26 @@ class ClusterManifest:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ClusterManifest":
         version = data.get("version")
-        if version == CHECKPOINT_VERSION:
-            raise ValueError(
-                "this is a single-shard (v1) checkpoint, not a cluster "
-                "manifest; the cluster migrates it automatically at startup"
-            )
         if version != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {version!r}")
+        shards = int(data["shards"])
+        files = tuple(str(f) for f in data.get("shard_files", ()))
+        if shards < 1:
+            raise ValueError(f"manifest shards must be positive, not {shards}")
+        if len(files) != shards:
+            raise ValueError(
+                f"manifest names {len(files)} shard files for {shards} shards"
+            )
+        for name in files:
+            # a bare name keeps every read inside the manifest's directory
+            if name in ("", ".", "..") or pathlib.PurePath(name).name != name:
+                raise ValueError(f"manifest shard file {name!r} is not a bare file name")
         return cls(
-            shards=int(data["shards"]),
+            shards=shards,
             epoch=int(data["epoch"]),
             offsets={str(k): int(v) for k, v in data.get("offsets", {}).items()},
             lines_routed=int(data.get("lines_routed", 0)),
-            shard_files=tuple(str(f) for f in data.get("shard_files", ())),
+            shard_files=files,
         )
 
 
@@ -163,8 +169,42 @@ def save_manifest(path, manifest: ClusterManifest) -> pathlib.Path:
 
 
 def load_manifest(path) -> ClusterManifest:
-    """Read a cluster manifest (raises on v1 files and torn JSON)."""
+    """Read a manifest (raises on any other version and on torn JSON)."""
     return ClusterManifest.from_json(json.loads(pathlib.Path(path).read_text()))
+
+
+def open_manifest(path, shards: int) -> Optional[ClusterManifest]:
+    """The start-up restore check; ``None`` when there is nothing to restore.
+
+    Raises ``ValueError`` for anything a daemon started with ``--shards
+    shards`` must not resume from: a version-1 file, a manifest for another
+    width (:class:`ShardMismatchError`), or one naming a missing shard file.
+    """
+    path = pathlib.Path(path)
+    if not path.exists():
+        return None
+    data = json.loads(path.read_text())
+    if data.get("version") == CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint {path} is a version-1 file, not a manifest; convert "
+            "it offline with repro.serve.checkpoint.reshard_manifest"
+            f"({str(path)!r}, {shards})"
+        )
+    manifest = ClusterManifest.from_json(data)
+    if manifest.shards != shards:
+        raise ShardMismatchError(
+            f"checkpoint manifest {path} was written by --shards "
+            f"{manifest.shards}, not --shards {shards}; restart with "
+            f"--shards {manifest.shards}, or rebalance offline with "
+            "repro.serve.checkpoint.reshard_manifest()"
+        )
+    for name in manifest.shard_files:
+        if not (path.parent / name).exists():
+            raise ValueError(
+                f"checkpoint manifest {path} names missing shard file "
+                f"{name!r}; restore aborted"
+            )
+    return manifest
 
 
 def shard_checkpoint_path(manifest_path, shard: int, epoch: int) -> pathlib.Path:
@@ -201,13 +241,13 @@ def gc_shard_files(manifest_path, manifest: ClusterManifest) -> list[pathlib.Pat
 
 
 # ---------------------------------------------------------------------- #
-# v1 ⇄ v2 migration
+# offline resharding
 
 
 def reshard_checkpoint(
     checkpoint: Checkpoint, shards: int
 ) -> list[Checkpoint]:
-    """Split a v1 checkpoint into ``shards`` per-shard checkpoints.
+    """Split one checkpoint into ``shards`` per-shard checkpoints.
 
     Session state is partitioned by the cluster hash
     (:func:`repro.serve.sharding.shard_for_packet`), matching where the
@@ -232,10 +272,10 @@ def reshard_checkpoint(
 
 
 def merge_checkpoints(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
-    """Fold per-shard checkpoints back into one v1 checkpoint.
+    """Fold per-shard checkpoints back into one checkpoint.
 
     Inverse of :func:`reshard_checkpoint`; per-source counts are summed, so
-    it also accepts shard files written by a live cluster (where every
+    it also accepts shard files written by a live daemon (where every
     shard carries its own share of each source).
     """
     from repro.core.session import merge_session_states
@@ -258,12 +298,14 @@ def merge_checkpoints(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
 
 
 def reshard_manifest(path, new_shards: int) -> ClusterManifest:
-    """Offline rebalancing: rewrite a cluster checkpoint for a new width.
+    """Offline rebalancing: rewrite a checkpoint for a new ``--shards``.
 
-    Loads the manifest (or a v1 checkpoint) at ``path``, merges every shard
-    file, re-splits for ``new_shards``, writes the new epoch's shard files,
-    and commits a new manifest.  Run this with the cluster *stopped*; the
-    next ``refill serve --shards <new_shards>`` restores from it directly.
+    Loads the manifest at ``path``, merges every shard file, re-splits for
+    ``new_shards``, writes the new epoch's shard files, and commits a new
+    manifest.  A version-1 file at ``path`` is the converter's other input:
+    the daemon refuses to start from one, and this turns it into a
+    manifest.  Run this with the daemon *stopped*; the next ``refill serve
+    --shards <new_shards>`` restores from it directly.
     """
     path = pathlib.Path(path)
     data = json.loads(path.read_text())

@@ -38,9 +38,9 @@ class ServeConfig:
     http_host / http_port:
         Query-API listener.
     checkpoint_path:
-        Checkpoint file; defaults to ``<store>/refill-checkpoint.json`` when
-        a store is configured, else checkpointing only happens on explicit
-        ``POST /checkpoint`` or graceful shutdown if a path exists.
+        Checkpoint manifest; defaults to ``<store>/refill-checkpoint.json``
+        when a store is configured, else checkpointing is off.  The shard
+        files it names sit next to it.
     checkpoint_interval:
         Seconds between periodic checkpoints (``0`` disables the timer;
         shutdown still checkpoints).
@@ -59,7 +59,7 @@ class ServeConfig:
         Log files to tail (source id = file name); each poll ingests the
         newly *completed* lines, so a writer caught mid-append is safe.
     tail_interval:
-        Tail poll period in seconds.
+        Tail poll period in seconds (positive).
     delivery_node:
         Overrides the store metadata's base-station id (``None`` + no store
         disables delivery detection).
@@ -73,12 +73,11 @@ class ServeConfig:
     trace_capacity:
         Flight-recorder ring size (completed spans + events retained).
     shards:
-        Number of shard workers.  ``1`` (the default) runs today's
-        single-process daemon unchanged; ``N > 1`` runs the router/worker
-        cluster (:class:`~repro.serve.router.ClusterServer`): a router
-        hashing lines by packet key to ``N`` subprocess workers, fronted
-        by a scatter-gather query API.  Output is byte-identical either
-        way.
+        Number of shards.  ``1`` (the default) keeps reconstruction state
+        in the daemon's process; ``N > 1`` hashes lines by packet key to
+        ``N`` subprocess workers (:class:`~repro.serve.router.ShardSet`)
+        behind a scatter-gather query API.  Output and the checkpoint
+        format are the same either way.
     """
 
     store: Optional[str] = None
@@ -110,6 +109,9 @@ class ServeConfig:
             raise ValueError("ingest_batch_lines must be positive")
         if self.flush_interval <= 0:
             raise ValueError("flush_interval must be positive")
+        if self.tail_interval <= 0:
+            # a zero poll period re-reads every tailed file in a busy loop
+            raise ValueError("tail_interval must be positive")
         if self.trace_capacity <= 0:
             raise ValueError("trace_capacity must be positive")
 

@@ -7,17 +7,18 @@ Responses that must be comparable across doors (``/flows``, ``/flow/<p>``,
 — byte-identical to ``refill analyze --flows-out`` on the same lines, which
 is the serve layer's correctness contract.
 
-The router/handler code here is shared by both deployment shapes through
-the :class:`QueryTarget` surface: an async ``api_*`` method per route.  The
-standalone :class:`~repro.serve.server.RefillServer` answers locally and
-immediately; the cluster's :class:`~repro.serve.router.ClusterServer`
-**scatter-gathers** — it fans the request out to every shard worker over
-their private query listeners and merges deterministically (flows/reports
-by canonical-key union, summary counters summed, metrics through the
-mergeable-snapshot path, readiness as the min over shards).  Because the
-dict-union of disjoint per-shard bodies re-serializes through
-``dumps_canonical`` (sorted keys), the merged bytes equal the unsharded
-bytes — the equivalence oracle holds at every ``--shards``.
+The handler code here routes against the :class:`QueryTarget` surface: an
+async ``api_*`` method per route, implemented by
+:class:`~repro.serve.server.RefillServer` at every ``--shards``.  At
+``--shards 1`` it answers from its in-process session; at ``--shards N``
+its :class:`~repro.serve.router.ShardSet` **scatter-gathers** — it fans the
+request out to every shard worker over their private query listeners and
+merges deterministically (flows/reports by canonical-key union, summary
+counters summed, metrics through the mergeable-snapshot path, readiness as
+the min over shards).  Because the dict-union of disjoint per-shard bodies
+re-serializes through ``dumps_canonical`` (sorted keys), the merged bytes
+equal the unsharded bytes — the equivalence oracle holds at every
+``--shards``.
 
 Routes
 ------
@@ -33,8 +34,8 @@ GET     ``/summary``            diagnosis summary + ingest progress
 GET     ``/offsets``            per-source ingest offsets / corrupt counts
 GET     ``/metrics``            the run's metrics-registry snapshot
 GET     ``/debug/trace``        the flight recorder (recent spans/events)
-POST    ``/checkpoint``         write a checkpoint now (``?epoch=N`` on a
-                                shard worker targets a coordinated epoch)
+POST    ``/checkpoint``         commit a checkpoint now (``?epoch=N`` on a
+                                shard worker writes that epoch's file)
 POST    ``/shutdown``           graceful drain + checkpoint + exit
 ======  ======================  =============================================
 
@@ -105,8 +106,8 @@ ROUTES = (
 class QueryTarget(Protocol):
     """What :class:`QueryApi` routes against — one async method per route.
 
-    Implemented by :class:`~repro.serve.server.RefillServer` (local answers)
-    and :class:`~repro.serve.router.ClusterServer` (scatter-gather merges).
+    Implemented by :class:`~repro.serve.server.RefillServer`, which answers
+    from its shard state (in-process, or scatter-gather merges).
     """
 
     recorder: FlightRecorder
@@ -145,10 +146,10 @@ def build_summary(
     sources: int,
     metadata: Optional[StoreMetadata],
 ) -> dict[str, Any]:
-    """The ``/summary`` payload, shared by the single server and the merge.
+    """The ``/summary`` payload at every ``--shards``.
 
-    The cluster computes the same shape from merged shard reports and
-    summed shard counters, so a probe cannot tell the topologies apart.
+    At ``--shards N`` the reports are merged and the counters summed over
+    shards, so a probe cannot tell the shard counts apart.
     """
     lost = sum(1 for r in reports.values() if r.lost)
     summary: dict[str, Any] = {

@@ -90,6 +90,12 @@ class SourceBook:
         self.corrupt = dict(corrupt)
         self.lines_ingested = lines_ingested
 
+    def count_ingested(self, source: Optional[str], n: int) -> None:
+        """Record ``n`` lines of ``source`` as ingested (``None``: anonymous)."""
+        self.lines_ingested += n
+        if source is not None:
+            self.ingested[source] = self.ingested.get(source, 0) + n
+
     def lag_lines(self) -> int:
         """Lines accepted but not yet ingested (the queue's content)."""
         received = sum(self.received.values())

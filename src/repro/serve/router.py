@@ -1,42 +1,42 @@
-"""The sharded serve cluster: router → N shard workers → scatter-gather.
+"""The shard set: N subprocess workers behind one daemon, scatter-gather.
 
-``refill serve --shards N`` (N > 1) runs this topology instead of the
-monolithic daemon.  One **router** process owns the public listeners and
-the client-facing protocol state — the ingest hub, the
-:class:`~repro.serve.ingest.SourceBook` of resume offsets, the flight
-recorder — and ``N`` **shard worker subprocesses** (each a full
-:class:`~repro.serve.server.RefillServer` on private loopback ports, see
-:func:`repro.serve.shard.run_shard`) own disjoint slices of reconstruction
-state, partitioned by the deterministic packet hash
-(:mod:`repro.serve.sharding`).
+At ``refill serve --shards N`` (N > 1) the
+:class:`~repro.serve.server.RefillServer` keeps its public listeners, the
+ingest hub, the :class:`~repro.serve.ingest.SourceBook` of resume offsets
+and the flight recorder, and reaches reconstruction state through a
+:class:`ShardSet`: ``N`` **shard worker subprocesses** (each a
+``RefillServer`` on private loopback ports, see
+:func:`repro.serve.shard.run_shard`) owning disjoint slices of state,
+partitioned by the deterministic packet hash (:mod:`repro.serve.sharding`).
+At ``--shards 1`` the same daemon drives one in-process
+:class:`~repro.serve.shard.ShardWorker` through the same methods.
 
-Data path.  Readers enqueue line batches exactly as in the single daemon;
-the router's consumer *routes* instead of decoding: each line's ``pkt=``
-token picks a shard, and the batch's slices are forwarded over persistent
-per-``(source, shard)`` ingest connections speaking the ordinary wire
-protocol.  Per-source ordering is preserved (one consumer, one connection
-per source and shard, in-order TCP), and backpressure is end-to-end: a full
-shard queue parks the forwarding ``drain()``, which parks the consumer,
-which fills the router's bounded queue, which stops the reader — the
-client's TCP window closes just as before.
+Data path.  Readers enqueue line batches exactly as at ``--shards 1``; the
+consumer hands each batch to :meth:`ShardSet.ingest`, which *routes*
+instead of decoding: each line's ``pkt=`` token picks a shard, and the
+batch's slices are forwarded over persistent per-``(source, shard)``
+ingest connections speaking the ordinary wire protocol.  Per-source
+ordering is preserved (one consumer, one connection per source and shard,
+in-order TCP), and backpressure is end-to-end: a full shard queue parks
+the forwarding ``drain()``, which parks the consumer, which fills the
+daemon's bounded queue, which stops the reader — the client's TCP window
+closes just as before.
 
-Query path.  The shared :class:`~repro.serve.http.QueryApi` calls this
-class's ``api_*`` methods, which fan out to every shard's private query
-port and merge deterministically: flows/reports as canonical-key dict
-unions (byte-identical to the unsharded body), summary counters summed,
+Query path.  The daemon's ``api_*`` methods call this class's query
+methods, which fan out to every shard's private query port and merge
+deterministically: flows/reports as canonical-key dict unions
+(byte-identical to the unsharded body), summary counters summed,
 ``/metrics`` through :func:`repro.obs.registry.merge_shard_snapshots`
 (counters summed; gauges/histograms relabeled ``shard=k``), readiness as
 the min over shards *plus* the conservation check that every routed line
 has reached a shard session.
 
-Checkpoints are **coordinated**: quiesce routing (route lock + barrier on
-the line-conservation invariant), have every shard write an epoch-stamped
-file, then commit by atomically replacing the cluster manifest — see
-:mod:`repro.serve.checkpoint` for the crash-consistency story.  A v1
-single-daemon checkpoint found at the manifest path is migrated at startup
-by splitting its per-packet state across shards (offsets stay on shard 0);
-a manifest written for a different ``--shards`` fails fast instead of
-corrupting state.
+Checkpoints are **coordinated**: the daemon quiesces routing (its ingest
+lock), :meth:`ShardSet.write_epoch` waits on the line-conservation barrier
+and has every shard write an epoch-stamped file, then the daemon commits
+by atomically replacing the manifest — see :mod:`repro.serve.checkpoint`
+for the crash-consistency story.  A dead shard fail-stops the daemon
+(:meth:`ShardSet.watch`).
 """
 
 from __future__ import annotations
@@ -46,37 +46,17 @@ import json
 import multiprocessing
 import multiprocessing.connection
 import pathlib
-import signal
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Mapping, Optional
 
-from repro.core.serialize import dumps_canonical, report_from_dict
+from repro.core.serialize import report_from_dict
 from repro.events.packet import PacketKey
-from repro.obs.recorder import FlightRecorder, use_recorder
-from repro.obs.registry import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    get_registry,
-    merge_shard_snapshots,
-    use_registry,
-)
+from repro.obs.registry import MetricsSnapshot, get_registry, merge_shard_snapshots
 from repro.obs.structlog import get_logger
 from repro.serve import protocol
-from repro.serve._compat import install_streams_cancel_filter, timeout
-from repro.serve.checkpoint import (
-    CHECKPOINT_VERSION,
-    Checkpoint,
-    ClusterManifest,
-    ShardMismatchError,
-    gc_shard_files,
-    reshard_checkpoint,
-    save_checkpoint,
-    save_manifest,
-    shard_checkpoint_path,
-)
+from repro.serve._compat import timeout
 from repro.serve.config import ServeConfig
-from repro.serve.http import QueryApi, build_summary
-from repro.serve.ingest import IngestHub, IngestItem, SourceBook
+from repro.serve.ingest import IngestItem, SourceBook
 from repro.serve.shard import ShardSpec, run_shard
 from repro.serve.sharding import shard_for_line, shard_for_packet
 
@@ -85,7 +65,7 @@ _log = get_logger("refill.serve.router")
 #: How long a shard subprocess may take to report its listener ports.
 SHARD_START_TIMEOUT = 60.0
 
-#: Per-request deadline for router → shard query fan-out.
+#: Per-request deadline for daemon → shard query fan-out.
 _SHARD_HTTP_TIMEOUT = 30.0
 
 #: How long a checkpoint barrier may wait for routed lines to settle.
@@ -93,7 +73,7 @@ BARRIER_TIMEOUT = 60.0
 
 
 class _ShardLink:
-    """Router-side handle to one shard: its ports and the persistent
+    """Daemon-side handle to one shard: its ports and the persistent
     per-source forwarding connections."""
 
     def __init__(self, index: int, ingest_port: int, http_port: int) -> None:
@@ -101,7 +81,7 @@ class _ShardLink:
         self.ingest_port = ingest_port
         self.http_port = http_port
         #: One ingest connection per source (``None`` key = anonymous
-        #: lines), opened lazily and kept for the router's lifetime.
+        #: lines), opened lazily and kept for the daemon's lifetime.
         self._conns: dict[
             Optional[str], tuple[asyncio.StreamReader, asyncio.StreamWriter]
         ] = {}
@@ -127,7 +107,7 @@ class _ShardLink:
                     reply = await reader.readline()
                 # The shard's offset counts *its* slice of the source and is
                 # meaningless to the client — resume skipping already
-                # happened at the router's edge — so only sanity-check it.
+                # happened at the daemon's edge — so only sanity-check it.
                 if not reply.startswith(protocol.OK.encode()):
                     raise ConnectionError(
                         f"shard {self.index} refused source {source!r}: "
@@ -148,126 +128,37 @@ class _ShardLink:
         self._conns.clear()
 
 
-class ClusterServer:
-    """The router process: public listeners, shard fan-out, coordination.
+class ShardSet:
+    """N shard subprocesses, as the daemon's reconstruction state.
 
-    Exposes the same embedding surface as :class:`RefillServer` (``run``,
-    ``request_shutdown``, ``tcp_port``/``http_port``, ``listeners()``,
-    ``restored``), so :class:`~repro.serve.runner.ServerThread` and the CLI
-    drive either interchangeably.
+    Offers the same methods as the in-process
+    :class:`~repro.serve.shard.ShardWorker`; ``book`` is the daemon's
+    public :class:`SourceBook`, advanced here as lines are routed.
     """
 
-    def __init__(
-        self, config: ServeConfig, *, registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        if config.shards < 1:
-            raise ValueError("shards must be positive")
+    def __init__(self, config: ServeConfig, book: SourceBook) -> None:
         self.config = config
         self.shards = config.shards
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.recorder = FlightRecorder(config.trace_capacity)
-        self.metadata = config.metadata()
-        self.book = SourceBook()
-        self.hub = IngestHub(config, self.book)
-        self.api = QueryApi(self)
-        self.tcp_port: Optional[int] = None
-        self.http_port: Optional[int] = None
-        self.restored = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._route_lock: Optional[asyncio.Lock] = None
-        self._manifest_path = config.resolved_checkpoint()
-        self._manifest: Optional[ClusterManifest] = None
-        self._epoch = 0
-        self._specs: list[ShardSpec] = []
+        self.book = book
         self._procs: list[multiprocessing.process.BaseProcess] = []
         self._links: list[_ShardLink] = []
         #: Lines forwarded per shard (feeds ``serve.shard.lines{shard=}``).
         self._routed: list[int] = [0] * self.shards
-        self._dirty_since_checkpoint = False
-        self._degraded = False
-        self._started_at = time.monotonic()
-        self._last_checkpoint_at: Optional[float] = None
-        self._last_queue_wait = 0.0
-        self._final_snapshot: Optional[MetricsSnapshot] = None
-
-    # ------------------------------------------------------------------ #
-    # checkpoint layout (sync; runs before the loop starts)
-
-    def _prepare_restore(self) -> None:
-        """Adopt (or migrate) the cluster checkpoint at the manifest path."""
-        path = self._manifest_path
-        if path is None or not path.exists():
-            return
-        data = json.loads(path.read_text())
-        if data.get("version") == CHECKPOINT_VERSION:
-            manifest = self._migrate_v1(path, Checkpoint.from_json(data))
-        else:
-            manifest = ClusterManifest.from_json(data)
-            if manifest.shards != self.shards:
-                raise ShardMismatchError(
-                    f"checkpoint manifest {path} was written by --shards "
-                    f"{manifest.shards}, not --shards {self.shards}; restart "
-                    f"with --shards {manifest.shards}, or rebalance offline "
-                    "with repro.serve.checkpoint.reshard_manifest()"
-                )
-            for name in manifest.shard_files:
-                if not (path.parent / name).exists():
-                    raise ValueError(
-                        f"cluster manifest {path} names missing shard file "
-                        f"{name!r}; restore aborted"
-                    )
-        self._manifest = manifest
-        self._epoch = manifest.epoch
-        self.restored = True
-
-    def _migrate_v1(self, path: pathlib.Path, v1: Checkpoint) -> ClusterManifest:
-        """Split a single-daemon checkpoint into this cluster's epoch 1."""
-        parts = reshard_checkpoint(v1, self.shards)
-        files = []
-        for index, part in enumerate(parts):
-            target = shard_checkpoint_path(path, index, 1)
-            save_checkpoint(target, part)
-            files.append(target.name)
-        manifest = ClusterManifest(
-            shards=self.shards,
-            epoch=1,
-            offsets=dict(v1.offsets),
-            lines_routed=v1.lines_ingested,
-            shard_files=tuple(files),
-        )
-        save_manifest(path, manifest)
-        gc_shard_files(path, manifest)
-        _log.info(
-            "cluster.resharded-v1",
-            checkpoint=str(path),
-            shards=self.shards,
-            lines=v1.lines_ingested,
-        )
-        return manifest
 
     # ------------------------------------------------------------------ #
     # shard subprocess lifecycle (sync; spawn before / join after the loop)
 
-    def _spawn_shards(self) -> None:
+    def start(self, restore_files: list[Optional[str]]) -> None:
+        """Spawn every shard, each restoring its file, and await its ports."""
+        manifest = self.config.resolved_checkpoint()
         ctx = multiprocessing.get_context("spawn")
         conns: list[multiprocessing.connection.Connection] = []
         for index in range(self.shards):
-            restore = None
-            if self._manifest is not None:
-                assert self._manifest_path is not None
-                restore = str(
-                    self._manifest_path.parent / self._manifest.shard_files[index]
-                )
             spec = ShardSpec(
                 index=index,
                 shards=self.shards,
-                manifest_path=(
-                    str(self._manifest_path)
-                    if self._manifest_path is not None
-                    else None
-                ),
-                restore_file=restore,
+                manifest_path=str(manifest) if manifest is not None else None,
+                restore_file=restore_files[index],
                 delivery_node=self.config.resolved_delivery_node(),
                 batch_size=self.config.batch_size,
                 flush_interval=self.config.flush_interval,
@@ -284,7 +175,6 @@ class ClusterServer:
             )
             proc.start()
             child_conn.close()
-            self._specs.append(spec)
             self._procs.append(proc)
             conns.append(parent_conn)
         for index, conn in enumerate(conns):
@@ -309,7 +199,24 @@ class ClusterServer:
                 http_port=msg["http_port"],
             )
 
-    def _stop_shard_processes(self) -> None:
+    async def close(self) -> None:
+        """Tell every shard to exit (after the daemon's final checkpoint)."""
+        replies = await asyncio.gather(
+            *(
+                self._shard_request(link, "POST", "/shutdown")
+                for link in self._links
+            ),
+            return_exceptions=True,
+        )
+        for index, reply in enumerate(replies):
+            if isinstance(reply, BaseException):
+                _log.warning("cluster.shard-shutdown-odd", shard=index, error=str(reply))
+            elif reply[0] != 202:
+                _log.warning("cluster.shard-shutdown-odd", shard=index, code=reply[0])
+        for link in self._links:
+            await link.close()
+
+    def join(self) -> None:
         """Reap shard subprocesses after the loop exited (blocking is fine
         here — nothing else is running in this process anymore)."""
         for index, proc in enumerate(self._procs):
@@ -318,6 +225,36 @@ class ClusterServer:
                 _log.warning("cluster.shard-kill", shard=index)
                 proc.terminate()
                 proc.join(timeout=5.0)
+
+    async def watch(self) -> Optional[str]:
+        """Watch shard liveness; returns why once a shard has died."""
+        registry = get_registry()
+        while True:
+            for index, proc in enumerate(self._procs):
+                alive = proc.is_alive()
+                if registry.enabled:
+                    registry.gauge("serve.shard.up", shard=index).set(
+                        1.0 if alive else 0.0
+                    )
+                if not alive:
+                    return f"shard {index} died (exit code {proc.exitcode})"
+            await asyncio.sleep(0.25)
+
+    def listeners(self) -> list[dict[str, Any]]:
+        """Every shard's private listeners."""
+        out: list[dict[str, Any]] = []
+        for link in self._links:
+            for kind, port in (("ingest", link.ingest_port), ("http", link.http_port)):
+                out.append(
+                    {
+                        "listener": f"shard{link.index}-{kind}",
+                        "transport": "tcp",
+                        "host": "127.0.0.1",
+                        "port": port,
+                        "shard": link.index,
+                    }
+                )
+        return out
 
     # ------------------------------------------------------------------ #
     # shard HTTP fan-out
@@ -365,58 +302,46 @@ class ClusterServer:
         return payloads
 
     # ------------------------------------------------------------------ #
-    # the query surface (scatter-gather merges)
+    # queries (scatter-gather merges)
 
-    async def api_readiness(self) -> tuple[bool, dict[str, Any]]:
-        """Ready iff the router is drained, every shard is ready, and every
-        routed line is accounted inside a shard session (the conservation
-        check covers lines in flight in loopback socket buffers, which
-        neither side's queue gauges can see)."""
-        lag = self.book.lag_lines()
-        queued = self.hub.queue.qsize()
+    async def readiness(self) -> dict[str, Any]:
+        """Ready iff every shard is ready and every routed line is
+        accounted inside a shard session (the conservation check covers
+        lines in flight in loopback socket buffers, which neither side's
+        queue gauges can see)."""
         shard_states = [
             (status, json.loads(body))
             for status, body in await self._fanout("GET", "/readyz")
         ]
         totals = await self._fanout_json("/offsets")
         ingested = sum(t["lines_ingested"] for t in totals)
-        settled = ingested == self.book.lines_ingested
-        shards_ready = all(status == 200 for status, _ in shard_states)
-        ready = lag == 0 and queued == 0 and shards_ready and settled
-        detail = {
-            "ready": ready,
-            "lag_lines": lag
-            + max(0, self.book.lines_ingested - ingested)
+        routed = self.book.lines_ingested
+        return {
+            "ready": ingested == routed
+            and all(status == 200 for status, _ in shard_states),
+            "lag_lines": max(0, routed - ingested)
             + sum(d["lag_lines"] for _, d in shard_states),
             "pending_packets": sum(d["pending_packets"] for _, d in shard_states),
-            "queued_batches": queued
-            + sum(d["queued_batches"] for _, d in shard_states),
-            "queue_saturation": queued / self.hub.queue.maxsize,
-            "lag_seconds": 0.0 if ready else self._last_queue_wait,
-            "checkpoint_age_seconds": self._checkpoint_age(),
+            "queued_batches": sum(d["queued_batches"] for _, d in shard_states),
             "shards": {
                 str(index): status == 200
                 for index, (status, _) in enumerate(shard_states)
             },
         }
-        return ready, detail
 
-    async def api_packets_body(self) -> str:
-        payloads = await self._fanout_json("/packets")
-        keys = sorted(
-            {
-                PacketKey.parse(p)
-                for payload in payloads
-                for p in payload["packets"]
-            }
-        )
-        return dumps_canonical({"packets": [str(k) for k in keys]})
+    async def packets(self) -> list[str]:
+        keys = {
+            PacketKey.parse(p)
+            for payload in await self._fanout_json("/packets")
+            for p in payload["packets"]
+        }
+        return [str(k) for k in sorted(keys)]
 
-    async def api_flows_body(self) -> str:
-        return dumps_canonical(await self._merged("/flows"))
+    async def flows_json(self) -> dict[str, Any]:
+        return await self._merged("/flows")
 
-    async def api_reports_body(self) -> str:
-        return dumps_canonical(await self._merged("/reports"))
+    async def reports_json(self) -> dict[str, Any]:
+        return await self._merged("/reports")
 
     async def _merged(self, path: str) -> dict[str, Any]:
         """Union of per-shard canonical-key dict bodies (disjoint packets;
@@ -427,67 +352,70 @@ class ClusterServer:
             merged.update(payload)
         return merged
 
-    async def api_packet_body(self, kind: str, packet: PacketKey) -> tuple[int, str]:
+    async def packet_body(self, kind: str, packet: PacketKey) -> tuple[int, str]:
         """Single-packet routes go straight to the owning shard."""
         link = self._links[shard_for_packet(packet, self.shards)]
         status, body = await self._shard_request(link, "GET", f"/{kind}/{packet}")
         return status, body.decode("utf-8")
 
-    async def api_summary(self) -> dict[str, Any]:
+    async def summary_parts(self) -> tuple[Mapping[PacketKey, Any], int, int]:
         reports = {
             PacketKey.parse(p): report_from_dict(d)
-            for payload in await self._fanout_json("/reports")
-            for p, d in payload.items()
+            for p, d in (await self.reports_json()).items()
         }
         summaries = await self._fanout_json("/summary")
-        return build_summary(
+        return (
             reports,
-            pending=sum(s["pending"] for s in summaries),
-            batches_ingested=sum(s["batches_ingested"] for s in summaries),
-            lines_ingested=self.book.lines_ingested,
-            sources=len(self.book.ingested),
-            metadata=self.metadata,
+            sum(s["pending"] for s in summaries),
+            sum(s["batches_ingested"] for s in summaries),
         )
 
-    async def api_offsets(self) -> dict[str, Any]:
+    async def corrupt_lines(self) -> dict[str, int]:
         corrupt: dict[str, int] = {}
         for payload in await self._fanout_json("/offsets"):
             for source, count in payload["corrupt_lines"].items():
                 corrupt[source] = corrupt.get(source, 0) + count
-        return {
-            "offsets": dict(sorted(self.book.ingested.items())),
-            "received": dict(sorted(self.book.received.items())),
-            "corrupt_lines": dict(sorted(corrupt.items())),
-            "lines_ingested": self.book.lines_ingested,
-        }
+        return corrupt
 
-    async def api_metrics_snapshot(self) -> MetricsSnapshot:
+    async def metrics(self, own: MetricsSnapshot) -> MetricsSnapshot:
         snapshots = [
             MetricsSnapshot.from_json(payload)
             for payload in await self._fanout_json("/metrics")
         ]
-        return merge_shard_snapshots(
-            get_registry().snapshot(), list(enumerate(snapshots))
-        )
+        return merge_shard_snapshots(own, list(enumerate(snapshots)))
 
-    async def api_checkpoint(self, epoch: Optional[int]) -> Optional[dict[str, Any]]:
-        if epoch is not None:
-            raise ValueError("epoch is internal to shard workers")
-        if self._manifest_path is None:
-            return None
-        assert self._route_lock is not None
-        async with self._route_lock:
-            path, packets = await self._coordinated_checkpoint()
-        return {"path": str(path), "packets": packets, "epoch": self._epoch}
+    def update_gauges(self) -> None:
+        """Shard gauges live in the shards (relabeled on merge)."""
 
     # ------------------------------------------------------------------ #
-    # coordinated checkpoints
+    # ingest (routes instead of decoding) and coordinated epochs
+
+    def refresh(self) -> None:
+        """Each shard refreshes itself on its own idle gap."""
+
+    async def ingest(self, item: IngestItem) -> None:
+        buckets: dict[int, list[str]] = {}
+        for line in item.lines:
+            buckets.setdefault(shard_for_line(line, self.shards), []).append(line)
+        for index in sorted(buckets):
+            await self._links[index].send(
+                item.source, item.node_bind, item.trace_id, buckets[index]
+            )
+        self.book.count_ingested(item.source, len(item.lines))
+        registry = get_registry()
+        if registry.enabled:
+            for index, lines in buckets.items():
+                self._routed[index] += len(lines)
+                registry.gauge("serve.shard.lines", shard=index).set(
+                    self._routed[index]
+                )
 
     async def _barrier(self) -> None:
         """Wait until shard sessions account for every routed line.
 
-        Caller holds the route lock, so the routed count is frozen; shard
-        consumers drain their queues and socket buffers toward it.
+        The caller holds the daemon's ingest lock, so the routed count is
+        frozen; shard consumers drain their queues and socket buffers
+        toward it.
         """
         target = self.book.lines_ingested
         deadline = time.monotonic() + BARRIER_TIMEOUT
@@ -506,17 +434,13 @@ class ClusterServer:
                 )
             await asyncio.sleep(0.02)
 
-    async def _coordinated_checkpoint(self) -> tuple[pathlib.Path, int]:
-        """Quiesce, write every shard's epoch file, commit the manifest.
+    async def write_epoch(self, manifest_path: pathlib.Path, epoch: int) -> int:
+        """Quiesce, then have every shard write its epoch-``epoch`` file.
 
-        Caller holds the route lock.  The manifest swap is the commit
-        point: a crash before it leaves the previous epoch intact; after
-        it, the new epoch is the truth and stale epoch files are GC'd.
+        The daemon's manifest swap that follows is the commit point.
+        Returns the packet count across shards.
         """
-        assert self._manifest_path is not None
-        started = time.perf_counter()
         await self._barrier()
-        epoch = self._epoch + 1
         packets = 0
         for index, (status, body) in enumerate(
             await self._fanout("POST", f"/checkpoint?epoch={epoch}")
@@ -527,388 +451,4 @@ class ClusterServer:
                     f"({status}): {body.decode(errors='replace').strip()}"
                 )
             packets += json.loads(body)["packets"]
-        manifest = ClusterManifest(
-            shards=self.shards,
-            epoch=epoch,
-            offsets=dict(self.book.ingested),
-            lines_routed=self.book.lines_ingested,
-            shard_files=tuple(
-                shard_checkpoint_path(self._manifest_path, index, epoch).name
-                for index in range(self.shards)
-            ),
-        )
-        save_manifest(self._manifest_path, manifest)
-        self._manifest = manifest
-        self._epoch = epoch
-        gc_shard_files(self._manifest_path, manifest)
-        registry = get_registry()
-        registry.gauge("serve.checkpoint.duration_seconds").set(
-            time.perf_counter() - started
-        )
-        self._last_checkpoint_at = time.monotonic()
-        self._dirty_since_checkpoint = False
-        _log.info(
-            "cluster.checkpointed",
-            manifest=str(self._manifest_path),
-            epoch=epoch,
-            packets=packets,
-        )
-        return self._manifest_path, packets
-
-    def _checkpoint_age(self) -> float:
-        anchor = (
-            self._last_checkpoint_at
-            if self._last_checkpoint_at is not None
-            else self._started_at
-        )
-        return max(0.0, time.monotonic() - anchor)
-
-    # ------------------------------------------------------------------ #
-    # the consumer (routes instead of decoding)
-
-    async def _route_item(self, item: IngestItem) -> None:
-        buckets: dict[int, list[str]] = {}
-        for line in item.lines:
-            buckets.setdefault(shard_for_line(line, self.shards), []).append(line)
-        for index in sorted(buckets):
-            await self._links[index].send(
-                item.source, item.node_bind, item.trace_id, buckets[index]
-            )
-        n = len(item.lines)
-        self.book.lines_ingested += n
-        if item.source is not None:
-            self.book.ingested[item.source] = (
-                self.book.ingested.get(item.source, 0) + n
-            )
-        registry = get_registry()
-        if registry.enabled:
-            for index, lines in buckets.items():
-                self._routed[index] += len(lines)
-                registry.gauge("serve.shard.lines", shard=index).set(
-                    self._routed[index]
-                )
-            if item.enqueued_at:
-                wait = time.perf_counter() - item.enqueued_at
-                self._last_queue_wait = wait
-                registry.histogram("serve.queue.wait.seconds").observe(wait)
-                registry.gauge("serve.ingest.lag_seconds").set(wait)
-        self._dirty_since_checkpoint = True
-
-    def _update_gauges(self) -> None:
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        lag = self.book.lag_lines()
-        queued = self.hub.queue.qsize()
-        registry.gauge("serve.ingest.lag_lines").set(lag)
-        registry.gauge("serve.ingest.queue_batches").set(queued)
-        registry.gauge("serve.ingest.queue_saturation").set(
-            queued / self.hub.queue.maxsize
-        )
-        if lag == 0 and queued == 0:
-            self._last_queue_wait = 0.0
-            registry.gauge("serve.ingest.lag_seconds").set(0.0)
-        registry.gauge("serve.checkpoint.age_seconds").set(self._checkpoint_age())
-        now = time.time()
-        for source, seen in self.book.last_seen.items():
-            registry.gauge("serve.source.staleness_seconds", source=source).set(
-                max(0.0, now - seen)
-            )
-
-    async def _consume(self) -> None:
-        """Single writer of routing state: dequeue, hash, forward."""
-        assert self._route_lock is not None and self._shutdown is not None
-        interval = self.config.checkpoint_interval
-        next_checkpoint = time.monotonic() + interval if interval > 0 else None
-        while True:
-            try:
-                async with timeout(self.config.flush_interval):
-                    item = await self.hub.queue.get()
-            except TimeoutError:
-                self._update_gauges()
-            else:
-                try:
-                    async with self._route_lock:
-                        await self._route_item(item)
-                except (ConnectionError, OSError) as exc:
-                    # A dead shard makes in-memory state unrecoverable; the
-                    # last committed manifest stays the truth, so fail-stop
-                    # (clients re-push from its offsets on restart).
-                    _log.error("cluster.forward-failed", error=str(exc))
-                    self._degraded = True
-                    self._shutdown.set()
-                    return
-                self.hub.queue.task_done()
-                self._update_gauges()
-            if (
-                next_checkpoint is not None
-                and self._dirty_since_checkpoint
-                and time.monotonic() >= next_checkpoint
-            ):
-                try:
-                    await self.api_checkpoint(None)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - keep serving
-                    _log.warning("cluster.checkpoint-failed", error=str(exc))
-                next_checkpoint = time.monotonic() + interval
-
-    async def _drain_queue(self) -> None:
-        """Route everything queued right now (shutdown; consumer stopped)."""
-        if self._degraded:
-            return
-        assert self._route_lock is not None
-        while not self.hub.queue.empty():
-            item = self.hub.queue.get_nowait()
-            try:
-                async with self._route_lock:
-                    await self._route_item(item)
-            except (ConnectionError, OSError) as exc:
-                _log.error("cluster.forward-failed", error=str(exc))
-                self._degraded = True
-                return
-
-    async def _monitor_shards(self) -> None:
-        """Watch shard liveness; a dead shard fail-stops the cluster."""
-        assert self._shutdown is not None
-        registry = get_registry()
-        while True:
-            for index, proc in enumerate(self._procs):
-                alive = proc.is_alive()
-                if registry.enabled:
-                    registry.gauge("serve.shard.up", shard=index).set(
-                        1.0 if alive else 0.0
-                    )
-                if not alive:
-                    _log.error(
-                        "cluster.shard-died",
-                        shard=index,
-                        exitcode=proc.exitcode,
-                    )
-                    self._degraded = True
-                    self._shutdown.set()
-                    return
-            await asyncio.sleep(0.25)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-
-    def request_shutdown(self) -> None:
-        """Trigger graceful cluster shutdown; safe from any thread."""
-        loop, event = self._loop, self._shutdown
-        if loop is None or event is None:
-            return
-        loop.call_soon_threadsafe(event.set)
-
-    def listeners(self) -> list[dict[str, Any]]:
-        """Public listeners plus every shard's private ones."""
-        out: list[dict[str, Any]] = [
-            {
-                "listener": "ingest",
-                "transport": "tcp",
-                "host": self.config.host,
-                "port": self.tcp_port,
-            }
-        ]
-        if self.config.unix_socket is not None:
-            out.append(
-                {
-                    "listener": "ingest-unix",
-                    "transport": "unix",
-                    "path": self.config.unix_socket,
-                }
-            )
-        out.append(
-            {
-                "listener": "http",
-                "transport": "tcp",
-                "host": self.config.http_host,
-                "port": self.http_port,
-            }
-        )
-        for link in self._links:
-            out.append(
-                {
-                    "listener": f"shard{link.index}-ingest",
-                    "transport": "tcp",
-                    "host": "127.0.0.1",
-                    "port": link.ingest_port,
-                    "shard": link.index,
-                }
-            )
-            out.append(
-                {
-                    "listener": f"shard{link.index}-http",
-                    "transport": "tcp",
-                    "host": "127.0.0.1",
-                    "port": link.http_port,
-                    "shard": link.index,
-                }
-            )
-        return out
-
-    async def _main(self, ready: Optional[Callable[["ClusterServer"], None]]) -> None:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        install_streams_cancel_filter(loop)
-        self._shutdown = asyncio.Event()
-        self._route_lock = asyncio.Lock()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self._shutdown.set)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # non-main thread or unsupported platform
-        if self._manifest is not None:
-            self.book.restore(self._manifest.offsets, {}, self._manifest.lines_routed)
-
-        servers: list[asyncio.AbstractServer] = []
-        tcp = await asyncio.start_server(
-            self.hub.handle_connection, self.config.host, self.config.port
-        )
-        servers.append(tcp)
-        self.tcp_port = tcp.sockets[0].getsockname()[1]
-        if self.config.unix_socket is not None:
-            servers.append(
-                await asyncio.start_unix_server(
-                    self.hub.handle_connection, path=self.config.unix_socket
-                )
-            )
-        http = await asyncio.start_server(
-            self.api.handle_connection, self.config.http_host, self.config.http_port
-        )
-        servers.append(http)
-        self.http_port = http.sockets[0].getsockname()[1]
-
-        consumer = asyncio.create_task(self._consume())
-        monitor = asyncio.create_task(self._monitor_shards())
-        tails = [
-            asyncio.create_task(self.hub.tail_file(path, self._shutdown))
-            for path in self.config.tail
-        ]
-        _log.info(
-            "cluster.listening",
-            ingest_port=self.tcp_port,
-            http_port=self.http_port,
-            shards=self.shards,
-            restored=self.restored,
-            epoch=self._epoch,
-        )
-        if ready is not None:
-            ready(self)
-
-        await self._shutdown.wait()
-        _log.info("cluster.draining", queued=self.hub.queue.qsize())
-        for server in servers:
-            server.close()
-        monitor.cancel()
-        consumer.cancel()
-        for tail in tails:
-            tail.cancel()
-        workers = [
-            consumer,
-            monitor,
-            *tails,
-            *self.hub.cancel_readers(),
-            *self.api.cancel_handlers(),
-        ]
-        pending_workers = set(workers)
-        while pending_workers:
-            # route concurrently with the reap so a reader parked on a full
-            # queue always finds a slot to complete its cancellation through
-            _done, pending_workers = await asyncio.wait(
-                pending_workers, timeout=0.05
-            )
-            await self._drain_queue()
-        for worker in workers:
-            if not worker.cancelled() and worker.exception() is not None:
-                _log.warning("cluster.worker-error", error=str(worker.exception()))
-        for server in servers:
-            await server.wait_closed()
-        await self._drain_queue()
-        await self._finalize()
-        if self.config.unix_socket is not None:
-            # refill: no-cc001 -- one-shot unlink on the shutdown path, after serving stopped
-            pathlib.Path(self.config.unix_socket).unlink(missing_ok=True)
-        self._write_final_outputs()
-        _log.info(
-            "cluster.stopped",
-            lines=self.book.lines_ingested,
-            epoch=self._epoch,
-            degraded=self._degraded,
-        )
-
-    async def _finalize(self) -> None:
-        """Final checkpoint + metrics capture, then stop the shards.
-
-        Order matters: commit the manifest while the shards still serve
-        (their post-commit self-write is an idempotent rewrite of the same
-        epoch file), capture the merged snapshot, and only then tell them
-        to exit.  A degraded cluster skips all of it — the last committed
-        manifest stays the recoverable truth.
-        """
-        if self._degraded:
-            self._final_snapshot = get_registry().snapshot()
-            return
-        if self._manifest_path is not None:
-            try:
-                assert self._route_lock is not None
-                async with self._route_lock:
-                    await self._coordinated_checkpoint()
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - still stop cleanly
-                _log.error("cluster.final-checkpoint-failed", error=str(exc))
-        try:
-            self._final_snapshot = await self.api_metrics_snapshot()
-        except (ConnectionError, OSError, RuntimeError) as exc:
-            _log.warning("cluster.final-metrics-failed", error=str(exc))
-            self._final_snapshot = get_registry().snapshot()
-        replies = await asyncio.gather(
-            *(
-                self._shard_request(link, "POST", "/shutdown")
-                for link in self._links
-            ),
-            return_exceptions=True,
-        )
-        for index, reply in enumerate(replies):
-            if isinstance(reply, BaseException):
-                _log.warning("cluster.shard-shutdown-odd", shard=index, error=str(reply))
-            elif reply[0] != 202:
-                _log.warning("cluster.shard-shutdown-odd", shard=index, code=reply[0])
-        for link in self._links:
-            await link.close()
-
-    def _write_final_outputs(self) -> None:
-        """Dump ``--metrics-out`` / ``--trace-out`` on graceful shutdown."""
-        if self.config.metrics_out is not None:
-            snapshot = (
-                self._final_snapshot
-                if self._final_snapshot is not None
-                else self.registry.snapshot()
-            )
-            path = pathlib.Path(self.config.metrics_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(snapshot.to_json_str() + "\n")
-            _log.info("serve.metrics-written", path=str(path))
-        if self.config.trace_out is not None:
-            count = self.recorder.dump_jsonl(self.config.trace_out)
-            _log.info(
-                "serve.trace-written", path=self.config.trace_out, records=count
-            )
-
-    def run(self, ready: Optional[Callable[["ClusterServer"], None]] = None) -> int:
-        """Blocking entry point: serve until SIGTERM/SIGINT or ``/shutdown``.
-
-        Shard subprocesses are spawned before the loop starts (process
-        creation is blocking work) and joined after it exits; the router's
-        registry and recorder wrap the loop exactly like the single
-        daemon's, so ``GET /metrics`` and ``/debug/trace`` behave the same.
-        """
-        self._prepare_restore()
-        self._spawn_shards()
-        try:
-            with use_registry(self.registry), use_recorder(self.recorder):
-                asyncio.run(self._main(ready))
-        finally:
-            self._stop_shard_processes()
-        return 0
+        return packets

@@ -6,13 +6,8 @@ but tests and benchmarks want it *next to* the code exercising it.
 blocks until the listeners are bound (so ``tcp_port``/``http_port`` are
 real), and stops it through the same graceful-shutdown path SIGTERM takes —
 drain, refresh, checkpoint — so a stopped server's checkpoint is always
-valid to restart from.
-
-:func:`make_server` is the single topology switch: ``shards == 1`` builds
-the classic in-process :class:`RefillServer`, ``shards > 1`` the
-:class:`~repro.serve.router.ClusterServer` (router + shard subprocesses).
-Both expose the same embedding surface, so everything here — and the CLI —
-is topology-agnostic.
+valid to restart from.  It builds the one daemon class,
+:class:`RefillServer`, at every ``config.shards``.
 
 External harnesses (CI scripts, the verify skill) that run ``refill serve
 --print-ports`` as a subprocess parse its output with
@@ -25,21 +20,11 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.serve.config import ServeConfig
-from repro.serve.router import ClusterServer
 from repro.serve.server import RefillServer
-
-
-def make_server(
-    config: ServeConfig, *, registry: Optional[MetricsRegistry] = None
-) -> Union[RefillServer, ClusterServer]:
-    """Build the right topology for ``config.shards``."""
-    if config.shards > 1:
-        return ClusterServer(config, registry=registry)
-    return RefillServer(config, registry=registry)
 
 
 def parse_port_line(line: str) -> Optional[dict[str, Any]]:
@@ -88,15 +73,14 @@ def read_printed_ports(
 class ServerThread:
     """A live daemon on a background thread; context-manager friendly.
 
-    Works for both topologies; with ``config.shards > 1`` the thread hosts
-    the router loop and the shard subprocesses are children of this
+    With ``config.shards > 1`` the shard subprocesses are children of this
     process.
     """
 
     def __init__(
         self, config: ServeConfig, *, registry: Optional[MetricsRegistry] = None
     ) -> None:
-        self.server = make_server(config, registry=registry)
+        self.server = RefillServer(config, registry=registry)
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._error: Optional[BaseException] = None

@@ -1,15 +1,36 @@
 """The live reconstruction daemon: ingest + checkpoint + query in one loop.
 
-:class:`RefillServer` wires the pieces together around one
-:class:`~repro.serve.shard.ShardWorker` (the session/book/checkpoint core):
+:class:`RefillServer` is the one daemon class, at every ``--shards``.  It
+owns everything that does not depend on where the sessions live:
 
 - **readers** (:mod:`repro.serve.ingest`) frame connection/tail bytes into
-  line batches on a bounded queue;
-- a single **consumer** task decodes batches with the shared tolerant
-  scanner, feeds the worker's session, refreshes dirty flows after an idle
-  gap, and writes periodic checkpoints;
-- the **query API** (:mod:`repro.serve.http`) answers from the same session
-  (auto-refreshing, so a query never sees stale flows).
+  line batches on a bounded queue, against the public
+  :class:`~repro.serve.ingest.SourceBook` of resume offsets;
+- a single **consumer** task hands batches to the shard state, refreshes
+  dirty flows after an idle gap, and writes periodic checkpoints;
+- the **query API** (:mod:`repro.serve.http`), the flight recorder,
+  signal handling, and the graceful shutdown.
+
+Only two things depend on the shard count: where reconstruction state
+lives, and how a query reaches it.  That is the shard state, ``state``:
+
+- ``--shards 1``: one in-process :class:`~repro.serve.shard.ShardWorker`
+  (decode → ``session.ingest`` → refresh, with no socket hop);
+- ``--shards N``: a :class:`~repro.serve.router.ShardSet` of N subprocess
+  workers, reached through routing, scatter-gather merges, a checkpoint
+  barrier and a liveness monitor.
+
+Each shard subprocess is itself a ``RefillServer`` built by
+:func:`repro.serve.shard.run_shard` with a :class:`ShardSpec`.  It differs
+only in coordination: it installs no signal handlers (the public daemon
+owns shutdown), restores the one shard file the daemon names, and writes
+its shard file only on ``POST /checkpoint?epoch=N``.
+
+Checkpoints are one protocol at every ``--shards``: under the ingest lock,
+every shard writes its epoch-stamped file, then the manifest at the
+checkpoint path is atomically replaced — the commit point (see
+:mod:`repro.serve.checkpoint`).  Restore is one path too: read the
+manifest, check its ``shards`` and its files, restore.
 
 Everything runs on one event loop in one thread: session mutations happen
 only inside synchronous stretches of the consumer or a handler, so state is
@@ -17,18 +38,12 @@ consistent at every ``await`` without locks.  Reconstruction is CPU work —
 a query issued mid-refresh waits; per-packet flows are tiny, so stalls are
 bounded by one batch, not the corpus.
 
-The same class is both deployment shapes' workhorse: the standalone
-``refill serve`` daemon (``shard=None``), and — constructed by
-:func:`repro.serve.shard.run_shard` with a :class:`ShardSpec` — one worker
-subprocess of the sharded cluster (:mod:`repro.serve.router`).  A shard
-instance differs only in coordination: it installs no signal handlers (the
-router owns shutdown) and honors ``POST /checkpoint?epoch=N`` by writing
-the epoch-stamped per-shard file instead of a standalone checkpoint.
-
 Graceful shutdown (SIGTERM/SIGINT or ``POST /shutdown``): stop accepting,
 cancel live connections and tails, drain the queued batches into the
-session (concurrently with reaping, so a reader parked on a full queue can
-always finish), refresh, checkpoint, exit.
+shard state (concurrently with reaping, so a reader parked on a full queue
+can always finish), refresh, checkpoint, stop the shards, exit.  A dead
+shard or a failed forward is fail-stop: the daemon skips the final
+checkpoint, so the last committed manifest stays the recoverable truth.
 Evidence still in a connection's socket buffer is *not* consumed — that is
 what per-source offsets are for: the restarted server tells each
 reconnecting source how much to skip, so nothing is lost and nothing is
@@ -41,15 +56,9 @@ import asyncio
 import pathlib
 import signal
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
-from repro.core.serialize import (
-    dumps_canonical,
-    flow_to_dict,
-    flows_to_json,
-    report_to_dict,
-    reports_to_json,
-)
+from repro.core.serialize import dumps_canonical
 from repro.events.packet import PacketKey
 from repro.obs.recorder import FlightRecorder, use_recorder
 from repro.obs.registry import (
@@ -59,11 +68,18 @@ from repro.obs.registry import (
     use_registry,
 )
 from repro.obs.structlog import get_logger
-from repro.obs.tracing import traced
 from repro.serve._compat import install_streams_cancel_filter, timeout
+from repro.serve.checkpoint import (
+    ClusterManifest,
+    gc_shard_files,
+    open_manifest,
+    save_manifest,
+    shard_checkpoint_path,
+)
 from repro.serve.config import ServeConfig
 from repro.serve.http import QueryApi, build_summary
 from repro.serve.ingest import IngestHub, IngestItem, SourceBook
+from repro.serve.router import ShardSet
 from repro.serve.shard import ShardSpec, ShardWorker
 
 _log = get_logger("refill.serve")
@@ -91,7 +107,7 @@ SERVE_METRIC_NAMES = (
 
 
 class RefillServer:
-    """A long-running reconstruction service over one streaming session."""
+    """A long-running reconstruction service over N shards (N >= 1)."""
 
     def __init__(
         self,
@@ -104,42 +120,210 @@ class RefillServer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.recorder = FlightRecorder(config.trace_capacity)
         self.metadata = config.metadata()
-        #: ``None`` for the standalone daemon; the spec when this server is
-        #: one subprocess worker of a sharded cluster.
+        #: ``None`` for the public daemon; the spec when this server is one
+        #: subprocess worker behind a ``--shards N`` daemon.
         self.shard = shard
-        self.worker = ShardWorker(config)
-        self.hub = IngestHub(config, self.worker.book)
+        self.book = SourceBook()
+        self.hub = IngestHub(config, self.book)
         self.api = QueryApi(self)
+        #: Where reconstruction state lives (see the module docstring).
+        self.state: Union[ShardWorker, ShardSet] = (
+            ShardSet(config, self.book)
+            if config.shards > 1
+            else ShardWorker(config, self.book)
+        )
+        #: The manifest path; ``None`` turns checkpointing off (and always
+        #: in a shard subprocess, which writes only at the daemon's order).
+        self.manifest_path = config.resolved_checkpoint() if shard is None else None
         #: Bound listener ports, published once the listeners are up.
         self.tcp_port: Optional[int] = None
         self.http_port: Optional[int] = None
         #: Whether start-up restored state from an existing checkpoint.
         self.restored = False
+        self._restore_files: Optional[list[Optional[str]]] = None
+        self._epoch = 0
+        self._dirty_since_checkpoint = False
+        self._degraded = False
+        self._started_at = time.monotonic()
+        #: ``time.monotonic()`` of the last committed checkpoint (age gauge).
+        self._last_checkpoint_at: Optional[float] = None
+        #: Queue wait of the most recently ingested batch (lag gauge).
+        self._last_queue_wait = 0.0
+        self._final_snapshot: Optional[MetricsSnapshot] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
+        self._ingest_lock: Optional[asyncio.Lock] = None
 
     # ------------------------------------------------------------------ #
-    # the worker's state, re-exported (tests and embedders use these)
-
-    @property
-    def session(self):
-        return self.worker.session
-
-    @property
-    def book(self) -> SourceBook:
-        return self.worker.book
+    # start-up restore (sync; before the loop)
 
     def restore(self) -> bool:
-        """Adopt the configured checkpoint if one exists on disk."""
-        return self.worker.restore()
+        """Check the checkpoint at the configured path and adopt its books.
 
-    def write_checkpoint(self) -> Optional[pathlib.Path]:
-        """Write a checkpoint now; ``None`` when no path is configured."""
-        return self.worker.write_checkpoint()
+        The one restore path: read the manifest, check its ``shards`` and
+        that its shard files exist (``ValueError`` otherwise, so a bad
+        checkpoint stops start-up before anything listens), restore the
+        public offsets.  The shards restore their files in :meth:`run`.
+        Idempotent; returns whether there was state to restore.
+        """
+        if self._restore_files is not None:
+            return self.restored
+        shards = self.config.shards
+        files: list[Optional[str]] = [None] * shards
+        if self.shard is not None:
+            files = [self.shard.restore_file]
+        elif self.manifest_path is not None:
+            manifest = open_manifest(self.manifest_path, shards)
+            if manifest is not None:
+                self.book.restore(manifest.offsets, {}, manifest.lines_routed)
+                self._epoch = manifest.epoch
+                files = [
+                    str(self.manifest_path.parent / name)
+                    for name in manifest.shard_files
+                ]
+        self._restore_files = files
+        self.restored = files[0] is not None
+        return self.restored
 
-    def readiness(self) -> tuple[bool, dict[str, Any]]:
-        """Whether ingest is drained and every flow is fresh."""
-        return self.worker.readiness(self.hub.queue)
+    # ------------------------------------------------------------------ #
+    # checkpoints: one protocol at every --shards
+
+    async def checkpoint(self) -> Optional[dict[str, Any]]:
+        """Commit a checkpoint now; ``None`` when no path is configured.
+
+        Under the ingest lock every shard writes its epoch ``E+1`` file,
+        then the manifest swap commits the epoch and older shard files are
+        deleted.  A crash before the swap leaves epoch ``E`` intact.
+        """
+        path = self.manifest_path
+        if path is None:
+            return None
+        assert self._ingest_lock is not None
+        async with self._ingest_lock:
+            started = time.perf_counter()
+            epoch = self._epoch + 1
+            packets = await self.state.write_epoch(path, epoch)
+            manifest = ClusterManifest(
+                shards=self.config.shards,
+                epoch=epoch,
+                offsets=dict(self.book.ingested),
+                lines_routed=self.book.lines_ingested,
+                shard_files=tuple(
+                    shard_checkpoint_path(path, index, epoch).name
+                    for index in range(self.config.shards)
+                ),
+            )
+            save_manifest(path, manifest)
+            self._epoch = epoch
+            gc_shard_files(path, manifest)
+            registry = get_registry()
+            registry.counter("serve.checkpoints").inc()
+            registry.gauge("serve.checkpoint.duration_seconds").set(
+                time.perf_counter() - started
+            )
+            self._last_checkpoint_at = time.monotonic()
+            self._dirty_since_checkpoint = False
+        _log.debug("serve.checkpointed", manifest=str(path), epoch=epoch)
+        return {"path": str(path), "packets": packets, "epoch": epoch}
+
+    async def _checkpoint_or_warn(self) -> None:
+        try:
+            await self.checkpoint()
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - keep serving, keep stopping
+            _log.error("serve.checkpoint-failed", error=str(exc))
+
+    def _checkpoint_age(self) -> float:
+        anchor = (
+            self._last_checkpoint_at
+            if self._last_checkpoint_at is not None
+            else self._started_at
+        )
+        return max(0.0, time.monotonic() - anchor)
+
+    # ------------------------------------------------------------------ #
+    # the query surface (QueryApi calls these; the shard state answers)
+
+    async def api_readiness(self) -> tuple[bool, dict[str, Any]]:
+        """Ready when the queue is drained and every shard is caught up.
+
+        The detail dict mirrors the pipeline-health gauges so a probe (or a
+        human with ``curl``) sees the same numbers Prometheus scrapes: line
+        lag, the dirty set, queue depth/saturation, the last batch's queue
+        wait, and checkpoint age.
+        """
+        lag = self.book.lag_lines()
+        queued = self.hub.queue.qsize()
+        inner = await self.state.readiness()
+        ready = lag == 0 and queued == 0 and inner["ready"]
+        detail = {
+            "ready": ready,
+            "lag_lines": lag + inner["lag_lines"],
+            "pending_packets": inner["pending_packets"],
+            "queued_batches": queued + inner["queued_batches"],
+            "queue_saturation": queued / self.hub.queue.maxsize,
+            "lag_seconds": 0.0 if ready else self._last_queue_wait,
+            "checkpoint_age_seconds": self._checkpoint_age(),
+        }
+        if "shards" in inner:
+            detail["shards"] = inner["shards"]
+        return ready, detail
+
+    async def api_packets_body(self) -> str:
+        return dumps_canonical({"packets": await self.state.packets()})
+
+    async def api_flows_body(self) -> str:
+        return dumps_canonical(await self.state.flows_json())
+
+    async def api_reports_body(self) -> str:
+        return dumps_canonical(await self.state.reports_json())
+
+    async def api_packet_body(self, kind: str, packet: PacketKey) -> tuple[int, str]:
+        return await self.state.packet_body(kind, packet)
+
+    async def api_summary(self) -> dict[str, Any]:
+        reports, pending, batches = await self.state.summary_parts()
+        return build_summary(
+            reports,
+            pending=pending,
+            batches_ingested=batches,
+            lines_ingested=self.book.lines_ingested,
+            sources=len(self.book.ingested),
+            metadata=self.metadata,
+        )
+
+    async def api_offsets(self) -> dict[str, Any]:
+        book = self.book
+        return {
+            "offsets": dict(sorted(book.ingested.items())),
+            "received": dict(sorted(book.received.items())),
+            "corrupt_lines": dict(sorted((await self.state.corrupt_lines()).items())),
+            "lines_ingested": book.lines_ingested,
+        }
+
+    async def api_metrics_snapshot(self) -> MetricsSnapshot:
+        return await self.state.metrics(get_registry().snapshot())
+
+    async def api_checkpoint(self, epoch: Optional[int]) -> Optional[dict[str, Any]]:
+        """``POST /checkpoint``: commit now, or write one epoch's shard file.
+
+        ``epoch`` is the shard protocol — only a shard subprocess accepts
+        it, and only it: its file is committed by the public daemon's
+        manifest swap, so a shard never writes on its own.  Returns the
+        response payload, ``None`` when no checkpoint path is configured
+        (→ 409).
+        """
+        if self.shard is None:
+            if epoch is not None:
+                raise ValueError("epoch is internal to shard workers")
+            return await self.checkpoint()
+        if epoch is None:
+            raise ValueError("a shard worker checkpoints only at an epoch")
+        assert isinstance(self.state, ShardWorker)
+        written = self.state.write_checkpoint(self.shard.epoch_path(epoch))
+        packets = len(self.state.session.packets())
+        return {"path": str(written), "packets": packets, "epoch": epoch}
 
     def listeners(self) -> list[dict[str, Any]]:
         """One descriptor per bound listener (the ``--print-ports`` shape).
@@ -147,6 +331,7 @@ class RefillServer:
         Each entry carries a unique ``listener`` name plus enough to connect
         (``port`` for TCP, ``path`` for unix sockets); harnesses parse the
         emitted lines into a name-keyed dict without positional guessing.
+        At ``--shards N`` every shard's private listeners follow.
         """
         out: list[dict[str, Any]] = [
             {
@@ -172,7 +357,7 @@ class RefillServer:
                 "port": self.http_port,
             }
         )
-        return out
+        return out + self.state.listeners()
 
     def request_shutdown(self) -> None:
         """Trigger graceful shutdown; safe from any thread."""
@@ -182,89 +367,64 @@ class RefillServer:
         loop.call_soon_threadsafe(event.set)
 
     # ------------------------------------------------------------------ #
-    # the query surface (async so the cluster can fan out; here the answers
-    # are local and immediate)
-
-    async def api_readiness(self) -> tuple[bool, dict[str, Any]]:
-        return self.readiness()
-
-    async def api_packets_body(self) -> str:
-        return dumps_canonical(
-            {"packets": [str(p) for p in self.session.packets()]}
-        )
-
-    async def api_flows_body(self) -> str:
-        return dumps_canonical(flows_to_json(self.session.flows()))
-
-    async def api_reports_body(self) -> str:
-        return dumps_canonical(reports_to_json(self.session.reports()))
-
-    async def api_packet_body(self, kind: str, packet: PacketKey) -> tuple[int, str]:
-        if kind == "flow":
-            flow = self.session.flow(packet)
-            if flow is None:
-                return 404, dumps_canonical({"error": f"unknown packet {packet}"})
-            return 200, dumps_canonical(flow_to_dict(flow))
-        report = self.session.reports().get(packet)
-        if report is None:
-            return 404, dumps_canonical({"error": f"unknown packet {packet}"})
-        return 200, dumps_canonical(report_to_dict(report))
-
-    async def api_summary(self) -> dict[str, Any]:
-        return build_summary(
-            self.session.reports(),
-            pending=self.session.pending,
-            batches_ingested=self.session.batches_ingested,
-            lines_ingested=self.book.lines_ingested,
-            sources=len(self.book.ingested),
-            metadata=self.metadata,
-        )
-
-    async def api_offsets(self) -> dict[str, Any]:
-        book = self.book
-        return {
-            "offsets": dict(sorted(book.ingested.items())),
-            "received": dict(sorted(book.received.items())),
-            "corrupt_lines": dict(sorted(book.corrupt.items())),
-            "lines_ingested": book.lines_ingested,
-        }
-
-    async def api_metrics_snapshot(self) -> MetricsSnapshot:
-        return get_registry().snapshot()
-
-    async def api_checkpoint(self, epoch: Optional[int]) -> Optional[dict[str, Any]]:
-        """``POST /checkpoint``: write now; epoch targets a coordinated file.
-
-        ``epoch`` is the cluster protocol — only a shard worker accepts it,
-        writing the epoch-stamped file the router is about to commit via the
-        manifest swap.  Returns the response payload, ``None`` when no
-        checkpoint path is configured (→ 409).
-        """
-        if epoch is not None:
-            if self.shard is None:
-                raise ValueError("epoch checkpoints need a shard worker")
-            written = self.worker.write_checkpoint(self.shard.epoch_path(epoch))
-        else:
-            written = self.worker.write_checkpoint()
-        if written is None:
-            return None
-        return {"path": str(written), "packets": len(self.session.packets())}
-
-    # ------------------------------------------------------------------ #
     # the consumer
 
-    def _ingest_item(self, item: IngestItem) -> None:
-        self.worker.ingest_item(item)
+    async def _ingest(self, item: IngestItem) -> None:
+        """Hand one batch to the shard state (the only writer of it)."""
+        registry = get_registry()
+        if item.enqueued_at and registry.enabled:
+            wait = time.perf_counter() - item.enqueued_at
+            self._last_queue_wait = wait
+            registry.histogram("serve.queue.wait.seconds").observe(wait)
+            registry.gauge("serve.ingest.lag_seconds").set(wait)
+        assert self._ingest_lock is not None
+        async with self._ingest_lock:
+            await self.state.ingest(item)
+        if item.lines:
+            self._dirty_since_checkpoint = True
 
-    def _drain_queue(self) -> None:
+    def _fail_stop(self, reason: str) -> None:
+        """A shard is gone: in-memory state is unrecoverable, so stop; the
+        last committed manifest stays the truth (clients re-push from its
+        offsets on restart)."""
+        _log.error("serve.shard-failed", error=reason)
+        self._degraded = True
+        assert self._shutdown is not None
+        self._shutdown.set()
+
+    async def _drain_queue(self) -> None:
         """Ingest everything queued right now (shutdown; consumer stopped)."""
-        self.worker.drain_queue(self.hub.queue)
+        while not self._degraded and not self.hub.queue.empty():
+            try:
+                await self._ingest(self.hub.queue.get_nowait())
+            except (ConnectionError, OSError) as exc:
+                self._fail_stop(f"forward failed: {exc}")
 
     def _update_gauges(self) -> None:
-        self.worker.update_gauges(self.hub.queue)
+        registry = get_registry()
+        if not registry.enabled:
+            return
+        lag = self.book.lag_lines()
+        queued = self.hub.queue.qsize()
+        registry.gauge("serve.ingest.lag_lines").set(lag)
+        registry.gauge("serve.ingest.queue_batches").set(queued)
+        registry.gauge("serve.ingest.queue_saturation").set(
+            queued / self.hub.queue.maxsize
+        )
+        if lag == 0 and queued == 0:
+            # drained: the last batch's wait no longer describes the present
+            self._last_queue_wait = 0.0
+            registry.gauge("serve.ingest.lag_seconds").set(0.0)
+        registry.gauge("serve.checkpoint.age_seconds").set(self._checkpoint_age())
+        now = time.time()
+        for source, seen in self.book.last_seen.items():
+            registry.gauge("serve.source.staleness_seconds", source=source).set(
+                max(0.0, now - seen)
+            )
+        self.state.update_gauges()
 
     async def _consume(self) -> None:
-        """Single writer of session state: dequeue, decode, ingest.
+        """Single writer of shard state: dequeue, ingest, refresh.
 
         On an idle gap (``flush_interval`` with nothing queued) dirty flows
         are refreshed so queries and the readiness probe see fresh results;
@@ -282,30 +442,31 @@ class RefillServer:
                 async with timeout(self.config.flush_interval):
                     item = await self.hub.queue.get()
             except TimeoutError:
-                if self.session.pending:
-                    with traced("serve.refresh", pending=self.session.pending):
-                        self.session.refresh()
-                self._update_gauges()
+                self.state.refresh()
             else:
-                self._ingest_item(item)
+                try:
+                    await self._ingest(item)
+                except (ConnectionError, OSError) as exc:
+                    self._fail_stop(f"forward failed: {exc}")
+                    return
                 self.hub.queue.task_done()
-                if (
-                    item.flush
-                    and self.hub.queue.empty()
-                    and self.session.pending
-                ):
+                if item.flush and self.hub.queue.empty():
                     # last batch of a closed connection and nothing else
                     # queued: refresh now instead of waiting out an idle gap
-                    with traced("serve.refresh", pending=self.session.pending):
-                        self.session.refresh()
-                self._update_gauges()
+                    self.state.refresh()
+            self._update_gauges()
             if (
                 next_checkpoint is not None
-                and self.worker._dirty_since_checkpoint
+                and self._dirty_since_checkpoint
                 and time.monotonic() >= next_checkpoint
             ):
-                self.write_checkpoint()
+                await self._checkpoint_or_warn()
                 next_checkpoint = time.monotonic() + interval
+
+    async def _watch(self) -> None:
+        reason = await self.state.watch()
+        if reason is not None:
+            self._fail_stop(reason)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -315,14 +476,15 @@ class RefillServer:
         self._loop = loop
         install_streams_cancel_filter(loop)
         self._shutdown = asyncio.Event()
+        self._ingest_lock = asyncio.Lock()
         if self.shard is None:
-            # a shard subprocess takes orders from the router, not the tty
+            # a shard subprocess takes orders from the public daemon, not
+            # the tty
             for sig in (signal.SIGTERM, signal.SIGINT):
                 try:
                     loop.add_signal_handler(sig, self._shutdown.set)
                 except (NotImplementedError, RuntimeError, ValueError):
                     pass  # non-main thread or unsupported platform
-        self.restored = self.restore()
 
         servers: list[asyncio.AbstractServer] = []
         tcp = await asyncio.start_server(
@@ -343,6 +505,7 @@ class RefillServer:
         self.http_port = http.sockets[0].getsockname()[1]
 
         consumer = asyncio.create_task(self._consume())
+        watcher = asyncio.create_task(self._watch())
         tails = [
             asyncio.create_task(self.hub.tail_file(path, self._shutdown))
             for path in self.config.tail
@@ -354,6 +517,8 @@ class RefillServer:
             unix_socket=self.config.unix_socket or "-",
             tails=len(tails),
             restored=self.restored,
+            shards=self.config.shards,
+            epoch=self._epoch,
             shard=self.shard.index if self.shard is not None else "-",
         )
         if ready is not None:
@@ -369,10 +534,12 @@ class RefillServer:
         # connection handlers — an idle connection sitting in its read
         # timeout would stall shutdown forever.
         consumer.cancel()
+        watcher.cancel()
         for tail in tails:
             tail.cancel()
         workers = [
             consumer,
+            watcher,
             *tails,
             *self.hub.cancel_readers(),
             *self.api.cancel_handlers(),
@@ -384,7 +551,7 @@ class RefillServer:
             _done, pending_workers = await asyncio.wait(
                 pending_workers, timeout=0.05
             )
-            self._drain_queue()
+            await self._drain_queue()
         for worker in workers:
             if not worker.cancelled() and worker.exception() is not None:
                 _log.warning(
@@ -393,22 +560,37 @@ class RefillServer:
         for server in servers:
             await server.wait_closed()
         # whatever the readers got onto the queue before they stopped
-        self._drain_queue()
-        if self.session.pending:
-            with traced("serve.refresh", pending=self.session.pending):
-                self.session.refresh()
-        self._update_gauges()
-        written = self.write_checkpoint()
+        await self._drain_queue()
+        await self._finalize()
         if self.config.unix_socket is not None:
             # refill: no-cc001 -- one-shot unlink on the shutdown path, after serving stopped
             pathlib.Path(self.config.unix_socket).unlink(missing_ok=True)
         self._write_final_outputs()
         _log.info(
             "serve.stopped",
-            packets=len(self.session.packets()),
             lines=self.book.lines_ingested,
-            checkpoint=str(written) if written else "-",
+            epoch=self._epoch,
+            degraded=self._degraded,
         )
+
+    async def _finalize(self) -> None:
+        """Refresh, final checkpoint, final metrics, then stop the shards.
+
+        Order matters: commit while the shards still serve, capture the
+        merged snapshot, and only then tell them to exit.  A degraded
+        daemon skips the checkpoint — the last committed manifest stays
+        the recoverable truth.
+        """
+        if not self._degraded:
+            self.state.refresh()
+            self._update_gauges()
+            await self._checkpoint_or_warn()
+            if self.config.metrics_out is not None:
+                try:
+                    self._final_snapshot = await self.api_metrics_snapshot()
+                except (ConnectionError, OSError, RuntimeError) as exc:
+                    _log.warning("serve.final-metrics-failed", error=str(exc))
+        await self.state.close()
 
     def _write_final_outputs(self) -> None:
         """Dump ``--metrics-out`` / ``--trace-out`` on graceful shutdown.
@@ -418,9 +600,10 @@ class RefillServer:
         the trace file is the flight recorder as JSON Lines, oldest first.
         """
         if self.config.metrics_out is not None:
+            snapshot = self._final_snapshot or self.registry.snapshot()
             path = pathlib.Path(self.config.metrics_out)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(self.registry.snapshot().to_json_str() + "\n")
+            path.write_text(snapshot.to_json_str() + "\n")
             _log.info("serve.metrics-written", path=str(path))
         if self.config.trace_out is not None:
             count = self.recorder.dump_jsonl(self.config.trace_out)
@@ -431,12 +614,21 @@ class RefillServer:
     def run(self, ready: Optional[Callable[["RefillServer"], None]] = None) -> int:
         """Blocking entry point: serve until SIGTERM/SIGINT or ``/shutdown``.
 
-        All instrumentation of the daemon (and of the reconstruction it
-        hosts) lands in ``self.registry`` — what ``GET /metrics`` serves —
-        and every completed traced span lands in ``self.recorder`` — what
-        ``GET /debug/trace`` serves.  Both contexts are installed before the
-        loop starts, so every task the daemon spawns inherits them.
+        Restores (see :meth:`restore`) and starts the shard state before
+        the loop — shard subprocesses spawn here, since process creation
+        is blocking work — and joins them after it exits.  All
+        instrumentation of the daemon (and of the reconstruction it hosts)
+        lands in ``self.registry`` — what ``GET /metrics`` serves — and
+        every completed traced span lands in ``self.recorder`` — what ``GET
+        /debug/trace`` serves.  Both contexts are installed before the loop
+        starts, so every task the daemon spawns inherits them.
         """
+        self.restore()
+        assert self._restore_files is not None
         with use_registry(self.registry), use_recorder(self.recorder):
-            asyncio.run(self._main(ready))
+            try:
+                self.state.start(self._restore_files)
+                asyncio.run(self._main(ready))
+            finally:
+                self.state.join()
         return 0

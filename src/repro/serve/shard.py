@@ -1,28 +1,29 @@
-"""The consumer/session/checkpoint core of a serve daemon, as one unit.
+"""One shard's reconstruction state, and the subprocess that hosts it.
 
-:class:`ShardWorker` is the piece of the old monolithic server that owns
-reconstruction state: one streaming
+:class:`ShardWorker` owns reconstruction state: one streaming
 :class:`~repro.core.session.ReconstructionSession` over an
 :class:`~repro.core.backends.incremental.IncrementalBackend`, the
 :class:`~repro.serve.ingest.SourceBook` of per-source offsets, and the
-checkpoint write/restore path.  It is deliberately loop-agnostic — every
-method is synchronous — so the same class backs both deployment shapes:
+shard-file write/restore path.  It is loop-agnostic — its work is
+synchronous — and :class:`~repro.serve.server.RefillServer` uses it in two
+places:
 
-- ``--shards 1``: :class:`~repro.serve.server.RefillServer` composes one
-  worker in-process, bit-compatible with the pre-cluster daemon;
-- ``--shards N``: each worker runs inside its own **subprocess** (a full
-  ``RefillServer`` with private listeners, registry, and flight recorder),
-  spawned from :func:`run_shard` with a picklable :class:`ShardSpec`.
+- ``--shards 1``: the daemon drives one worker in-process, so a pushed
+  line goes decode → ``session.ingest`` → refresh with no socket hop;
+- ``--shards N``: each worker runs inside its own **subprocess** (a
+  ``RefillServer`` with private loopback listeners, registry, and flight
+  recorder), spawned from :func:`run_shard` with a picklable
+  :class:`ShardSpec` and reached through :mod:`repro.serve.router`.
   Subprocesses, not threads: reconstruction is CPU-bound Python, so only
   separate interpreters scale it past one core.
 
 Shard subprocesses do not own coordination: they ignore ``SIGINT`` (a
-terminal Ctrl-C reaches the whole process group; the router decides what
-to do with it) and leave ``SIGTERM`` at its default — an abrupt kill writes
-*nothing*, which is exactly right, because a shard checkpoint newer than
-the cluster manifest would desynchronize resume offsets from shard state.
-Shard checkpoints happen on the router's command (``POST
-/checkpoint?epoch=N``) against epoch-stamped files, and the router's
+terminal Ctrl-C reaches the whole process group; the public daemon decides
+what to do with it) and leave ``SIGTERM`` at its default — an abrupt kill
+writes *nothing*, which is exactly right, because a shard file newer than
+the manifest would desynchronize resume offsets from shard state.  Shard
+files are written only on the daemon's command (``POST
+/checkpoint?epoch=N``) against epoch-stamped paths, and the daemon's
 manifest swap commits them (see :mod:`repro.serve.checkpoint`).
 """
 
@@ -33,13 +34,20 @@ import json
 import os
 import pathlib
 import signal
-import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from repro.core.backends.incremental import IncrementalBackend
+from repro.core.serialize import (
+    dumps_canonical,
+    flow_to_dict,
+    flows_to_json,
+    report_to_dict,
+    reports_to_json,
+)
 from repro.core.session import ReconstructionSession
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.events.packet import PacketKey
+from repro.obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
 from repro.obs.structlog import configure_logging, get_logger
 from repro.obs.tracing import traced, use_trace
 from repro.serve.checkpoint import (
@@ -65,9 +73,9 @@ class ShardSpec:
 
     #: This worker's index in ``range(shards)``.
     index: int
-    #: Cluster width (the hash modulus).
+    #: Shard count (the hash modulus).
     shards: int
-    #: The cluster manifest path (``None`` → checkpointing disabled).
+    #: The daemon's manifest path (``None`` → checkpointing disabled).
     manifest_path: Optional[str]
     #: Exact shard checkpoint file to restore, or ``None`` for a fresh start.
     restore_file: Optional[str]
@@ -80,15 +88,14 @@ class ShardSpec:
 
     def to_config(self) -> ServeConfig:
         """The subprocess server's config: loopback listeners on OS-assigned
-        ports, no store, no periodic checkpoint timer (epochs are written on
-        the router's command only)."""
+        ports, no store, no checkpoint path (epoch files are written on the
+        daemon's command only)."""
         return ServeConfig(
             store=None,
             host="127.0.0.1",
             port=0,
             http_host="127.0.0.1",
             http_port=0,
-            checkpoint_path=self.restore_file,
             checkpoint_interval=0.0,
             flush_interval=self.flush_interval,
             ingest_queue_batches=self.ingest_queue_batches,
@@ -105,36 +112,30 @@ class ShardSpec:
 
 
 class ShardWorker:
-    """Session + source book + checkpointing for one shard (or the whole
-    daemon at ``--shards 1``); loop-agnostic, single-writer by contract."""
+    """Session + source book + shard-file checkpointing for one shard.
 
-    def __init__(self, config: ServeConfig) -> None:
+    Loop-agnostic and single-writer by contract.  It is also the daemon's
+    in-process shard state: :class:`~repro.serve.server.RefillServer` at
+    ``--shards 1`` (and inside every shard subprocess) drives it through
+    the same methods it drives :class:`~repro.serve.router.ShardSet`
+    through at ``--shards N``.  ``book`` is the daemon's public
+    :class:`SourceBook`; a worker constructed alone keeps its own.
+    """
+
+    def __init__(self, config: ServeConfig, book: Optional[SourceBook] = None) -> None:
         self.config = config
-        self.book = SourceBook()
+        self.book = book if book is not None else SourceBook()
         self.session = ReconstructionSession(
             backend=IncrementalBackend(),
             delivery_node=config.resolved_delivery_node(),
             batch_size=config.batch_size,
         )
-        #: Where the *next* checkpoint goes.  Coordinated epoch writes
-        #: retarget this, so a later graceful self-write is an idempotent
-        #: rewrite of the current epoch file, never a new state on disk.
-        self.checkpoint_path: Optional[pathlib.Path] = config.resolved_checkpoint()
-        self._dirty_since_checkpoint = False
-        self._started_at = time.monotonic()
-        #: ``time.monotonic()`` of the last checkpoint write (age gauge).
-        self._last_checkpoint_at: Optional[float] = None
-        #: Queue wait of the most recently ingested batch (lag gauge).
-        self._last_queue_wait = 0.0
 
     # ------------------------------------------------------------------ #
-    # checkpoint / restore
+    # shard-file checkpoint / restore
 
-    def restore(self) -> bool:
-        """Adopt the configured checkpoint if one exists on disk."""
-        path = self.checkpoint_path
-        if path is None or not path.exists():
-            return False
+    def restore(self, path) -> None:
+        """Adopt the shard checkpoint file at ``path``."""
         checkpoint = load_checkpoint(path)
         self.session.restore_state(checkpoint.session_state)
         self.book.restore(
@@ -147,20 +148,9 @@ class ShardWorker:
             sources=len(self.book.ingested),
             lines=self.book.lines_ingested,
         )
-        return True
 
-    def write_checkpoint(
-        self, path: Optional[pathlib.Path] = None
-    ) -> Optional[pathlib.Path]:
-        """Write a checkpoint now; ``None`` when no path is configured.
-
-        An explicit ``path`` (a coordinated epoch file) becomes the new
-        :attr:`checkpoint_path`, so every later write lands there too.
-        """
-        target = path if path is not None else self.checkpoint_path
-        if target is None:
-            return None
-        started = time.perf_counter()
+    def write_checkpoint(self, path) -> pathlib.Path:
+        """Write this shard's checkpoint file to ``path`` now."""
         with traced("serve.checkpoint"):
             checkpoint = Checkpoint(
                 session_state=self.session.export_state(),
@@ -168,37 +158,16 @@ class ShardWorker:
                 corrupt_lines=dict(self.book.corrupt),
                 lines_ingested=self.book.lines_ingested,
             )
-            save_checkpoint(target, checkpoint)
-        registry = get_registry()
-        registry.counter("serve.checkpoints").inc()
-        registry.gauge("serve.checkpoint.duration_seconds").set(
-            time.perf_counter() - started
-        )
-        self.checkpoint_path = target
-        self._last_checkpoint_at = time.monotonic()
-        self._dirty_since_checkpoint = False
-        _log.debug("serve.checkpointed", path=str(target))
-        return target
-
-    def checkpoint_age(self) -> float:
-        """Seconds since the last checkpoint (since start-up if none yet)."""
-        anchor = (
-            self._last_checkpoint_at
-            if self._last_checkpoint_at is not None
-            else self._started_at
-        )
-        return max(0.0, time.monotonic() - anchor)
+            written = save_checkpoint(path, checkpoint)
+        _log.debug("serve.checkpointed", path=str(written))
+        return written
 
     # ------------------------------------------------------------------ #
-    # ingest (called only from the owning server's consumer/shutdown path)
+    # ingest
 
     def ingest_item(self, item: IngestItem) -> None:
+        """Decode one queued batch into the session and count its lines."""
         registry = get_registry()
-        if item.enqueued_at and registry.enabled:
-            wait = time.perf_counter() - item.enqueued_at
-            self._last_queue_wait = wait
-            registry.histogram("serve.queue.wait.seconds").observe(wait)
-            registry.gauge("serve.ingest.lag_seconds").set(wait)
         # the batch's spans attribute to the trace that produced it — the
         # ids ride entirely outside the decoded lines
         with use_trace(item.trace_id):
@@ -210,72 +179,90 @@ class ShardWorker:
         n = len(item.lines)
         if not n:
             # an empty flush marker (connection closed with nothing pending)
-            # must not touch the book or dirty the checkpoint
+            # must not touch the book
             return
-        source = item.source if item.source is not None else ANONYMOUS_SOURCE
-        self.book.lines_ingested += n
-        if item.source is not None:
-            self.book.ingested[item.source] = (
-                self.book.ingested.get(item.source, 0) + n
-            )
+        self.book.count_ingested(item.source, n)
         registry.counter("serve.ingest.lines").inc(n)
         if corrupt:
+            source = item.source if item.source is not None else ANONYMOUS_SOURCE
             self.book.corrupt[source] = self.book.corrupt.get(source, 0) + corrupt
             registry.counter("codec.corrupt_lines", source=source).inc(corrupt)
-        self._dirty_since_checkpoint = True
-
-    def drain_queue(self, queue: "asyncio.Queue[IngestItem]") -> None:
-        """Ingest everything queued right now (shutdown; consumer stopped)."""
-        while not queue.empty():
-            self.ingest_item(queue.get_nowait())
 
     # ------------------------------------------------------------------ #
-    # state probes
+    # the daemon's shard-state surface (same methods as router.ShardSet)
 
-    def readiness(
-        self, queue: "asyncio.Queue[IngestItem]"
-    ) -> tuple[bool, dict[str, Any]]:
-        """Whether ingest is drained and every flow is fresh.
+    def start(self, restore_files: list[Optional[str]]) -> None:
+        if restore_files[0] is not None:
+            self.restore(restore_files[0])
 
-        The detail dict mirrors the pipeline-health gauges so a probe (or a
-        human with ``curl``) sees the same numbers Prometheus scrapes: line
-        lag, the dirty set, queue depth/saturation, the last batch's queue
-        wait, and checkpoint age.
-        """
-        lag = self.book.lag_lines()
+    async def ingest(self, item: IngestItem) -> None:
+        self.ingest_item(item)
+
+    def refresh(self) -> None:
+        """Refresh dirty flows (an idle gap, or a source finished)."""
+        if self.session.pending:
+            with traced("serve.refresh", pending=self.session.pending):
+                self.session.refresh()
+
+    async def write_epoch(self, manifest_path: pathlib.Path, epoch: int) -> int:
+        self.write_checkpoint(shard_checkpoint_path(manifest_path, 0, epoch))
+        return len(self.session.packets())
+
+    async def readiness(self) -> dict[str, Any]:
         pending = self.session.pending
-        queued = queue.qsize()
-        ready = lag == 0 and pending == 0 and queued == 0
-        return ready, {
-            "ready": ready,
-            "lag_lines": lag,
+        return {
+            "ready": pending == 0,
+            "lag_lines": 0,
             "pending_packets": pending,
-            "queued_batches": queued,
-            "queue_saturation": queued / queue.maxsize,
-            "lag_seconds": 0.0 if ready else self._last_queue_wait,
-            "checkpoint_age_seconds": self.checkpoint_age(),
+            "queued_batches": 0,
         }
 
-    def update_gauges(self, queue: "asyncio.Queue[IngestItem]") -> None:
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        lag = self.book.lag_lines()
-        queued = queue.qsize()
-        registry.gauge("serve.ingest.lag_lines").set(lag)
-        registry.gauge("serve.ingest.pending_packets").set(self.session.pending)
-        registry.gauge("serve.ingest.queue_batches").set(queued)
-        registry.gauge("serve.ingest.queue_saturation").set(queued / queue.maxsize)
-        if lag == 0 and queued == 0:
-            # drained: the last batch's wait no longer describes the present
-            self._last_queue_wait = 0.0
-            registry.gauge("serve.ingest.lag_seconds").set(0.0)
-        registry.gauge("serve.checkpoint.age_seconds").set(self.checkpoint_age())
-        now = time.time()
-        for source, seen in self.book.last_seen.items():
-            registry.gauge("serve.source.staleness_seconds", source=source).set(
-                max(0.0, now - seen)
-            )
+    async def packets(self) -> list[str]:
+        return [str(p) for p in self.session.packets()]
+
+    async def flows_json(self) -> dict[str, Any]:
+        return flows_to_json(self.session.flows())
+
+    async def reports_json(self) -> dict[str, Any]:
+        return reports_to_json(self.session.reports())
+
+    async def packet_body(self, kind: str, packet: PacketKey) -> tuple[int, str]:
+        if kind == "flow":
+            found = self.session.flow(packet)
+            body = flow_to_dict(found) if found is not None else None
+        else:
+            found = self.session.reports().get(packet)
+            body = report_to_dict(found) if found is not None else None
+        if body is None:
+            return 404, dumps_canonical({"error": f"unknown packet {packet}"})
+        return 200, dumps_canonical(body)
+
+    async def summary_parts(self) -> tuple[Mapping[PacketKey, Any], int, int]:
+        """``(reports, pending, batches_ingested)`` for ``/summary``."""
+        session = self.session
+        return session.reports(), session.pending, session.batches_ingested
+
+    async def corrupt_lines(self) -> dict[str, int]:
+        return dict(self.book.corrupt)
+
+    async def metrics(self, own: MetricsSnapshot) -> MetricsSnapshot:
+        return own
+
+    def update_gauges(self) -> None:
+        get_registry().gauge("serve.ingest.pending_packets").set(self.session.pending)
+
+    async def watch(self) -> Optional[str]:
+        """In-process state cannot die apart from the daemon."""
+        return None
+
+    def listeners(self) -> list[dict[str, Any]]:
+        return []
+
+    async def close(self) -> None:
+        pass
+
+    def join(self) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------- #
@@ -285,16 +272,16 @@ class ShardWorker:
 def run_shard(spec: ShardSpec, conn: Any) -> int:
     """Run one shard server in this (spawned) process.
 
-    ``conn`` is the router's end-of-pipe: one message is sent through it —
-    the bound listener ports once the server is up, or an ``error`` payload
-    if start-up failed — then it is closed.  The router drives everything
-    else over the normal ingest/query protocols.
+    ``conn`` is the public daemon's end-of-pipe: one message is sent
+    through it — the bound listener ports once the server is up, or an
+    ``error`` payload if start-up failed — then it is closed.  The daemon
+    drives everything else over the normal ingest/query protocols.
     """
     from repro.serve.server import RefillServer  # deferred: import cycle
 
     configure_logging(level="warning")
-    # Coordination belongs to the router: a group-wide Ctrl-C must not make
-    # shards race it to a graceful exit, and SIGTERM stays an abrupt kill so
+    # Coordination belongs to the public daemon: a group-wide Ctrl-C must
+    # not make shards race it to a graceful exit, and SIGTERM stays an abrupt kill so
     # a dying shard never writes a checkpoint newer than the manifest.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     ledger_dir = os.environ.get(TASK_LEDGER_ENV)

@@ -89,12 +89,12 @@ class TestSelfScan:
         assert report.exit_code(strict=True) == 0
 
     def test_self_scan_used_the_recorded_suppressions(self):
-        # the four justified suppressions (2× CC010 ingest chunk
-        # staleness, 2× CC001 shutdown unlink in server + router) must
+        # the three justified suppressions (2× CC010 ingest chunk
+        # staleness, 1× CC001 shutdown unlink in the one daemon) must
         # stay live: if the code they guard is fixed, CC013 flags them
         # stale above
         report = check_code([SRC])
-        assert report.stats["suppressions_used"] == 4
+        assert report.stats["suppressions_used"] == 3
 
     def test_classification_sees_the_daemon(self):
         report = check_code([SRC])

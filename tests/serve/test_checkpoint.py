@@ -20,10 +20,12 @@ from repro.serve.checkpoint import (
     MANIFEST_VERSION,
     Checkpoint,
     ClusterManifest,
+    ShardMismatchError,
     gc_shard_files,
     load_checkpoint,
     load_manifest,
     merge_checkpoints,
+    open_manifest,
     reshard_checkpoint,
     reshard_manifest,
     save_checkpoint,
@@ -213,7 +215,7 @@ class TestClusterManifest:
     def test_v1_file_is_not_a_manifest(self, tmp_path):
         path = tmp_path / "cp.json"
         save_checkpoint(path, Checkpoint(session_state={}))
-        with pytest.raises(ValueError, match="single-shard"):
+        with pytest.raises(ValueError, match="manifest version 1"):
             load_manifest(path)
 
     def test_manifest_is_not_a_v1_checkpoint(self, tmp_path):
@@ -221,8 +223,32 @@ class TestClusterManifest:
             tmp_path / "cp.json",
             ClusterManifest(shards=2, epoch=1, offsets={}, shard_files=()),
         )
-        with pytest.raises(ValueError, match="--shards 2"):
+        with pytest.raises(ValueError, match="checkpoint version 2"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "shards, files, problem",
+        [
+            (0, [], "positive"),
+            (2, ["cp.shard00.e1.json"], "1 shard files for 2 shards"),
+            (1, ["/etc/passwd"], "bare file name"),
+            (1, ["../cp.shard00.e1.json"], "bare file name"),
+            (1, [".."], "bare file name"),
+        ],
+    )
+    def test_untrusted_manifest_is_refused(self, tmp_path, shards, files, problem):
+        """A manifest names exactly one bare file per shard, so every read
+        stays inside the manifest's directory."""
+        path = tmp_path / "cp.json"
+        path.write_text(
+            json.dumps(
+                {"version": MANIFEST_VERSION, "shards": shards, "epoch": 1,
+                 "shard_files": files}
+            )
+        )
+        with pytest.raises(ValueError, match=problem):
+            load_manifest(path)
+
 
     def test_shard_checkpoint_path_layout(self, tmp_path):
         path = shard_checkpoint_path(tmp_path / "refill-checkpoint.json", 3, 12)
@@ -243,6 +269,36 @@ class TestClusterManifest:
         removed = gc_shard_files(manifest_path, manifest)
         assert removed == [stale]
         assert keep.exists() and other.exists() and not stale.exists()
+
+
+class TestOpenManifest:
+    """The start-up restore check a daemon runs before it listens."""
+
+    def test_missing_file_is_a_fresh_start(self, tmp_path):
+        assert open_manifest(tmp_path / "cp.json", 1) is None
+
+    def test_v1_file_names_the_converter(self, tmp_path):
+        path = save_checkpoint(tmp_path / "cp.json", Checkpoint(session_state={}))
+        with pytest.raises(ValueError, match=r"reshard_manifest\(.*cp\.json', 3\)"):
+            open_manifest(path, 3)
+
+    def test_shard_count_mismatch(self, tmp_path):
+        path = save_manifest(
+            tmp_path / "cp.json",
+            ClusterManifest(shards=1, epoch=1, shard_files=("cp.shard00.e1.json",)),
+        )
+        with pytest.raises(ShardMismatchError, match="--shards 1"):
+            open_manifest(path, 2)
+
+    def test_missing_shard_file(self, tmp_path):
+        path = save_manifest(
+            tmp_path / "cp.json",
+            ClusterManifest(shards=1, epoch=1, shard_files=("cp.shard00.e1.json",)),
+        )
+        with pytest.raises(ValueError, match="missing shard file"):
+            open_manifest(path, 1)
+        save_checkpoint(tmp_path / "cp.shard00.e1.json", Checkpoint(session_state={}))
+        assert open_manifest(path, 1) == load_manifest(path)
 
 
 class TestReshard:

@@ -3,9 +3,10 @@
 The oracle is absolute: a ``--shards N`` cluster must serve the exact
 bytes the single daemon serves, which are themselves the exact bytes a
 batch ``refill analyze`` emits — including after a kill-and-restore cycle
-through the cluster manifest.  Everything else here (v1 migration, shard
-mismatch fail-fast, ``--print-ports`` parsing, the push ``--workers``
-path) guards the operational edges around that contract.
+through the manifest, which is the checkpoint format at every
+``--shards``.  Everything else here (version-1 refusal and offline
+conversion, shard mismatch fail-fast, ``--print-ports`` parsing, the push
+``--workers`` path) guards the operational edges around that contract.
 """
 
 import json
@@ -22,9 +23,12 @@ from repro.serve import (
     ServeConfig,
     ServerThread,
     ShardMismatchError,
+    load_checkpoint,
     load_manifest,
     push_lines,
     push_store,
+    reshard_manifest,
+    save_checkpoint,
 )
 from repro.serve.ingest import tail_node_bind
 from repro.serve.runner import read_printed_ports
@@ -41,9 +45,13 @@ def _collect_bodies(http_port: int) -> dict[str, str]:
 
 
 @pytest.fixture(scope="session")
-def single_bodies(store):
+def single_bodies(store, tmp_path_factory):
     """The unsharded daemon's query bodies — the byte oracle for clusters."""
-    config = ServeConfig(store=str(store), checkpoint_interval=0.0)
+    config = ServeConfig(
+        store=str(store),
+        checkpoint_path=str(tmp_path_factory.mktemp("single") / "ckpt.json"),
+        checkpoint_interval=0.0,
+    )
     with ServerThread(config) as running:
         push_store(store, port=running.tcp_port)
         wait_ready(running.http_port)
@@ -91,7 +99,8 @@ class TestClusterByteIdentity:
 
     def test_unknown_packet_404_routes_through_shard(self, store, tmp_path):
         config = ServeConfig(
-            store=str(store), shards=2, checkpoint_path=None,
+            store=str(store), shards=2,
+            checkpoint_path=str(tmp_path / "ckpt.json"),
             checkpoint_interval=0.0,
         )
         with ServerThread(config) as running:
@@ -160,7 +169,7 @@ class TestClusterCheckpointLifecycle:
             raise
         return proc, ports["ingest"]["port"], ports["http"]["port"]
 
-    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_kill_and_restore_mid_ingest(
         self, store, batch_flows, tmp_path, shards
     ):
@@ -206,13 +215,14 @@ class TestClusterCheckpointLifecycle:
             assert status == 202
             assert proc.wait(timeout=60) == 0
 
+    @pytest.mark.parametrize("shards", [1, 2])
     def test_sigterm_then_restart_re_push_sends_zero(
-        self, store, batch_flows, tmp_path
+        self, store, batch_flows, tmp_path, shards
     ):
-        """Graceful SIGTERM commits a final manifest; a restarted cluster
+        """Graceful SIGTERM commits a final manifest; a restarted daemon
         resumes from it and a full re-push is a complete no-op."""
         ckpt = tmp_path / "ckpt.json"
-        proc, ingest, http = self._serve_cluster(store, ckpt, shards=2)
+        proc, ingest, http = self._serve_cluster(store, ckpt, shards)
         try:
             push_store(store, port=ingest)
             wait_ready(http)
@@ -223,9 +233,10 @@ class TestClusterCheckpointLifecycle:
             len(read_complete_lines(p)) for p in store.glob("node_*.log")
         )
         manifest = load_manifest(ckpt)
+        assert manifest.shards == shards
         assert manifest.lines_routed == total
 
-        proc, ingest, http = self._serve_cluster(store, ckpt, shards=2)
+        proc, ingest, http = self._serve_cluster(store, ckpt, shards)
         try:
             results = push_store(store, port=ingest)
             assert sum(r.sent for r in results.values()) == 0
@@ -240,9 +251,12 @@ class TestClusterCheckpointLifecycle:
 
 
 class TestClusterMigrationAndGuards:
-    def test_v1_checkpoint_is_resharded_on_startup(
+    def test_v1_checkpoint_needs_offline_conversion(
         self, store, batch_flows, tmp_path
     ):
+        """A version-1 file at the checkpoint path stops start-up with a
+        pointer to the offline converter; once converted, the daemon
+        restores from it and a re-push sends nothing."""
         ckpt = tmp_path / "ckpt.json"
         single = ServeConfig(
             store=str(store),
@@ -252,7 +266,10 @@ class TestClusterMigrationAndGuards:
         with ServerThread(single) as running:
             push_store(store, port=running.tcp_port)
             wait_ready(running.http_port)
-        assert json.loads(ckpt.read_text())["version"] == 1
+        manifest = load_manifest(ckpt)
+        save_checkpoint(
+            ckpt, load_checkpoint(tmp_path / manifest.shard_files[0])
+        )
 
         cluster = ServeConfig(
             store=str(store),
@@ -260,6 +277,11 @@ class TestClusterMigrationAndGuards:
             checkpoint_path=str(ckpt),
             checkpoint_interval=0.0,
         )
+        with pytest.raises(RuntimeError) as excinfo:
+            ServerThread(cluster).start()
+        assert "reshard_manifest" in str(excinfo.value.__cause__)
+
+        reshard_manifest(ckpt, 2)
         with ServerThread(cluster) as running:
             assert running.server.restored
             results = push_store(store, port=running.tcp_port)
@@ -267,9 +289,7 @@ class TestClusterMigrationAndGuards:
             wait_ready(running.http_port)
             _, flows = http_req(running.http_port, "/flows")
         assert flows.strip() == batch_flows
-        manifest = load_manifest(ckpt)
-        assert manifest.shards == 2
-        assert manifest.epoch >= 1
+        assert load_manifest(ckpt).shards == 2
 
     def test_shard_count_mismatch_fails_fast(self, store, tmp_path):
         ckpt = tmp_path / "ckpt.json"
@@ -297,7 +317,7 @@ class TestClusterMigrationAndGuards:
         assert "--shards 2" in str(cause)
         assert "reshard" in str(cause)
 
-    def test_single_daemon_rejects_cluster_manifest(self, store, tmp_path):
+    def test_single_shard_rejects_two_shard_manifest(self, store, tmp_path):
         ckpt = tmp_path / "ckpt.json"
         two = ServeConfig(
             store=str(store),
@@ -316,7 +336,9 @@ class TestClusterMigrationAndGuards:
         )
         with pytest.raises(RuntimeError) as excinfo:
             ServerThread(single).start()
-        assert "--shards 2" in str(excinfo.value.__cause__)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ShardMismatchError)
+        assert "--shards 2" in str(cause)
 
 
 class TestPrintedPorts:

@@ -12,7 +12,7 @@ import shutil
 import pytest
 
 from repro.events.store import read_complete_lines
-from repro.serve import ServeConfig, ServerThread
+from repro.serve import ServeConfig, ServerThread, load_manifest
 from repro.serve.client import push_lines, push_store
 from repro.serve.ingest import tail_node_bind
 from tests.serve.util import http_json, http_req, wait_ready
@@ -117,12 +117,16 @@ class TestCheckpointRestart:
             wait_ready(thread.http_port)
             status, _ = http_req(thread.http_port, "/checkpoint", method="POST")
             assert status == 200
-            # freeze the mid-ingest checkpoint; the graceful-stop one that
-            # follows is discarded, simulating a crash right after this point
-            shutil.copy(
-                tmp_path / "checkpoint.json", tmp_path / "mid-ingest.json"
-            )
-        shutil.copy(tmp_path / "mid-ingest.json", tmp_path / "checkpoint.json")
+            # freeze the mid-ingest checkpoint — the manifest and the shard
+            # file it names; the graceful-stop one that follows is
+            # discarded, simulating a crash right after this point
+            frozen = tmp_path / "frozen"
+            frozen.mkdir()
+            shard_file = load_manifest(tmp_path / "checkpoint.json").shard_files[0]
+            for name in ("checkpoint.json", shard_file):
+                shutil.copy(tmp_path / name, frozen / name)
+        for name in ("checkpoint.json", shard_file):
+            shutil.copy(frozen / name, tmp_path / name)
 
         with ServerThread(config) as thread:
             assert thread.server.restored

@@ -139,6 +139,41 @@ class TestFigures:
             xml.dom.minidom.parse(str(path))
 
 
+class TestServeBadInput:
+    """Bad `refill serve` input is one error line and exit 2, like `check`
+    and `analyze` — never a traceback, and never a daemon left running."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shards", "0"],
+            ["--flush-interval", "0"],
+            ["--queue-batches", "0"],
+            ["--tail", "/dev/null", "--tail-interval", "0"],
+        ],
+    )
+    def test_bad_flags_exit_2(self, tmp_path, capsys, flags):
+        code = main(["serve", "--port", "0", "--http-port", "0",
+                     "--checkpoint", str(tmp_path / "cp.json"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "must be positive" in err
+        assert "Traceback" not in err
+
+    def test_version_1_checkpoint_exits_2_naming_the_converter(
+        self, tmp_path, capsys
+    ):
+        from repro.serve import Checkpoint, save_checkpoint
+
+        path = save_checkpoint(tmp_path / "cp.json", Checkpoint(session_state={}))
+        code = main(["serve", "--port", "0", "--http-port", "0",
+                     "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "reshard_manifest" in err
+        assert "Traceback" not in err
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
