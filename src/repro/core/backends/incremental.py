@@ -14,7 +14,7 @@ trade, cheap because flows are tiny.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.backends.base import ExecutionBackend
 from repro.core.event_flow import EventFlow
@@ -74,11 +74,12 @@ class IncrementalBackend(ExecutionBackend):
     # resumable state (the serve layer's checkpoint substrate)
 
     def export_state(self) -> dict[str, Any]:
-        """JSON-compatible accumulation state: per-packet per-node events
-        plus the dirty set.  Restoring it into a fresh backend and ingesting
-        the *remaining* evidence yields byte-identical flows to one
-        uninterrupted run — recompute-over-resume means the accumulated
-        events are the whole truth."""
+        """JSON-compatible accumulation state: per-packet per-node events.
+
+        Nothing derived is saved: recompute-over-resume means the
+        accumulated events are the whole truth, so restoring them into a
+        fresh backend and ingesting the *remaining* evidence yields
+        byte-identical flows to one uninterrupted run."""
         from repro.core.serialize import event_to_dict
 
         return {
@@ -89,11 +90,13 @@ class IncrementalBackend(ExecutionBackend):
                 }
                 for packet, per_node in sorted(self._events.items())
             },
-            "dirty": [str(packet) for packet in sorted(self.dirty)],
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Inverse of :meth:`export_state`; replaces any current state."""
+        """Inverse of :meth:`export_state`; replaces any current state.
+
+        Every restored packet is dirty, so the next :meth:`finish` derives
+        its flow exactly as live ingest would have."""
         from repro.core.serialize import event_from_dict
 
         self._events = {
@@ -103,50 +106,4 @@ class IncrementalBackend(ExecutionBackend):
             }
             for packet, per_node in state["events"].items()
         }
-        self.dirty = {PacketKey.parse(p) for p in state["dirty"]}
-
-    # ------------------------------------------------------------------ #
-    # state partitioning (the sharded-cluster checkpoint substrate)
-
-    @staticmethod
-    def split_state(
-        state: Mapping[str, Any],
-        parts: int,
-        assign: Callable[[PacketKey], int],
-    ) -> list[dict[str, Any]]:
-        """Partition an :meth:`export_state` payload into ``parts`` payloads.
-
-        Every top-level entry is keyed by packet, and per-packet
-        independence means evidence for one packet never informs another —
-        so splitting by ``assign(packet)`` loses nothing.  Each part is a
-        valid payload for :meth:`restore_state` on a fresh backend.
-        """
-        out: list[dict[str, Any]] = [
-            {"events": {}, "dirty": []} for _ in range(parts)
-        ]
-        for packet, per_node in state["events"].items():
-            out[assign(PacketKey.parse(packet))]["events"][packet] = per_node
-        for packet in state["dirty"]:
-            out[assign(PacketKey.parse(packet))]["dirty"].append(packet)
-        return out
-
-    @staticmethod
-    def merge_states(states: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        """Fold disjoint :meth:`export_state` payloads into one.
-
-        Inverse of :meth:`split_state` (packets must be disjoint across
-        inputs); the merged payload re-sorts keys so it is byte-identical
-        to the export of an unsharded backend holding the same evidence.
-        """
-        events: dict[str, Any] = {}
-        dirty: set[PacketKey] = set()
-        for state in states:
-            events.update(state["events"])
-            dirty.update(PacketKey.parse(p) for p in state["dirty"])
-        return {
-            "events": {
-                str(packet): events[str(packet)]
-                for packet in sorted(PacketKey.parse(p) for p in events)
-            },
-            "dirty": [str(packet) for packet in sorted(dirty)],
-        }
+        self.dirty = set(self._events)

@@ -20,6 +20,10 @@ Two driving modes:
 - **streaming ingest** — :meth:`ingest` feeds *partial* evidence batches to
   an accumulating backend (live collection rounds); :meth:`refresh`
   re-derives exactly the dirtied flows and re-diagnoses them.
+
+A streaming session's resumable state (:meth:`export_state`) is its
+evidence and nothing derived from it; this module owns that layout, its
+reader, and the per-packet split and merge sharded checkpoints use.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ _UNSET: object = object()
 IngestBatch = Union[Mapping[int, NodeLog], Mapping[int, Iterable[Event]]]
 
 #: Version tag of :meth:`ReconstructionSession.export_state` payloads.
-SESSION_STATE_VERSION = 1
+#: Version 1 also stored the derived flow and report caches; it still
+#: restores (see :func:`session_evidence`).
+SESSION_STATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -294,44 +300,29 @@ class ReconstructionSession:
     def export_state(self) -> dict[str, Any]:
         """JSON-compatible snapshot of a streaming-ingest session.
 
-        Captures the backend's per-packet accumulations, the derived flow
-        and report caches, and ``batches_ingested``.  The serve layer's
-        checkpoint wraps this with its per-source ingest offsets; restoring
-        the pair resumes a daemon without reprocessing the corpus.
+        Captures the evidence and nothing derived from it: the backend's
+        per-packet accumulated events and ``batches_ingested``.  Flows and
+        reports follow from the events alone, so :meth:`restore_state`
+        re-derives them through the same :meth:`refresh` live ingest uses.
+        The serve layer's checkpoint wraps this with its per-source ingest
+        offsets, so a restarted daemon is re-sent no line.
         """
         self._require_accumulating("export_state")
-        from repro.core.serialize import flow_to_dict, report_to_dict
-
-        return {
-            "version": SESSION_STATE_VERSION,
-            "batches_ingested": self.batches_ingested,
-            "backend": self.backend.export_state(),
-            "flows": {
-                str(p): flow_to_dict(f) for p, f in sorted(self._flows.items())
-            },
-            "reports": {
-                str(p): report_to_dict(r) for p, r in sorted(self._reports.items())
-            },
-        }
+        return _payload(self.backend.export_state(), self.batches_ingested)
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Inverse of :meth:`export_state`; replaces any current state."""
-        self._require_accumulating("restore_state")
-        version = state.get("version")
-        if version != SESSION_STATE_VERSION:
-            raise ValueError(f"unsupported session state version {version!r}")
-        from repro.core.serialize import flow_from_dict, report_from_dict
+        """Inverse of :meth:`export_state`; replaces any current state.
 
+        Every restored packet is pending until the next :meth:`refresh`.
+        Version-1 payloads restore too (see :func:`session_evidence`).
+        """
+        self._require_accumulating("restore_state")
+        events, batches = session_evidence(state)
         self._start_backend()
-        self.backend.restore_state(state["backend"])
-        self.batches_ingested = int(state["batches_ingested"])
-        self._flows = {
-            PacketKey.parse(p): flow_from_dict(d) for p, d in state["flows"].items()
-        }
-        self._reports = {
-            PacketKey.parse(p): report_from_dict(d)
-            for p, d in state["reports"].items()
-        }
+        self.backend.restore_state({"events": events})
+        self.batches_ingested = batches
+        self._flows = {}
+        self._reports = {}
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -414,7 +405,25 @@ class SessionResult:
 
 
 # ---------------------------------------------------------------------- #
-# state partitioning (sharded-cluster checkpoints)
+# state layout: read and partition (sharded-cluster checkpoints)
+
+
+def session_evidence(state: Any) -> tuple[Mapping[str, Any], int]:
+    """``(events, batches_ingested)`` of an :meth:`export_state` payload.
+
+    The one reader of the layout.  Versions 1 and 2 share it: version 1
+    also stored derived flows, reports and a dirty set, which are ignored.
+    Raises ``ValueError`` for any other version or a missing field.
+    """
+    version = state.get("version") if isinstance(state, Mapping) else None
+    if version not in (1, SESSION_STATE_VERSION):
+        raise ValueError(f"unsupported session state version {version!r}")
+    backend = state.get("backend")
+    events = backend.get("events") if isinstance(backend, Mapping) else None
+    batches = state.get("batches_ingested")
+    if not isinstance(events, Mapping) or not isinstance(batches, int):
+        raise ValueError("session state needs backend events and batches_ingested")
+    return events, batches
 
 
 def split_session_state(
@@ -424,33 +433,16 @@ def split_session_state(
 ) -> list[dict[str, Any]]:
     """Partition an :meth:`ReconstructionSession.export_state` payload.
 
-    Per-packet independence (the paper's core property) makes session state
-    trivially partitionable: flows, reports, and the backend's accumulated
-    evidence are all keyed by packet, so each lands whole on
+    Per-packet independence (the paper's core property) makes the evidence
+    trivially partitionable: each packet's events land whole on
     ``assign(packet)``.  The one cross-packet scalar, ``batches_ingested``,
     is not per-packet at all — it goes to part 0, and cluster-level
     consumers only ever read the *sum* across shards.
     """
-    from repro.core.backends.incremental import IncrementalBackend
-
-    version = state.get("version")
-    if version != SESSION_STATE_VERSION:
-        raise ValueError(f"unsupported session state version {version!r}")
-    backend_parts = IncrementalBackend.split_state(state["backend"], parts, assign)
-    out: list[dict[str, Any]] = [
-        {
-            "version": SESSION_STATE_VERSION,
-            "batches_ingested": 0,
-            "backend": backend_parts[i],
-            "flows": {},
-            "reports": {},
-        }
-        for i in range(parts)
-    ]
-    out[0]["batches_ingested"] = int(state["batches_ingested"])
-    for field in ("flows", "reports"):
-        for packet, payload in state[field].items():
-            out[assign(PacketKey.parse(packet))][field][packet] = payload
+    events, batches = session_evidence(state)
+    out = [_payload({"events": {}}, 0 if part else batches) for part in range(parts)]
+    for packet, per_node in events.items():
+        out[assign(PacketKey.parse(packet))]["backend"]["events"][packet] = per_node
     return out
 
 
@@ -459,29 +451,25 @@ def merge_session_states(states: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
 
     Inverse of :func:`split_session_state` (packets must be disjoint);
     ``batches_ingested`` is summed.  The merged payload is byte-identical
-    to the export of an unsharded session holding the same evidence — keys
-    are re-sorted the way :meth:`ReconstructionSession.export_state` sorts
-    them.
+    to the export of an unsharded session holding the same evidence —
+    packets are re-sorted the way :meth:`ReconstructionSession.export_state`
+    sorts them — and is written at the current version whatever the
+    inputs' version.
     """
-    from repro.core.backends.incremental import IncrementalBackend
-
-    merged: dict[str, Any] = {
-        "version": SESSION_STATE_VERSION,
-        "batches_ingested": 0,
-        "backend": IncrementalBackend.merge_states([s["backend"] for s in states]),
-        "flows": {},
-        "reports": {},
-    }
+    events: dict[str, Any] = {}
+    batches = 0
     for state in states:
-        version = state.get("version")
-        if version != SESSION_STATE_VERSION:
-            raise ValueError(f"unsupported session state version {version!r}")
-        merged["batches_ingested"] += int(state["batches_ingested"])
-        merged["flows"].update(state["flows"])
-        merged["reports"].update(state["reports"])
-    for field in ("flows", "reports"):
-        merged[field] = {
-            str(packet): merged[field][str(packet)]
-            for packet in sorted(PacketKey.parse(p) for p in merged[field])
-        }
-    return merged
+        part, count = session_evidence(state)
+        events.update(part)
+        batches += count
+    ordered = sorted(PacketKey.parse(p) for p in events)
+    return _payload({"events": {str(p): events[str(p)] for p in ordered}}, batches)
+
+
+def _payload(backend: dict[str, Any], batches_ingested: int) -> dict[str, Any]:
+    """The one writer of the layout :func:`session_evidence` reads."""
+    return {
+        "version": SESSION_STATE_VERSION,
+        "batches_ingested": batches_ingested,
+        "backend": backend,
+    }

@@ -4,12 +4,13 @@ The file at the configured checkpoint path is always a **manifest**
 (:class:`ClusterManifest`, format version 2).  It holds the daemon's
 *per-source ingest offsets* and names one epoch-stamped **shard file** per
 shard, each a :class:`Checkpoint` (format version 1) pairing that shard's
-resumable session state (:meth:`ReconstructionSession.export_state` —
-backend accumulations, flow and report caches) with its line counts.
-Offsets and state are only meaningful together: the offsets say which
-lines are already inside the sessions, so a restarted daemon can tell
-every reconnecting source exactly how much to skip and never reprocesses
-the corpus.
+resumable session state (:meth:`ReconstructionSession.export_state` — the
+accumulated per-packet events, nothing derived from them) with its line
+counts.  Offsets and state are only meaningful together: the offsets say
+which lines are already inside the sessions, so a restarted daemon can
+tell every reconnecting source exactly how much to skip and is re-sent no
+line.  The restored shard re-derives its flows and reports once, through
+the same refresh live ingest uses.
 
 A checkpoint is a two-phase commit.  Every shard first writes
 ``<stem>.shard<k>.e<epoch>.json``; only then is the manifest replaced — the
@@ -17,12 +18,16 @@ manifest swap is the commit point.  A crash between the two leaves the
 previous manifest pointing at the previous epoch's intact files, so a
 restart never sees a torn or half-advanced state.  Old epochs are
 garbage-collected after the swap.  :func:`open_manifest` is the one
-start-up check: the manifest must match the requested ``--shards`` and
-every file it names must exist.
+start-up check of the manifest: it must match the requested ``--shards``
+and every file it names must exist; the daemon then reads each of those
+files with :func:`load_checkpoint` before it listens.
 
 Both layers write atomically (temp file + ``os.replace`` in the same
-directory).  :func:`reshard_checkpoint` splits one checkpoint into N
-per-shard checkpoints — per-packet state is split by the cluster hash,
+directory), and both readers raise ``ValueError`` for anything that is
+not a well-formed file of their format.  :func:`reshard_checkpoint`
+splits one checkpoint into N per-shard checkpoints — the session's
+evidence is split by the cluster hash
+(:func:`repro.core.session.split_session_state`, the layout's owner),
 while the per-source offsets (not per-packet partitionable) are assigned
 wholesale to shard 0; consumers only ever read per-source sums across
 shards, so the attribution is sound.  :func:`merge_checkpoints` is the
@@ -33,11 +38,13 @@ into a manifest.
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 #: Format version of a shard checkpoint file.
 CHECKPOINT_VERSION = 1
@@ -71,18 +78,17 @@ class Checkpoint:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "Checkpoint":
-        version = data.get("version")
+    def from_json(cls, data: Any) -> "Checkpoint":
+        version = _object(data, "checkpoint").get("version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
-        return cls(
-            session_state=dict(data["session"]),
-            offsets={str(k): int(v) for k, v in data.get("offsets", {}).items()},
-            corrupt_lines={
-                str(k): int(v) for k, v in data.get("corrupt_lines", {}).items()
-            },
-            lines_ingested=int(data.get("lines_ingested", 0)),
-        )
+        with _fields("checkpoint"):
+            return cls(
+                session_state=dict(_object(data["session"], "checkpoint session")),
+                offsets=_counts(data, "offsets"),
+                corrupt_lines=_counts(data, "corrupt_lines"),
+                lines_ingested=int(data.get("lines_ingested", 0)),
+            )
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> pathlib.Path:
@@ -138,29 +144,30 @@ class ClusterManifest:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "ClusterManifest":
-        version = data.get("version")
+    def from_json(cls, data: Any) -> "ClusterManifest":
+        version = _object(data, "manifest").get("version")
         if version != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {version!r}")
-        shards = int(data["shards"])
-        files = tuple(str(f) for f in data.get("shard_files", ()))
-        if shards < 1:
-            raise ValueError(f"manifest shards must be positive, not {shards}")
-        if len(files) != shards:
-            raise ValueError(
-                f"manifest names {len(files)} shard files for {shards} shards"
+        with _fields("manifest"):
+            shards = int(data["shards"])
+            files = tuple(str(f) for f in data.get("shard_files", ()))
+            if shards < 1:
+                raise ValueError(f"manifest shards must be positive, not {shards}")
+            if len(files) != shards:
+                raise ValueError(
+                    f"manifest names {len(files)} shard files for {shards} shards"
+                )
+            for name in files:
+                # a bare name keeps every read inside the manifest's directory
+                if name in ("", ".", "..") or pathlib.PurePath(name).name != name:
+                    raise ValueError(f"manifest shard file {name!r} is not a bare file name")
+            return cls(
+                shards=shards,
+                epoch=int(data["epoch"]),
+                offsets=_counts(data, "offsets"),
+                lines_routed=int(data.get("lines_routed", 0)),
+                shard_files=files,
             )
-        for name in files:
-            # a bare name keeps every read inside the manifest's directory
-            if name in ("", ".", "..") or pathlib.PurePath(name).name != name:
-                raise ValueError(f"manifest shard file {name!r} is not a bare file name")
-        return cls(
-            shards=shards,
-            epoch=int(data["epoch"]),
-            offsets={str(k): int(v) for k, v in data.get("offsets", {}).items()},
-            lines_routed=int(data.get("lines_routed", 0)),
-            shard_files=files,
-        )
 
 
 def save_manifest(path, manifest: ClusterManifest) -> pathlib.Path:
@@ -177,14 +184,15 @@ def open_manifest(path, shards: int) -> Optional[ClusterManifest]:
     """The start-up restore check; ``None`` when there is nothing to restore.
 
     Raises ``ValueError`` for anything a daemon started with ``--shards
-    shards`` must not resume from: a version-1 file, a manifest for another
-    width (:class:`ShardMismatchError`), or one naming a missing shard file.
+    shards`` must not resume from: a version-1 file, a malformed manifest,
+    a manifest for another width (:class:`ShardMismatchError`), or one
+    naming a missing shard file.
     """
     path = pathlib.Path(path)
     if not path.exists():
         return None
     data = json.loads(path.read_text())
-    if data.get("version") == CHECKPOINT_VERSION:
+    if isinstance(data, Mapping) and data.get("version") == CHECKPOINT_VERSION:
         raise ValueError(
             f"checkpoint {path} is a version-1 file, not a manifest; convert "
             "it offline with repro.serve.checkpoint.reshard_manifest"
@@ -214,10 +222,9 @@ def shard_checkpoint_path(manifest_path, shard: int, epoch: int) -> pathlib.Path
     directory so the whole cluster state moves as one directory.
     """
     manifest_path = pathlib.Path(manifest_path)
-    stem = manifest_path.name
-    if stem.endswith(".json"):
-        stem = stem[: -len(".json")]
-    return manifest_path.with_name(f"{stem}.shard{shard:02d}.e{epoch}.json")
+    return manifest_path.with_name(
+        f"{_stem(manifest_path)}.shard{shard:02d}.e{epoch}.json"
+    )
 
 
 def gc_shard_files(manifest_path, manifest: ClusterManifest) -> list[pathlib.Path]:
@@ -228,12 +235,11 @@ def gc_shard_files(manifest_path, manifest: ClusterManifest) -> list[pathlib.Pat
     never touched.
     """
     manifest_path = pathlib.Path(manifest_path)
-    stem = manifest_path.name
-    if stem.endswith(".json"):
-        stem = stem[: -len(".json")]
+    # escaped: a stem like ``cp[1]`` is a file name, not a character class
+    pattern = f"{glob.escape(_stem(manifest_path))}.shard*.e*.json"
     keep = set(manifest.shard_files)
     removed = []
-    for candidate in sorted(manifest_path.parent.glob(f"{stem}.shard*.e*.json")):
+    for candidate in sorted(manifest_path.parent.glob(pattern)):
         if candidate.name not in keep:
             candidate.unlink(missing_ok=True)
             removed.append(candidate)
@@ -249,7 +255,7 @@ def reshard_checkpoint(
 ) -> list[Checkpoint]:
     """Split one checkpoint into ``shards`` per-shard checkpoints.
 
-    Session state is partitioned by the cluster hash
+    The session's evidence is partitioned by the cluster hash
     (:func:`repro.serve.sharding.shard_for_packet`), matching where the
     router would have sent each packet's lines.  The per-source offsets and
     line counts are *not* per-packet partitionable, so they go wholesale to
@@ -276,7 +282,8 @@ def merge_checkpoints(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
 
     Inverse of :func:`reshard_checkpoint`; per-source counts are summed, so
     it also accepts shard files written by a live daemon (where every
-    shard carries its own share of each source).
+    shard carries its own share of each source).  Sessions of either state
+    version merge into the current one.
     """
     from repro.core.session import merge_session_states
 
@@ -309,7 +316,7 @@ def reshard_manifest(path, new_shards: int) -> ClusterManifest:
     """
     path = pathlib.Path(path)
     data = json.loads(path.read_text())
-    if data.get("version") == CHECKPOINT_VERSION:
+    if isinstance(data, Mapping) and data.get("version") == CHECKPOINT_VERSION:
         merged = Checkpoint.from_json(data)
         epoch = 1
     else:
@@ -338,6 +345,34 @@ def reshard_manifest(path, new_shards: int) -> ClusterManifest:
 
 # ---------------------------------------------------------------------- #
 # plumbing
+
+
+def _object(data: Any, what: str) -> Mapping[str, Any]:
+    """``data`` if it is a JSON object; ``ValueError`` otherwise."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} is not a JSON object")
+    return data
+
+
+@contextlib.contextmanager
+def _fields(what: str) -> Iterator[None]:
+    """Report a missing or mistyped field as ``ValueError`` — the error a
+    daemon's start-up check turns into one line and exit 2."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{what} has a missing or malformed field: {exc!r}") from None
+
+
+def _counts(data: Mapping[str, Any], key: str) -> dict[str, int]:
+    """The optional per-source line counts at ``data[key]``."""
+    return {str(k): int(v) for k, v in data.get(key, {}).items()}
+
+
+def _stem(manifest_path: pathlib.Path) -> str:
+    """The manifest's file name without ``.json``; prefixes its shard files."""
+    name = manifest_path.name
+    return name[: -len(".json")] if name.endswith(".json") else name
 
 
 def _atomic_write(path: pathlib.Path, payload: dict[str, Any]) -> pathlib.Path:

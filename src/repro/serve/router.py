@@ -50,11 +50,13 @@ import time
 from typing import Any, Mapping, Optional
 
 from repro.core.serialize import report_from_dict
+from repro.core.session import session_evidence
 from repro.events.packet import PacketKey
 from repro.obs.registry import MetricsSnapshot, get_registry, merge_shard_snapshots
 from repro.obs.structlog import get_logger
 from repro.serve import protocol
 from repro.serve._compat import timeout
+from repro.serve.checkpoint import load_checkpoint
 from repro.serve.config import ServeConfig
 from repro.serve.ingest import IngestItem, SourceBook
 from repro.serve.shard import ShardSpec, run_shard
@@ -144,11 +146,21 @@ class ShardSet:
         self._links: list[_ShardLink] = []
         #: Lines forwarded per shard (feeds ``serve.shard.lines{shard=}``).
         self._routed: list[int] = [0] * self.shards
+        #: Shard file each shard restores (set by :meth:`restore`).
+        self._restore_files: list[Optional[str]] = [None] * self.shards
 
     # ------------------------------------------------------------------ #
     # shard subprocess lifecycle (sync; spawn before / join after the loop)
 
-    def start(self, restore_files: list[Optional[str]]) -> None:
+    def restore(self, files: list[Optional[str]]) -> None:
+        """Read every shard file now, so a malformed one stops start-up
+        before any shard spawns; each shard then restores its own file."""
+        for path in files:
+            if path is not None:
+                session_evidence(load_checkpoint(path).session_state)
+        self._restore_files = files
+
+    def start(self) -> None:
         """Spawn every shard, each restoring its file, and await its ports."""
         manifest = self.config.resolved_checkpoint()
         ctx = multiprocessing.get_context("spawn")
@@ -158,7 +170,7 @@ class ShardSet:
                 index=index,
                 shards=self.shards,
                 manifest_path=str(manifest) if manifest is not None else None,
-                restore_file=restore_files[index],
+                restore_file=self._restore_files[index],
                 delivery_node=self.config.resolved_delivery_node(),
                 batch_size=self.config.batch_size,
                 flush_interval=self.config.flush_interval,

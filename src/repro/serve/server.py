@@ -30,7 +30,8 @@ Checkpoints are one protocol at every ``--shards``: under the ingest lock,
 every shard writes its epoch-stamped file, then the manifest at the
 checkpoint path is atomically replaced — the commit point (see
 :mod:`repro.serve.checkpoint`).  Restore is one path too: read the
-manifest, check its ``shards`` and its files, restore.
+manifest, check its ``shards`` and its files, restore the evidence, and
+re-derive its flows once through the normal refresh.
 
 Everything runs on one event loop in one thread: session mutations happen
 only inside synchronous stretches of the consumer or a handler, so state is
@@ -46,8 +47,8 @@ shard or a failed forward is fail-stop: the daemon skips the final
 checkpoint, so the last committed manifest stays the recoverable truth.
 Evidence still in a connection's socket buffer is *not* consumed — that is
 what per-source offsets are for: the restarted server tells each
-reconnecting source how much to skip, so nothing is lost and nothing is
-reprocessed.
+reconnecting source how much to skip, so nothing is lost and no line is
+re-sent.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class RefillServer:
         self.http_port: Optional[int] = None
         #: Whether start-up restored state from an existing checkpoint.
         self.restored = False
-        self._restore_files: Optional[list[Optional[str]]] = None
+        self._restore_checked = False
         self._epoch = 0
         self._dirty_since_checkpoint = False
         self._degraded = False
@@ -158,15 +159,15 @@ class RefillServer:
     # start-up restore (sync; before the loop)
 
     def restore(self) -> bool:
-        """Check the checkpoint at the configured path and adopt its books.
+        """Check the checkpoint at the configured path and adopt it.
 
-        The one restore path: read the manifest, check its ``shards`` and
-        that its shard files exist (``ValueError`` otherwise, so a bad
-        checkpoint stops start-up before anything listens), restore the
-        public offsets.  The shards restore their files in :meth:`run`.
-        Idempotent; returns whether there was state to restore.
+        The one restore path: read the manifest and every shard file it
+        names (``ValueError`` for any bad piece, so a bad checkpoint stops
+        start-up before anything listens), adopt the public offsets, and
+        restore the shard state.  Idempotent; returns whether there was
+        state to restore.
         """
-        if self._restore_files is not None:
+        if self._restore_checked:
             return self.restored
         shards = self.config.shards
         files: list[Optional[str]] = [None] * shards
@@ -181,7 +182,9 @@ class RefillServer:
                     str(self.manifest_path.parent / name)
                     for name in manifest.shard_files
                 ]
-        self._restore_files = files
+        with use_registry(self.registry), use_recorder(self.recorder):
+            self.state.restore(files)
+        self._restore_checked = True
         self.restored = files[0] is not None
         return self.restored
 
@@ -624,10 +627,9 @@ class RefillServer:
         starts, so every task the daemon spawns inherits them.
         """
         self.restore()
-        assert self._restore_files is not None
         with use_registry(self.registry), use_recorder(self.recorder):
             try:
-                self.state.start(self._restore_files)
+                self.state.start()
                 asyncio.run(self._main(ready))
             finally:
                 self.state.join()

@@ -134,13 +134,18 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # shard-file checkpoint / restore
 
-    def restore(self, path) -> None:
-        """Adopt the shard checkpoint file at ``path``."""
+    def restore(self, files: list[Optional[str]]) -> None:
+        """Adopt this shard's checkpoint file (``files[0]``), if any, and
+        reconstruct its evidence once, before the daemon listens."""
+        path = files[0]
+        if path is None:
+            return
         checkpoint = load_checkpoint(path)
         self.session.restore_state(checkpoint.session_state)
         self.book.restore(
             checkpoint.offsets, checkpoint.corrupt_lines, checkpoint.lines_ingested
         )
+        self.refresh()
         _log.info(
             "serve.restored",
             checkpoint=str(path),
@@ -191,9 +196,8 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # the daemon's shard-state surface (same methods as router.ShardSet)
 
-    def start(self, restore_files: list[Optional[str]]) -> None:
-        if restore_files[0] is not None:
-            self.restore(restore_files[0])
+    def start(self) -> None:
+        """In-process state has nothing to spawn."""
 
     async def ingest(self, item: IngestItem) -> None:
         self.ingest_item(item)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import shutil
 import stat
 
 import pytest
@@ -15,6 +17,7 @@ from repro.core.session import (
 )
 from repro.events.packet import PacketKey
 from repro.events.store import load_store
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.serve.checkpoint import (
     CHECKPOINT_VERSION,
     MANIFEST_VERSION,
@@ -104,6 +107,22 @@ class TestCheckpointFile:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ([], "not a JSON object"),
+            ({"version": 1}, "missing or malformed field"),
+            ({"version": 1, "session": []}, "session is not a JSON object"),
+            ({"version": 1, "session": {}, "offsets": []}, "malformed field"),
+            ({"version": 1, "session": {}, "lines_ingested": None}, "malformed field"),
+        ],
+    )
+    def test_malformed_file_raises_value_error(self, tmp_path, data, problem):
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=problem):
+            load_checkpoint(path)
+
 
 class TestSessionStateRoundTrip:
     def test_export_restore_preserves_flows_and_reports(self, store):
@@ -150,6 +169,34 @@ class TestSessionStateRoundTrip:
         session = _session(store)
         with pytest.raises(ValueError, match="version"):
             session.restore_state({"version": 999})
+
+    def test_state_without_events_raises(self, store):
+        session = _session(store)
+        with pytest.raises(ValueError, match="backend events"):
+            session.restore_state({"version": 2, "batches_ingested": 0})
+
+    def test_export_holds_the_evidence_only(self, store):
+        state = _store_checkpoint(store).session_state
+        assert state["version"] == 2
+        assert set(state) == {"version", "batches_ingested", "backend"}
+        assert set(state["backend"]) == {"events"}
+
+    def test_restore_derives_each_packet_exactly_once(self, store):
+        """Every restored packet is pending; one refresh reconstructs each
+        exactly once, and later queries reconstruct nothing more."""
+        state = _store_checkpoint(store).session_state
+        restored = _session(store)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            restored.restore_state(state)
+            packets = len(restored.packets())
+            assert packets > 0
+            assert restored.pending == packets
+            restored.refresh()
+            restored.flows()
+            restored.reports()
+        assert restored.pending == 0
+        assert registry.snapshot().counters["refill.packets"] == packets
 
 
 class TestShardHash:
@@ -200,6 +247,25 @@ def _store_checkpoint(store_dir) -> Checkpoint:
 
 
 class TestClusterManifest:
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ([], "not a JSON object"),
+            ({"version": 2}, "missing or malformed field"),
+            ({"version": 2, "shards": 1, "shard_files": ["a.json"]}, "missing or malformed field"),
+            ({"version": 2, "shards": None, "epoch": 1}, "malformed field"),
+            ({"version": 2, "shards": 1, "epoch": 1, "shard_files": ["a.json"],
+              "offsets": 3}, "malformed field"),
+        ],
+    )
+    def test_malformed_manifest_raises_value_error(self, tmp_path, data, problem):
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=problem):
+            load_manifest(path)
+        with pytest.raises(ValueError, match=problem):
+            open_manifest(path, 1)
+
     def test_round_trip(self, tmp_path):
         manifest = ClusterManifest(
             shards=2,
@@ -254,6 +320,21 @@ class TestClusterManifest:
         path = shard_checkpoint_path(tmp_path / "refill-checkpoint.json", 3, 12)
         assert path.parent == tmp_path
         assert path.name == "refill-checkpoint.shard03.e12.json"
+
+    def test_gc_treats_the_stem_as_a_literal_name(self, tmp_path):
+        """A glob character in the checkpoint name neither matches another
+        daemon's files nor hides this daemon's own stale epoch."""
+        manifest_path = tmp_path / "cp[1].json"
+        keep = shard_checkpoint_path(manifest_path, 0, 2)
+        stale = shard_checkpoint_path(manifest_path, 0, 1)
+        other = tmp_path / "cp1.shard00.e3.json"  # matched by cp[1] as a glob
+        for p in (keep, stale, other):
+            p.write_text("{}")
+        manifest = ClusterManifest(
+            shards=1, epoch=2, offsets={}, shard_files=(keep.name,)
+        )
+        assert gc_shard_files(manifest_path, manifest) == [stale]
+        assert keep.exists() and other.exists() and not stale.exists()
 
     def test_gc_removes_only_stale_epochs(self, tmp_path):
         manifest_path = tmp_path / "cp.json"
@@ -324,9 +405,12 @@ class TestReshard:
     def test_partition_follows_the_cluster_hash(self, store):
         checkpoint = _store_checkpoint(store)
         parts = reshard_checkpoint(checkpoint, 4)
+        seen = 0
         for index, part in enumerate(parts):
-            for packet in part.session_state["flows"]:
+            for packet in part.session_state["backend"]["events"]:
                 assert shard_for_packet(PacketKey.parse(packet), 4) == index
+                seen += 1
+        assert seen == len(checkpoint.session_state["backend"]["events"]) > 0
 
     def test_split_session_state_rejects_unknown_version(self):
         with pytest.raises(ValueError, match="version"):
@@ -340,6 +424,24 @@ class TestReshard:
         )
         merged = merge_session_states(list(reversed(parts)))
         assert dumps_canonical(merged) == dumps_canonical(state)
+
+    def test_merging_version_1_states_writes_version_2(self, tmp_path):
+        """Resharding a checkpoint written before session state held
+        evidence only keeps its events and drops the derived caches."""
+        fixture = pathlib.Path(__file__).parents[1] / "fixtures" / "v1-shard-checkpoint"
+        for name in ("cp.json", "cp.shard00.e1.json"):
+            shutil.copy(fixture / name, tmp_path / name)
+        old = load_checkpoint(tmp_path / "cp.shard00.e1.json").session_state
+        assert old["version"] == 1 and old["backend"]["dirty"]
+        manifest = reshard_manifest(tmp_path / "cp.json", 2)
+        merged = merge_checkpoints(
+            [load_checkpoint(tmp_path / name) for name in manifest.shard_files]
+        ).session_state
+        assert merged == {
+            "version": 2,
+            "batches_ingested": old["batches_ingested"],
+            "backend": {"events": old["backend"]["events"]},
+        }
 
     def test_reshard_manifest_offline(self, store, tmp_path):
         """The documented rebalancing runbook: stop, reshard, restart."""

@@ -7,12 +7,15 @@ contract is *byte identity*, including across a mid-ingest checkpoint
 restore and across server restarts.
 """
 
+import json
+import pathlib
 import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.events.store import read_complete_lines
-from repro.serve import ServeConfig, ServerThread, load_manifest
+from repro.serve import ServeConfig, ServerThread, load_checkpoint, load_manifest
 from repro.serve.client import push_lines, push_store
 from repro.serve.ingest import tail_node_bind
 from tests.serve.util import http_json, http_req, wait_ready
@@ -78,8 +81,12 @@ class TestPushEquivalence:
         assert served.strip() == batch_flows
 
 
+#: A checkpoint in the format before session state held evidence only.
+V1_FIXTURE = pathlib.Path(__file__).parents[1] / "fixtures" / "v1-shard-checkpoint"
+
+
 class TestCheckpointRestart:
-    def test_restart_resumes_without_reprocessing(
+    def test_restart_derives_each_restored_packet_once(
         self, store, batch_flows, tmp_path
     ):
         config = _config(store, tmp_path)
@@ -95,9 +102,50 @@ class TestCheckpointRestart:
             _, served = http_req(thread.http_port, "/flows")
             _, metrics = http_json(thread.http_port, "/metrics")
         assert served.strip() == batch_flows
-        # nothing was reconstructed on the restarted server: the engine
-        # never ran, so its packet counter never appeared
-        assert metrics["counters"].get("refill.packets", 0) == 0
+        # the checkpoint holds evidence only: restore reconstructed every
+        # restored packet exactly once, and the 0-line re-push added none
+        restored = len(json.loads(served))
+        assert metrics["counters"]["refill.packets"] == restored
+
+    def test_version_1_shard_file_restores_byte_identical(self, tmp_path):
+        """A shard file written before session state held evidence only
+        (flows, reports and a non-empty dirty set included) restores to
+        the answers that daemon gave, then resumes ingest like any other."""
+        work = tmp_path / "v1"
+        shutil.copytree(V1_FIXTURE, work)
+        fixture_store = work / "store"
+        config = ServeConfig(
+            store=str(fixture_store),
+            checkpoint_path=str(work / "cp.json"),
+            checkpoint_interval=0.0,
+            flush_interval=0.05,
+        )
+        with ServerThread(config) as thread:
+            assert thread.server.restored
+            wait_ready(thread.http_port)
+            _, flows = http_req(thread.http_port, "/flows")
+            _, reports = http_req(thread.http_port, "/reports")
+            _, metrics = http_json(thread.http_port, "/metrics")
+            assert flows.strip() == (work / "flows.json").read_text().strip()
+            assert reports.strip() == (work / "reports.json").read_text().strip()
+            assert metrics["counters"]["refill.packets"] == len(json.loads(flows))
+
+            manifest = load_manifest(work / "cp.json")
+            results = push_store(fixture_store, port=thread.tcp_port)
+            assert {s: r.skipped for s, r in results.items()} == manifest.offsets
+            assert sum(r.sent for r in results.values()) > 0
+            wait_ready(thread.http_port)
+            _, served = http_req(thread.http_port, "/flows")
+        batch = tmp_path / "batch.json"
+        assert main(["analyze", "-q", "--logs", str(fixture_store), "--no-check",
+                     "--backend", "incremental", "--flows-out", str(batch)]) == 0
+        assert served.strip() == batch.read_text().strip()
+        # the graceful stop rewrote the checkpoint at the current version
+        shard_file = work / load_manifest(work / "cp.json").shard_files[0]
+        session = load_checkpoint(shard_file).session_state
+        assert session["version"] == 2
+        assert set(session) == {"version", "batches_ingested", "backend"}
+        assert set(session["backend"]) == {"events"}
 
     def test_kill_and_restore_mid_ingest(self, store, batch_flows, tmp_path):
         """A checkpoint taken mid-ingest + client offsets reconstruct the

@@ -173,6 +173,38 @@ class TestServeBadInput:
         assert "reshard_manifest" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize(
+        "manifest, shard_body",
+        [
+            ("names", '{"version": 1}'),  # shard file without a session
+            ("names", '{"version": 1, "session": {'),  # torn shard file
+            ("names", '{"version": 1, "session": {"version": 2}}'),
+            ("[]", None),  # manifest that is not an object
+        ],
+        ids=["shard-without-session", "torn-shard", "session-without-events",
+             "manifest-not-an-object"],
+    )
+    def test_malformed_checkpoint_exits_2(
+        self, tmp_path, capsys, shards, manifest, shard_body
+    ):
+        """Every shard file is read before the daemon listens or spawns a
+        shard, so a malformed one is bad input, not a crash."""
+        path = tmp_path / "cp.json"
+        if manifest == "names":
+            names = [f"cp.shard{k:02d}.e1.json" for k in range(shards)]
+            for name in names:
+                (tmp_path / name).write_text(shard_body)
+            manifest = json.dumps({"version": 2, "shards": shards, "epoch": 1,
+                                   "shard_files": names})
+        path.write_text(manifest)
+        code = main(["serve", "--port", "0", "--http-port", "0",
+                     "--shards", str(shards), "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("serve.bad-input") == 1
+        assert "Traceback" not in err
+
 
 class TestParser:
     def test_requires_subcommand(self):
