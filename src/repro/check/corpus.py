@@ -1,13 +1,12 @@
 """Log-corpus lint over a store directory (rule codes ``LC*``).
 
-Streams every ``node_*.log`` file through the tolerant codec scanner
-(:func:`repro.events.codec.scan_log_text` over
-:func:`~repro.events.codec.decode_text` — the same scanner and bytes rule
-the store loader uses, so the two always agree on corruption) and checks:
+Streams every ``node_*.log`` file through the store loader's scanner
+(:func:`repro.events.codec.scan_log_text`, bound to the file's node), so the
+two always agree on what a line is and which lines are corrupt, and checks:
 
-- **decodability** (``LC001``): the line parses at all — this surfaces the
-  counts that :func:`repro.events.store.load_store` only tallies in
-  ``corrupt_lines`` as per-line findings;
+- **decodability** (``LC001``): the line parses and ends in a newline —
+  this surfaces the counts that :func:`repro.events.store.load_store` only
+  tallies in ``corrupt_lines`` as per-line findings;
 - **schema conformance** (``LC002``): the recorded node id matches the file
   the line sits in (a node appends only to its own log);
 - **vocabulary** (``LC003``): the event label is emitted by some role
@@ -18,7 +17,8 @@ the store loader uses, so the two always agree on corruption) and checks:
 - **append-order sanity** (``LC005``): local timestamps are monotone within
   a file (one node, one clock) and ``gen`` sequence numbers from the file's
   own node strictly increase;
-- **metadata** (``LC006``): ``operations.json`` exists and parses.
+- **metadata** (``LC006``): :func:`repro.events.store.load_store_metadata`
+  reads ``operations.json``.
 
 Findings per (rule, file) are capped — a 60 %-corrupt shard should not
 drown the report — with an ``LC007`` summary for anything suppressed.
@@ -26,7 +26,6 @@ drown the report — with an ``LC007`` summary for anything suppressed.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Optional
 
@@ -34,7 +33,7 @@ from repro.check.crossfsm import DeploymentSpec
 from repro.check.findings import Finding, cap_per_rule, error, warning
 from repro.events.codec import DecodeIssue, decode_text, scan_log_text
 from repro.events.event import Event, EventType
-from repro.events.store import StoreMetadata
+from repro.events.store import load_store_metadata, store_shards
 
 
 def check_corpus(
@@ -56,9 +55,8 @@ def check_corpus(
     findings.extend(_check_metadata(path))
     vocabulary = spec.vocabulary() if spec is not None else None
 
-    for file in sorted(path.glob("node_*.log")):
+    for node, file in store_shards(path):
         stats["files"] += 1
-        node = int(file.stem.split("_")[1])
         file_findings, file_stats = _check_file(file, node, vocabulary)
         findings.extend(file_findings)
         for key, value in file_stats.items():
@@ -68,19 +66,10 @@ def check_corpus(
 
 
 def _check_metadata(path: pathlib.Path) -> list[Finding]:
-    meta_path = path / "operations.json"
-    if not meta_path.exists():
-        return [error("LC006", meta_path.name, "store metadata file is missing")]
     try:
-        StoreMetadata.from_json(json.loads(meta_path.read_text()))
-    except (ValueError, KeyError, TypeError) as exc:
-        return [
-            error(
-                "LC006",
-                meta_path.name,
-                f"store metadata unreadable: {exc}",
-            )
-        ]
+        load_store_metadata(path)
+    except ValueError as exc:
+        return [error("LC006", "operations.json", str(exc))]
     return []
 
 
@@ -95,29 +84,21 @@ def _check_file(
     last_time_lineno = 0
     last_gen_seq: Optional[int] = None
 
-    for lineno, decoded in scan_log_text(decode_text(file.read_bytes())):
+    for lineno, decoded in scan_log_text(decode_text(file.read_bytes()), node):
         stats["lines"] += 1
         loc = f"{file.name}:{lineno}"
         if isinstance(decoded, DecodeIssue):
             stats["corrupt"] += 1
-            findings.append(
-                error("LC001", loc, f"line failed to decode: {decoded.error}")
-            )
+            if decoded.event is None:
+                findings.append(
+                    error("LC001", loc, f"line failed to decode: {decoded.error}")
+                )
+            else:
+                stats["events"] += 1
+                findings.append(error("LC002", loc, decoded.error))
             continue
         stats["events"] += 1
         event = decoded
-
-        if event.node != node:
-            stats["corrupt"] += 1
-            findings.append(
-                error(
-                    "LC002",
-                    loc,
-                    f"event recorded for node {event.node} inside the log "
-                    f"file of node {node}",
-                )
-            )
-            continue
 
         if vocabulary is not None and event.etype not in vocabulary:
             findings.append(

@@ -159,7 +159,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     from repro.learn.spec import save_learned_spec
 
     with span("learn.load"):
-        loaded = load_store(args.logs)
+        loaded = _open_store("learn", args.logs)
+    if loaded is None:
+        return 2
     log.info(
         "learn.store-loaded",
         logs=args.logs,
@@ -266,7 +268,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with span("analyze"):
             if args.stream:
                 # shard-at-a-time: the corpus never has to fit in memory
-                sharded = ShardedStore(args.logs)
+                sharded = _open_store("analyze", args.logs, ShardedStore)
+                if sharded is None:
+                    return 2
                 meta = sharded.metadata
                 log.info(
                     "analyze.reconstructing",
@@ -285,7 +289,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 corrupt_lines = sharded.corrupt_lines
             else:
                 with span("analyze.load"):
-                    loaded = load_store(args.logs)
+                    loaded = _open_store("analyze", args.logs)
+                if loaded is None:
+                    return 2
                 log.debug(
                     "analyze.store-loaded",
                     logs=args.logs,
@@ -330,6 +336,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.profile:
         print(_render_profile(registry.snapshot()), file=sys.stderr)
     return 0
+
+
+def _open_store(command: str, logs, opener=load_store):
+    """``opener(logs)``, or ``None`` after one ``<command>.bad-store`` error."""
+    try:
+        return opener(logs)
+    except ValueError as exc:
+        log.error(f"{command}.bad-store", logs=str(logs), error=str(exc))
+        return None
 
 
 def _report_corrupt_lines(registry: MetricsRegistry, corrupt_lines) -> None:
@@ -417,7 +432,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.analysis.temporal import loss_scatter
     from repro.vis.figures import render_scatter_svg
 
-    store = load_store(args.logs)
+    store = _open_store("figures", args.logs)
+    if store is None:
+        return 2
     log.info("figures.reconstructing", node_logs=len(store.logs))
     _flows, reports, est = _diagnose_store(store)
     out = pathlib.Path(args.out)
@@ -519,7 +536,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush_interval=args.flush_interval,
             ingest_queue_batches=args.queue_batches,
             ingest_batch_lines=args.batch_lines,
-            batch_size=args.batch_size,
             tail=tuple(args.tail or ()),
             tail_interval=args.tail_interval,
             delivery_node=args.delivery_node,
@@ -565,7 +581,9 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    store = load_store(args.logs)
+    store = _open_store("trace", args.logs)
+    if store is None:
+        return 2
     packet = PacketKey.parse(args.packet)
     session = ReconstructionSession(delivery_node=store.metadata.base_station)
     flows = session.reconstruct(store.logs)
@@ -801,10 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--flush-interval", type=float, default=0.5, metavar="SECS",
         help="idle gap after which dirty flows are refreshed",
-    )
-    p_srv.add_argument(
-        "--batch-size", type=int, default=256, metavar="K",
-        help="session batch size (as in refill analyze)",
     )
     p_srv.add_argument(
         "--queue-batches", type=int, default=64, metavar="N",

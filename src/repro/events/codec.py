@@ -19,8 +19,10 @@ path may only ever produce exactly the event the legacy parser would have
 produced; equivalence is pinned by the differential corpus suite and the
 Hypothesis properties in ``tests/events/``.
 
-Raw bytes — store shards, tailed files, network chunks — become text
-through one rule, :func:`decode_text`, so every door sees the same lines.
+Every door — store loader, corpus lint, push client, file tailer, daemon
+framing — turns bytes into text with :func:`decode_text`, cuts lines with
+:func:`cut_lines` and decodes them with :func:`scan_lines`, so all of them
+agree on what a surviving line is and which lines are corrupt or misfiled.
 """
 
 from __future__ import annotations
@@ -39,35 +41,13 @@ _RESERVED_SET = frozenset(_RESERVED)
 
 @dataclass(frozen=True, slots=True)
 class DecodeIssue:
-    """One line that failed tolerant decoding."""
+    """One line that failed tolerant decoding; ``event`` is set when the
+    line decoded but sits in another node's log (a misfiled line)."""
 
     lineno: int
     line: str
     error: str
-
-
-def scan_log_text(text: str) -> Iterator[tuple[int, Union[Event, DecodeIssue]]]:
-    """Tolerantly decode ``text`` line by line.
-
-    Yields ``(lineno, Event)`` for lines that parse and
-    ``(lineno, DecodeIssue)`` for lines that do not (1-based line numbers;
-    blank lines are skipped).  This is the one scanner behind the tolerant
-    store loader, the ``refill check`` corpus lint and the serve daemon's
-    ingest, so all three agree on what counts as a corrupt line.
-    """
-    fast = _decode_fast
-    strict = _decode_event_strict
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line or line.isspace():
-            continue
-        event = fast(line)
-        if event is not None:
-            yield lineno, event
-        else:
-            try:
-                yield lineno, strict(line)
-            except ValueError as exc:
-                yield lineno, DecodeIssue(lineno, line, str(exc))
+    event: Optional[Event] = None
 
 
 def decode_text(data: bytes) -> str:
@@ -77,12 +57,72 @@ def decode_text(data: bytes) -> str:
     return data.decode("utf-8", errors="replace")
 
 
+def cut_lines(text: str) -> tuple[list[str], str]:
+    """The one text-to-lines rule: ``(lines, rest)``.
+
+    A line is what comes before a ``\n``, with one trailing ``\r`` dropped;
+    no other character ends a line.  ``rest``, the text after the last
+    ``\n`` (a writer caught mid-append, a torn record), is not a line yet.
+    """
+    *lines, rest = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line[-1:] == "\r" else line for line in lines]
+    return lines, rest
+
+
+def scan_lines(
+    lines: Iterable[str], node: Optional[int] = None
+) -> Iterator[tuple[int, Union[Event, DecodeIssue]]]:
+    """The one scanner: tolerantly decode lines cut by :func:`cut_lines`.
+
+    Yields ``(lineno, Event)`` for lines that parse and
+    ``(lineno, DecodeIssue)`` for lines that do not (1-based line numbers;
+    blank lines are skipped).  Given ``node``, an event recorded for another
+    node is a misfiled :class:`DecodeIssue` carrying that event: a node
+    appends only to its own log.
+    """
+    fast = _decode_fast
+    strict = _decode_event_strict
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        event = fast(line)
+        if event is None:
+            try:
+                event = strict(line)
+            except ValueError as exc:
+                yield lineno, DecodeIssue(lineno, line, str(exc))
+                continue
+        if node is not None and event.node != node:
+            error = f"event recorded for node {event.node} inside the log file of node {node}"
+            yield lineno, DecodeIssue(lineno, line, error, event)
+        else:
+            yield lineno, event
+
+
+def scan_log_text(
+    text: str, node: Optional[int] = None
+) -> Iterator[tuple[int, Union[Event, DecodeIssue]]]:
+    """:func:`scan_lines` over a whole shard file's text.  A non-blank
+    torn final record (no newline after it) yields one :class:`DecodeIssue`
+    at its line number: the push door never sends it, so no door decodes it.
+    """
+    lines, rest = cut_lines(text)
+    yield from scan_lines(lines, node)
+    if rest and not rest.isspace():
+        lineno = len(lines) + 1
+        yield lineno, DecodeIssue(
+            lineno, rest, f"unterminated final line {rest!r}: no newline after it"
+        )
+
+
 class LineAssembler:
     """Reassemble complete text lines from an arbitrary byte-chunk stream.
 
     Network ingest reads whatever chunk sizes the transport hands over; this
     keeps the unterminated tail until its newline arrives.  :meth:`feed`
-    returns the newly *completed* lines, decoded with :func:`decode_text`.
+    returns the newly *completed* lines, decoded with :func:`decode_text`
+    and cut by :func:`cut_lines`.
     A line still unterminated when the peer disconnects is simply never
     returned (mid-line disconnects drop the fragment, they do not corrupt
     the stream).
@@ -95,11 +135,9 @@ class LineAssembler:
 
     def feed(self, chunk: bytes) -> list[str]:
         data = self._tail + chunk
-        if b"\n" not in data:
-            self._tail = data
-            return []
-        *complete, self._tail = data.split(b"\n")
-        return [decode_text(part).rstrip("\r") for part in complete]
+        end = data.rfind(b"\n") + 1
+        self._tail = data[end:]
+        return cut_lines(decode_text(data[:end]))[0]
 
     @property
     def partial(self) -> bool:
@@ -271,11 +309,9 @@ def encode_log(log: NodeLog) -> str:
 
 
 def decode_log(node: int, text: str) -> NodeLog:
-    """Parse a node log; blank lines are skipped."""
-    events = (decode_event(line) for line in text.splitlines() if line.strip())
+    """Parse a node log as :func:`encode_log` writes it (lines cut by
+    :func:`cut_lines`, the last one unterminated); blank lines are skipped."""
+    lines, rest = cut_lines(text)
+    lines.append(rest)
+    events = (decode_event(line) for line in lines if line.strip())
     return NodeLog(node, events)
-
-
-def decode_logs(blobs: Iterable[tuple[int, str]]) -> dict[int, NodeLog]:
-    """Parse a collection of ``(node, text)`` blobs into logs keyed by node."""
-    return {node: decode_log(node, text) for node, text in blobs}

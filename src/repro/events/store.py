@@ -5,21 +5,21 @@ A store directory holds one ``node_<id>.log`` text file per node (the
 deployment metadata the analysis layer needs (sink/base-station ids, the
 sensing period, the server-outage operations log).
 
-Field data is dirty: ``load_store`` defaults to *tolerant* decoding, where
-undecodable lines (truncated flash pages, bit flips) are counted and
-skipped instead of aborting the whole analysis.  Bytes become text through
-:func:`~repro.events.codec.decode_text`, the same rule the serve daemon
-applies, so both doors see identical lines.
+Field data is dirty, so loading is tolerant: undecodable lines, misfiled
+lines and a torn final record are counted in ``corrupt_lines`` and skipped.
+Shards are read through :mod:`repro.events.codec`'s one line rule and one
+scanner, which every other door shares, so all doors see identical lines.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
-from repro.events.codec import DecodeIssue, decode_text, encode_log, scan_log_text
+from repro.events.codec import DecodeIssue, cut_lines, decode_text, encode_log, scan_log_text
 from repro.events.event import Event
 from repro.events.log import NodeLog
 
@@ -79,6 +79,22 @@ def shard_path(directory, node: int) -> pathlib.Path:
     return pathlib.Path(directory) / f"node_{node:04d}.log"
 
 
+_SHARD_NAME = re.compile(r"^node_(\d+)\.log$")
+
+
+def shard_node(file) -> Optional[int]:
+    """The node a ``node_<id>.log`` file belongs to; ``None`` for any other
+    name.  Every door binds a shard's lines to this node."""
+    match = _SHARD_NAME.match(pathlib.Path(file).name)
+    return int(match.group(1)) if match else None
+
+
+def store_shards(directory) -> list[tuple[int, pathlib.Path]]:
+    """``(node, path)`` of every shard file in a store, in file-name order."""
+    files = sorted(pathlib.Path(directory).glob("node_*.log"))
+    return [(node, f) for f in files if (node := shard_node(f)) is not None]
+
+
 def save_store(
     directory, logs: Mapping[int, NodeLog], metadata: StoreMetadata
 ) -> pathlib.Path:
@@ -94,48 +110,39 @@ def save_store(
 
 
 def load_store_metadata(directory) -> StoreMetadata:
-    """Read just the ``operations.json`` of a store directory."""
-    path = pathlib.Path(directory)
-    return StoreMetadata.from_json(json.loads((path / "operations.json").read_text()))
+    """Read a store's ``operations.json``; a missing, unparsable or mistyped
+    file raises ``ValueError`` naming it."""
+    path = pathlib.Path(directory) / "operations.json"
+    try:
+        return StoreMetadata.from_json(json.loads(path.read_text()))
+    except FileNotFoundError:
+        raise ValueError(f"{path}: store metadata file is missing") from None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: store metadata unreadable: {reason}") from None
 
 
-def _decode_shard(
-    file: pathlib.Path, node: int, *, strict: bool
-) -> tuple[NodeLog, int]:
+def _decode_shard(file: pathlib.Path, node: int) -> tuple[NodeLog, int]:
     """Decode one ``node_*.log`` file: ``(log, bad_line_count)``."""
     events: list[Event] = []
     bad = 0
-    for _lineno, decoded in scan_log_text(decode_text(file.read_bytes())):
+    for _lineno, decoded in scan_log_text(decode_text(file.read_bytes()), node):
         if isinstance(decoded, DecodeIssue):
-            if strict:
-                raise ValueError(decoded.error)
             bad += 1
-            continue
-        if decoded.node != node:
-            if strict:
-                raise ValueError(
-                    f"event node {decoded.node} in file of node {node}"
-                )
-            bad += 1
-            continue
-        events.append(decoded)
+        else:
+            events.append(decoded)
     return NodeLog(node, events), bad
 
 
-def iter_store_logs(
-    directory, *, strict: bool = False
-) -> Iterator[tuple[int, NodeLog, int]]:
+def iter_store_logs(directory) -> Iterator[tuple[int, NodeLog, int]]:
     """Decode one ``node_*.log`` shard at a time: ``(node, log, bad_lines)``.
 
     Only one shard's events are alive per step — the streaming substrate for
-    corpora that do not fit in memory.  ``strict`` matches
-    :func:`load_store`: ``False`` skips undecodable / misfiled lines and
-    counts them, ``True`` raises on the first.
+    corpora that do not fit in memory.  Bad lines are skipped and counted,
+    as in :func:`load_store`.
     """
-    path = pathlib.Path(directory)
-    for file in sorted(path.glob("node_*.log")):
-        node = int(file.stem.split("_")[1])
-        log, bad = _decode_shard(file, node, strict=strict)
+    for node, file in store_shards(directory):
+        log, bad = _decode_shard(file, node)
         yield node, log, bad
 
 
@@ -145,29 +152,27 @@ def read_complete_lines(file, start_line: int = 0) -> list[str]:
     A trailing unterminated line (a writer caught mid-append) is excluded, so
     repeated polls that pass the previous total as ``start_line`` see every
     line exactly once — the offset substrate shared by the serve layer's file
-    tailer and the resumable store-push client.  Lines are decoded with
-    :func:`~repro.events.codec.decode_text`, the rule the store loader uses.
+    tailer and the resumable store-push client.  Lines are cut by
+    :func:`~repro.events.codec.cut_lines`, the rule the store loader uses.
     """
     if start_line < 0:
         raise ValueError("start_line must be >= 0")
-    parts = pathlib.Path(file).read_bytes().split(b"\n")
-    # after split, the final piece is b"" iff the file ended in a newline;
-    # anything else there is an unterminated partial line
-    complete = parts[:-1]
-    return [decode_text(part).rstrip("\r") for part in complete[start_line:]]
+    lines, _rest = cut_lines(decode_text(pathlib.Path(file).read_bytes()))
+    return lines[start_line:]
 
 
-def load_store(directory, *, strict: bool = False) -> LoadedStore:
+def load_store(directory) -> LoadedStore:
     """Read a store directory.
 
-    ``strict=False`` (the default) skips undecodable lines and lines whose
-    recorded node id disagrees with the file they sit in, counting them in
-    ``corrupt_lines``; ``strict=True`` raises on the first bad line.
+    Undecodable lines, lines whose recorded node id disagrees with the file
+    they sit in, and a torn final record are skipped and counted in
+    ``corrupt_lines``.  A missing or unreadable ``operations.json`` raises
+    ``ValueError`` (see :func:`load_store_metadata`).
     """
     metadata = load_store_metadata(directory)
     logs: dict[int, NodeLog] = {}
     corrupt: dict[int, int] = {}
-    for node, log, bad in iter_store_logs(directory, strict=strict):
+    for node, log, bad in iter_store_logs(directory):
         logs[node] = log
         if bad:
             corrupt[node] = bad
@@ -184,24 +189,21 @@ class ShardedStore:
     repeated scans trade CPU for a bounded working set.
 
     ``corrupt_lines`` holds the per-node bad-line counts of the *latest*
-    completed pass (tolerant mode only; counts are per pass, not summed).
+    completed pass (counts are per pass, not summed).
     """
 
-    def __init__(self, directory, *, strict: bool = False) -> None:
+    def __init__(self, directory) -> None:
         self.directory = pathlib.Path(directory)
-        self.strict = strict
         self.metadata = load_store_metadata(self.directory)
         self.corrupt_lines: dict[int, int] = {}
 
     def nodes(self) -> list[int]:
         """Node ids present, from file names alone (no decoding)."""
-        return sorted(
-            int(f.stem.split("_")[1]) for f in self.directory.glob("node_*.log")
-        )
+        return sorted(node for node, _file in store_shards(self.directory))
 
     def iter_logs(self) -> Iterator[tuple[int, NodeLog]]:
         corrupt: dict[int, int] = {}
-        for node, log, bad in iter_store_logs(self.directory, strict=self.strict):
+        for node, log, bad in iter_store_logs(self.directory):
             if bad:
                 corrupt[node] = bad
             yield node, log
@@ -212,7 +214,7 @@ class ShardedStore:
         file = shard_path(self.directory, node)
         if not file.exists():
             return NodeLog(node)
-        log, _bad = _decode_shard(file, node, strict=self.strict)
+        log, _bad = _decode_shard(file, node)
         return log
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -32,10 +32,9 @@ import socket
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from repro.events.store import read_complete_lines
+from repro.events.store import read_complete_lines, store_shards
 from repro.obs.tracing import mint_trace_id
 from repro.serve import protocol
-from repro.serve.ingest import tail_node_bind
 
 #: Lines per ``sendall`` batch; keeps peak client memory flat on big shards.
 _SEND_BATCH = 2048
@@ -225,29 +224,28 @@ def push_store(
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    store = pathlib.Path(store)
     push_trace = _resolve_trace(trace)
-    shards = sorted(store.glob("node_*.log"))
+    shards = store_shards(store)
 
-    def _push_one(shard: pathlib.Path) -> PushResult:
+    def _push_one(node: int, file: pathlib.Path) -> PushResult:
         return push_lines(
-            read_complete_lines(shard),
+            read_complete_lines(file),
             host=host,
             port=port,
             unix_socket=unix_socket,
-            source=source_prefix + shard.name,
-            node=tail_node_bind(shard),
+            source=source_prefix + file.name,
+            node=node,
             timeout=timeout,
             trace=push_trace if push_trace is not None else False,
         )
 
     if workers == 1 or len(shards) <= 1:
-        return {source_prefix + shard.name: _push_one(shard) for shard in shards}
+        return {source_prefix + file.name: _push_one(node, file) for node, file in shards}
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-        outcomes = list(pool.map(_push_one, shards))
+        outcomes = list(pool.map(lambda shard: _push_one(*shard), shards))
     return {
-        source_prefix + shard.name: outcome
-        for shard, outcome in zip(shards, outcomes)
+        source_prefix + file.name: outcome
+        for (_node, file), outcome in zip(shards, outcomes)
     }

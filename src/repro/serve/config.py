@@ -53,8 +53,6 @@ class ServeConfig:
         queue blocks connection readers, which stops reading from their
         sockets — TCP backpressure throttles slow-producer-overwhelming
         bursts instead of buffering them unboundedly.
-    batch_size:
-        Session batch size (forwarded to :class:`ReconstructionSession`).
     tail:
         Log files to tail (source id = file name); each poll ingests the
         newly *completed* lines, so a writer caught mid-append is safe.
@@ -91,7 +89,6 @@ class ServeConfig:
     flush_interval: float = 0.5
     ingest_queue_batches: int = 64
     ingest_batch_lines: int = 512
-    batch_size: int = 256
     tail: tuple[str, ...] = field(default_factory=tuple)
     tail_interval: float = 0.25
     delivery_node: Optional[int] = None

@@ -134,7 +134,7 @@ class QueryTarget(Protocol):
 
     async def api_checkpoint(
         self, epoch: Optional[int]
-    ) -> Optional[dict[str, Any]]: ...
+    ) -> tuple[int, dict[str, Any]]: ...
 
 
 def build_summary(
@@ -408,12 +408,8 @@ class QueryApi:
                         return 400, dumps_canonical(
                             {"error": f"bad epoch {query['epoch']!r}"}
                         )
-                written = await server.api_checkpoint(epoch)
-                if written is None:
-                    return 409, dumps_canonical(
-                        {"error": "no checkpoint path configured"}
-                    )
-                return 200, dumps_canonical(written)
+                code, payload = await server.api_checkpoint(epoch)
+                return code, dumps_canonical(payload)
             if path == "/shutdown":
                 server.request_shutdown()
                 return 202, dumps_canonical({"status": "draining"})

@@ -1,7 +1,7 @@
 """Server-side ingest: connections, file tails, and the bounded queue.
 
 Readers (one task per connection, one per tailed file) frame bytes into
-complete lines with :class:`~repro.events.codec.LineAssembler` and enqueue
+complete lines by the codec's one line rule (:func:`~repro.events.codec.cut_lines`) and enqueue
 them as :class:`IngestItem` batches on a *bounded* :class:`asyncio.Queue`.
 A full queue blocks the reader coroutine, which stops draining its socket —
 kernel buffers fill, the TCP window closes, and the producer is throttled
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import asyncio
 import pathlib
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.events.codec import DecodeIssue, LineAssembler, scan_log_text
+from repro.events.codec import DecodeIssue, LineAssembler, scan_lines
 from repro.events.event import Event
-from repro.events.store import read_complete_lines
+from repro.events.store import read_complete_lines, shard_node
 from repro.obs.recorder import get_recorder
 from repro.obs.structlog import get_logger
 from repro.obs.tracing import current_trace_id, mint_trace_id, set_trace_id, traced
@@ -41,9 +40,6 @@ _log = get_logger("refill.serve.ingest")
 
 #: Source name used for connections that never sent a ``HELLO``.
 ANONYMOUS_SOURCE = "(anonymous)"
-
-#: Shard file names carry their node id; tails of such files bind to it.
-_SHARD_NAME = re.compile(r"^node_(\d+)\.log$")
 
 
 @dataclass
@@ -110,29 +106,18 @@ def decode_lines(
 ) -> tuple[dict[int, list[Event]], int]:
     """Tolerantly decode a line batch into per-node ordered events.
 
-    Returns ``(events_by_node, corrupt_count)``.  With a node binding,
-    lines decoding to a different node count as corrupt and are dropped —
-    the exact rule :func:`repro.events.store.load_store` applies to
-    misfiled lines, which is what keeps served flows byte-identical to a
-    batch run over the same shard files.
+    Returns ``(events_by_node, corrupt_count)``.  The store loader's
+    scanner decides, misfiled lines under a node binding included, which
+    keeps served flows byte-identical to a batch run over the same files.
     """
     events_by_node: dict[int, list[Event]] = {}
     corrupt = 0
-    for _lineno, decoded in scan_log_text("\n".join(lines)):
+    for _lineno, decoded in scan_lines(lines, node_bind):
         if isinstance(decoded, DecodeIssue):
             corrupt += 1
-            continue
-        if node_bind is not None and decoded.node != node_bind:
-            corrupt += 1
-            continue
-        events_by_node.setdefault(decoded.node, []).append(decoded)
+        else:
+            events_by_node.setdefault(decoded.node, []).append(decoded)
     return events_by_node, corrupt
-
-
-def tail_node_bind(path) -> Optional[int]:
-    """Node binding for a tailed file (``node_NNNN.log`` names bind)."""
-    match = _SHARD_NAME.match(pathlib.Path(path).name)
-    return int(match.group(1)) if match else None
 
 
 class IngestHub:
@@ -342,7 +327,7 @@ class IngestHub:
         """
         path = pathlib.Path(path)
         source = path.name
-        node_bind = tail_node_bind(path)
+        node_bind = shard_node(path)
         # one trace spans the tail session — every batch this task enqueues
         # attributes to it, exactly like a pushing client's HELLO trace
         set_trace_id(mint_trace_id())

@@ -172,7 +172,6 @@ class ShardSet:
                 manifest_path=str(manifest) if manifest is not None else None,
                 restore_file=self._restore_files[index],
                 delivery_node=self.config.resolved_delivery_node(),
-                batch_size=self.config.batch_size,
                 flush_interval=self.config.flush_interval,
                 ingest_queue_batches=self.config.ingest_queue_batches,
                 ingest_batch_lines=self.config.ingest_batch_lines,

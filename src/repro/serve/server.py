@@ -308,25 +308,28 @@ class RefillServer:
     async def api_metrics_snapshot(self) -> MetricsSnapshot:
         return await self.state.metrics(get_registry().snapshot())
 
-    async def api_checkpoint(self, epoch: Optional[int]) -> Optional[dict[str, Any]]:
+    async def api_checkpoint(self, epoch: Optional[int]) -> tuple[int, dict[str, Any]]:
         """``POST /checkpoint``: commit now, or write one epoch's shard file.
 
         ``epoch`` is the shard protocol — only a shard subprocess accepts
         it, and only it: its file is committed by the public daemon's
-        manifest swap, so a shard never writes on its own.  Returns the
-        response payload, ``None`` when no checkpoint path is configured
-        (→ 409).
+        manifest swap, so a shard never writes on its own.  Returns
+        ``(status, payload)``: 400 when ``epoch`` is sent to the wrong
+        kind of daemon, 409 when no checkpoint path is configured.
         """
         if self.shard is None:
             if epoch is not None:
-                raise ValueError("epoch is internal to shard workers")
-            return await self.checkpoint()
+                return 400, {"error": "epoch is internal to shard workers"}
+            written = await self.checkpoint()
+            if written is None:
+                return 409, {"error": "no checkpoint path configured"}
+            return 200, written
         if epoch is None:
-            raise ValueError("a shard worker checkpoints only at an epoch")
+            return 400, {"error": "a shard worker checkpoints only at an epoch"}
         assert isinstance(self.state, ShardWorker)
-        written = self.state.write_checkpoint(self.shard.epoch_path(epoch))
+        path = self.state.write_checkpoint(self.shard.epoch_path(epoch))
         packets = len(self.state.session.packets())
-        return {"path": str(written), "packets": packets, "epoch": epoch}
+        return 200, {"path": str(path), "packets": packets, "epoch": epoch}
 
     def listeners(self) -> list[dict[str, Any]]:
         """One descriptor per bound listener (the ``--print-ports`` shape).

@@ -80,7 +80,6 @@ class ShardSpec:
     #: Exact shard checkpoint file to restore, or ``None`` for a fresh start.
     restore_file: Optional[str]
     delivery_node: Optional[int]
-    batch_size: int
     flush_interval: float
     ingest_queue_batches: int
     ingest_batch_lines: int
@@ -100,7 +99,6 @@ class ShardSpec:
             flush_interval=self.flush_interval,
             ingest_queue_batches=self.ingest_queue_batches,
             ingest_batch_lines=self.ingest_batch_lines,
-            batch_size=self.batch_size,
             delivery_node=self.delivery_node,
             trace_capacity=self.trace_capacity,
         )
@@ -128,7 +126,6 @@ class ShardWorker:
         self.session = ReconstructionSession(
             backend=IncrementalBackend(),
             delivery_node=config.resolved_delivery_node(),
-            batch_size=config.batch_size,
         )
 
     # ------------------------------------------------------------------ #

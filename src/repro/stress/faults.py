@@ -33,27 +33,13 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.events.codec import encode_event
-from repro.events.store import iter_store_logs
+from repro.events.store import iter_store_logs, read_complete_lines, store_shards
 from repro.lognet.loss import LogLossSpec, apply_losses
 from repro.util.rng import RngStreams
 
 #: Characters injected by the garbler — a mix of separators, control bytes
 #: and multi-byte text, chosen to stress every branch of the decoder.
 _NOISE = "=\x00\x7fÿ  \t#"
-
-
-def _shard_files(directory) -> list:
-    """``(node, path)`` pairs of every shard in the store, sorted by node."""
-    import pathlib
-
-    out = []
-    for file in sorted(pathlib.Path(directory).glob("node_*.log")):
-        out.append((int(file.stem.split("_")[1]), file))
-    return out
-
-
-def _read_lines(file) -> list[str]:
-    return file.read_text().splitlines()
 
 
 def _write_lines(file, lines: Sequence[str]) -> None:
@@ -87,8 +73,8 @@ class GarbleLines(FaultOp):
     kind = "garble"
 
     def apply(self, directory, stream: random.Random) -> None:
-        for _node, file in _shard_files(directory):
-            lines = _read_lines(file)
+        for _node, file in store_shards(directory):
+            lines = read_complete_lines(file)
             out = []
             for line in lines:
                 if line and stream.random() < self.p:
@@ -120,9 +106,9 @@ class DuplicateRecords(FaultOp):
     kind = "duplicate"
 
     def apply(self, directory, stream: random.Random) -> None:
-        for _node, file in _shard_files(directory):
+        for _node, file in store_shards(directory):
             out: list[str] = []
-            for line in _read_lines(file):
+            for line in read_complete_lines(file):
                 out.append(line)
                 if line and stream.random() < self.p:
                     out.extend([line] * stream.randint(1, self.max_copies))
@@ -146,8 +132,8 @@ class ReorderWindow(FaultOp):
     def apply(self, directory, stream: random.Random) -> None:
         if self.window < 2:
             return
-        for _node, file in _shard_files(directory):
-            lines = _read_lines(file)
+        for _node, file in store_shards(directory):
+            lines = read_complete_lines(file)
             for start in range(0, len(lines), self.window):
                 if stream.random() < self.p:
                     chunk = lines[start : start + self.window]
@@ -168,7 +154,7 @@ class NodeBlackout(FaultOp):
     def apply(self, directory, stream: random.Random) -> None:
         candidates = [
             (node, file)
-            for node, file in _shard_files(directory)
+            for node, file in store_shards(directory)
             if node not in self.immune
         ]
         for _node, file in stream.sample(candidates, min(self.count, len(candidates))):
@@ -236,7 +222,7 @@ class Degrade(FaultOp):
         degraded = apply_losses(
             logs, self.spec(), RngStreams(stream.randrange(2**63))
         )
-        for node, file in _shard_files(directory):
+        for node, file in store_shards(directory):
             if node not in degraded:
                 file.unlink()  # node_loss_p: the whole shard is gone
             else:

@@ -19,7 +19,7 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.events.store import shard_path
+from repro.events.store import read_complete_lines, shard_path, store_shards
 from repro.obs import get_registry, span
 from repro.stress.oracles import StoreCase, run_store_oracles
 
@@ -110,9 +110,8 @@ class ShrunkCase:
 def _corpus_lines(directory) -> list[tuple[int, str]]:
     """``(node, line)`` items of every shard, in deterministic order."""
     out: list[tuple[int, str]] = []
-    for file in sorted(pathlib.Path(directory).glob("node_*.log")):
-        node = int(file.stem.split("_")[1])
-        for line in file.read_text().splitlines():
+    for node, file in store_shards(directory):
+        for line in read_complete_lines(file):
             out.append((node, line))
     return out
 

@@ -20,11 +20,21 @@ def scan_log_text_legacy(
 
     Semantically identical to :func:`~repro.events.codec.scan_log_text`;
     the differential suites pin the fast tokenizer against it byte for byte.
+    Lines end at ``\n`` only (one trailing ``\r`` dropped); text after the
+    last ``\n`` is a torn record and, unless blank, one issue.
     """
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    pieces = text.split("\n")
+    for lineno, line in enumerate(pieces[:-1], start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
         if not line.strip():
             continue
         try:
             yield lineno, _decode_event_strict(line)
         except ValueError as exc:
             yield lineno, DecodeIssue(lineno, line, str(exc))
+    rest = pieces[-1]
+    if rest.strip():
+        yield len(pieces), DecodeIssue(
+            len(pieces), rest, f"unterminated final line {rest!r}: no newline after it"
+        )

@@ -61,12 +61,7 @@ class TestTolerantLoading:
         store = load_store(path)
         assert store.corrupt_lines == {1: 1}
 
-    def test_strict_mode_raises(self, tmp_path, sample_logs, metadata):
-        path = self.corrupt(tmp_path, sample_logs, metadata, "broken line\n")
-        with pytest.raises(ValueError):
-            load_store(path, strict=True)
-
     def test_missing_metadata_raises(self, tmp_path):
         (tmp_path / "empty").mkdir()
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ValueError, match="operations.json"):
             load_store(tmp_path / "empty")

@@ -103,12 +103,6 @@ class TestShardedStore:
         list(store.iter_logs())
         assert store.corrupt_lines == {1: 1}  # per pass, not summed
 
-    def test_strict_mode_raises(self, store_dir):
-        shard = store_dir / "node_0001.log"
-        shard.write_text(shard.read_text() + "@@@\n")
-        with pytest.raises(ValueError):
-            list(ShardedStore(store_dir, strict=True).iter_logs())
-
     def test_load_node(self, store_dir, logs):
         store = ShardedStore(store_dir)
         assert list(store.load_node(2)) == list(logs[2])

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from repro.events.store import read_complete_lines
+from repro.events.store import read_complete_lines, shard_node
 from repro.serve import (
     ServeConfig,
     ServerThread,
@@ -30,7 +30,6 @@ from repro.serve import (
     reshard_manifest,
     save_checkpoint,
 )
-from repro.serve.ingest import tail_node_bind
 from repro.serve.runner import read_printed_ports
 from tests.serve.util import http_json, http_req, wait_ready
 
@@ -108,6 +107,24 @@ class TestClusterByteIdentity:
             status, body = http_json(running.http_port, "/flow/p999.12345")
         assert status == 404
         assert "p999.12345" in body["error"]
+
+    def test_checkpoint_misuse_answers_400(self, store, tmp_path):
+        """``epoch`` belongs to the shard protocol: the public daemon refuses
+        it, and a shard worker refuses a checkpoint without one — client
+        errors, not handler failures."""
+        config = ServeConfig(
+            store=str(store), shards=2,
+            checkpoint_path=str(tmp_path / "ckpt.json"),
+            checkpoint_interval=0.0,
+        )
+        with ServerThread(config) as running:
+            shard_port = running.listeners()["shard0-http"]["port"]
+            public = http_json(running.http_port, "/checkpoint?epoch=3", "POST")
+            shard = http_json(shard_port, "/checkpoint", "POST")
+        assert public == (400, {"error": "epoch is internal to shard workers"})
+        assert shard == (
+            400, {"error": "a shard worker checkpoints only at an epoch"}
+        )
 
     def test_merged_metrics_have_shard_labels_and_summed_counters(
         self, store, tmp_path
@@ -188,7 +205,7 @@ class TestClusterCheckpointLifecycle:
                     half,
                     port=ingest,
                     source=shard_log.name,
-                    node=tail_node_bind(shard_log),
+                    node=shard_node(shard_log),
                 )
             wait_ready(http)
             status, body = http_json(http, "/checkpoint", method="POST")

@@ -134,6 +134,72 @@ class TestUndecodableBytes:
         assert "corrupt=0, events=4" in out
 
 
+@pytest.fixture(scope="module")
+def damaged_store(store, tmp_path_factory):
+    """The shared store with one shard damaged at line boundaries.
+
+    Returns ``(store, shard name, {physical line: expected rule})``: an
+    ``=`` turned into ``\\x1d`` (a character ``str.splitlines`` breaks at),
+    a misfiled line, an undecodable byte, and a final record torn at a token
+    boundary with its newline lost.
+    """
+    out = tmp_path_factory.mktemp("damaged") / "store"
+    shutil.copytree(store, out)
+    shard = max(out.glob("node_*.log"), key=lambda f: len(f.read_bytes()))
+    node = int(shard.stem.split("_")[1])
+    lines = shard.read_bytes().split(b"\n")[:-1]
+    assert len(lines) >= 6
+    lines[1] = lines[1].replace(b"=", b"\x1d", 1)
+    lines[2] = lines[2].replace(b"node=%d " % node, b"node=%d " % (node + 1000), 1)
+    lines[3] = b"\xff" + lines[3]
+    last = lines[-1]
+    assert b" pkt=" in last
+    lines[-1] = last[: last.index(b" ", last.index(b" pkt=") + 1)]
+    shard.write_bytes(b"\n".join(lines))
+    expected = {2: "LC001", 3: "LC002", 4: "LC001", len(lines): "LC001"}
+    return out, shard.name, expected
+
+
+class TestDamagedLineBoundaries:
+    """One line rule at every door: a line ends at ``\\n`` only, and a torn
+    final record is not a line — counted by the loader, reported by the
+    lint, never sent by the push client."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_batch_flows_equal_served_flows(self, damaged_store, tmp_path, shards):
+        store, _name, _expected = damaged_store
+        flows_out = tmp_path / "flows.json"
+        assert main(["analyze", "-q", "--logs", str(store),
+                     "--flows-out", str(flows_out)]) == 0
+        config = ServeConfig(
+            store=str(store),
+            shards=shards,
+            checkpoint_path=str(tmp_path / "cp.json"),
+            checkpoint_interval=0.0,
+            flush_interval=0.05,
+        )
+        with ServerThread(config) as thread:
+            push_store(store, port=thread.tcp_port)
+            wait_ready(thread.http_port)
+            status, served = http_req(thread.http_port, "/flows")
+        assert status == 200
+        assert served.encode("utf-8") == flows_out.read_bytes()
+
+    def test_check_names_each_physical_line(self, damaged_store, capsys):
+        store, name, expected = damaged_store
+        assert main(["check", "--logs", str(store), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        found = {
+            int(f["location"].rsplit(":", 1)[1]): f["code"]
+            for f in report["findings"]
+            if f["location"].startswith(name + ":")
+            and f["code"] in ("LC001", "LC002")
+        }
+        assert found == expected
+        node = int(name[len("node_"):-len(".log")])
+        assert load_store(store).corrupt_lines[node] == len(expected)
+
+
 class TestBrokenPeers:
     @pytest.fixture()
     def server(self, tmp_path):

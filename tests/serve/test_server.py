@@ -14,10 +14,9 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.events.store import read_complete_lines
+from repro.events.store import read_complete_lines, shard_node
 from repro.serve import ServeConfig, ServerThread, load_checkpoint, load_manifest
 from repro.serve.client import push_lines, push_store
-from repro.serve.ingest import tail_node_bind
 from tests.serve.util import http_json, http_req, wait_ready
 
 
@@ -70,7 +69,7 @@ class TestPushEquivalence:
                     lines[: len(lines) // 2],
                     port=thread.tcp_port,
                     source=shard.name,
-                    node=tail_node_bind(shard),
+                    node=shard_node(shard),
                 )
             # second halves ride the offset: push the whole file, the
             # server's HELLO reply skips what it already has
@@ -160,7 +159,7 @@ class TestCheckpointRestart:
                     lines[: len(lines) // 2],
                     port=thread.tcp_port,
                     source=shard.name,
-                    node=tail_node_bind(shard),
+                    node=shard_node(shard),
                 )
             wait_ready(thread.http_port)
             status, _ = http_req(thread.http_port, "/checkpoint", method="POST")

@@ -206,6 +206,44 @@ class TestServeBadInput:
         assert "Traceback" not in err
 
 
+class TestBadStore:
+    """A store without readable metadata is one error line and exit 2 for
+    every store command — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "damage", ["missing-dir", "missing-file", "torn-file", "empty-object"]
+    )
+    @pytest.mark.parametrize(
+        "command", ["analyze", "learn", "trace", "figures", "serve"]
+    )
+    def test_bad_store_exits_2(self, tmp_path, capsys, command, damage):
+        store = tmp_path / "store"
+        if damage != "missing-dir":
+            store.mkdir()
+            (store / "node_0001.log").write_text("node=1 type=gen pkt=p1.1\n")
+        if damage == "torn-file":
+            (store / "operations.json").write_text('{"sink": 1, "base_st')
+        elif damage == "empty-object":
+            (store / "operations.json").write_text("{}")
+        argv = {
+            "analyze": ["analyze", "--logs", str(store)],
+            "learn": ["learn", str(store), "--out", str(tmp_path / "l.json")],
+            "trace": ["trace", "--logs", str(store), "p1.1"],
+            "figures": ["figures", "--logs", str(store),
+                        "--out", str(tmp_path / "figs")],
+            "serve": ["serve", "--logs", str(store), "--port", "0",
+                      "--http-port", "0"],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        errors = [line for line in err.splitlines() if "level=error" in line]
+        event = "serve.bad-input" if command == "serve" else f"{command}.bad-store"
+        assert len(errors) == 1 and f"event={event}" in errors[0]
+        assert "operations.json" in errors[0]
+        assert "Traceback" not in err
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
