@@ -1,8 +1,10 @@
 """Log-corpus lint over a store directory (rule codes ``LC*``).
 
-Streams every ``node_*.log`` file through the store loader's scanner
-(:func:`repro.events.codec.scan_log_text`, bound to the file's node), so the
-two always agree on what a line is and which lines are corrupt, and checks:
+The lint reads no files.  :meth:`CorpusLint.tap` is a pass-through over one
+shard's ``(lineno, Event | DecodeIssue)`` scan from the store reader
+(:mod:`repro.events.store`), so the lint and the loader always agree on what
+a line is and which lines are corrupt — and ``refill analyze`` lints the very
+scan it loads (``load_store(directory, tap=lint.tap)``).  The rules:
 
 - **decodability** (``LC001``): the line parses and ends in a newline —
   this surfaces the counts that :func:`repro.events.store.load_store` only
@@ -27,13 +29,111 @@ drown the report — with an ``LC007`` summary for anything suppressed.
 from __future__ import annotations
 
 import pathlib
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.check.crossfsm import DeploymentSpec
 from repro.check.findings import Finding, cap_per_rule, error, warning
-from repro.events.codec import DecodeIssue, decode_text, scan_log_text
-from repro.events.event import Event, EventType
-from repro.events.store import load_store_metadata, store_shards
+from repro.events.codec import DecodeIssue
+from repro.events.event import EventType
+from repro.events.store import ScanItem, iter_store_logs, load_store_metadata
+
+
+class CorpusLint:
+    """The ``LC*`` rules as a consumer of store scans.
+
+    ``spec`` supplies the template vocabulary for ``LC003``; without one,
+    vocabulary checks are skipped.  ``max_per_rule`` bounds findings per
+    (rule, file) pair (0 disables the cap).  Pass :meth:`tap` to a store
+    loader, then read :meth:`result`.
+    """
+
+    def __init__(
+        self, spec: Optional[DeploymentSpec] = None, *, max_per_rule: int = 8
+    ) -> None:
+        self.vocabulary = spec.vocabulary() if spec is not None else None
+        self.max_per_rule = max_per_rule
+        self.findings: list[Finding] = []
+        self.stats = {"files": 0, "lines": 0, "events": 0, "corrupt": 0}
+
+    def check_metadata(self, directory) -> None:
+        """Record ``LC006`` when the store's ``operations.json`` does not load."""
+        try:
+            load_store_metadata(directory)
+        except ValueError as exc:
+            self.findings.append(error("LC006", "operations.json", str(exc)))
+
+    def result(self) -> tuple[list[Finding], dict[str, int]]:
+        """``(findings, stats)`` over every shard tapped so far."""
+        return cap_per_rule(self.findings, self.max_per_rule), dict(self.stats)
+
+    def tap(
+        self, node: int, file: pathlib.Path, scan: Iterable[ScanItem]
+    ) -> Iterator[ScanItem]:
+        """Yield ``scan`` unchanged, linting each line on the way."""
+        add = self.findings.append
+        stats = self.stats
+        stats["files"] += 1
+        last_time: Optional[float] = None
+        last_time_lineno = 0
+        last_gen_seq: Optional[int] = None
+
+        for lineno, decoded in scan:
+            stats["lines"] += 1
+            loc = f"{file.name}:{lineno}"
+            if isinstance(decoded, DecodeIssue):
+                stats["corrupt"] += 1
+                if decoded.event is None:
+                    add(error("LC001", loc, f"line failed to decode: {decoded.error}"))
+                else:
+                    stats["events"] += 1
+                    add(error("LC002", loc, decoded.error))
+                yield lineno, decoded
+                continue
+            stats["events"] += 1
+            event, packet = decoded, decoded.packet
+
+            if self.vocabulary is not None and event.etype not in self.vocabulary:
+                add(warning(
+                    "LC003", loc,
+                    f"event label {event.etype!r} matches no role template; "
+                    "inference will ignore it",
+                ))
+
+            # Packet referential integrity: well-formed keys, gen at origin.
+            if packet is not None and (packet.origin < 0 or packet.seq < 0):
+                add(error("LC004", loc, f"packet key {packet} has a negative origin/seq"))
+            gen = packet if event.etype == EventType.GEN.value else None
+            if gen is not None and gen.origin != event.node:
+                add(error(
+                    "LC004", loc,
+                    f"gen event for packet {gen} recorded on node "
+                    f"{event.node}, not its origin {gen.origin}",
+                ))
+
+            # Append-order sanity: one node, one (linear) clock — local
+            # timestamps must be monotone along the surviving log.
+            if event.time is not None:
+                if last_time is not None and event.time < last_time:
+                    add(warning(
+                        "LC005", loc,
+                        f"timestamp {event.time} precedes {last_time} at "
+                        f"line {last_time_lineno}; the log is reordered or "
+                        "the clock stepped backwards",
+                    ))
+                last_time = event.time
+                last_time_lineno = lineno
+
+            # The origin's own gen records carry strictly increasing seqs.
+            if gen is not None and gen.origin == node:
+                if last_gen_seq is not None and gen.seq <= last_gen_seq:
+                    add(warning(
+                        "LC005", loc,
+                        f"gen sequence {gen.seq} does not increase past "
+                        f"{last_gen_seq}; duplicated or reordered generation "
+                        "records",
+                    ))
+                last_gen_seq = gen.seq
+            yield lineno, event
 
 
 def check_corpus(
@@ -44,130 +144,14 @@ def check_corpus(
 ) -> tuple[list[Finding], dict[str, int]]:
     """Lint the store at ``directory``; returns ``(findings, stats)``.
 
-    ``spec`` supplies the template vocabulary for ``LC003``; without one,
-    vocabulary checks are skipped.  ``max_per_rule`` bounds findings per
-    (rule, file) pair (0 disables the cap).
+    One pass of the store reader with a :class:`CorpusLint` attached (see it
+    for ``spec`` and ``max_per_rule``).  Unlike :func:`load_store`, a broken
+    ``operations.json`` is a finding (``LC006``), and the shards are still
+    linted.
     """
-    path = pathlib.Path(directory)
-    findings: list[Finding] = []
-    stats = {"files": 0, "lines": 0, "events": 0, "corrupt": 0}
+    lint = CorpusLint(spec, max_per_rule=max_per_rule)
+    lint.check_metadata(directory)
+    for _shard in iter_store_logs(directory, lint.tap):
+        pass  # the tap lints each shard as the reader scans it
+    return lint.result()
 
-    findings.extend(_check_metadata(path))
-    vocabulary = spec.vocabulary() if spec is not None else None
-
-    for node, file in store_shards(path):
-        stats["files"] += 1
-        file_findings, file_stats = _check_file(file, node, vocabulary)
-        findings.extend(file_findings)
-        for key, value in file_stats.items():
-            stats[key] += value
-
-    return cap_per_rule(findings, max_per_rule), stats
-
-
-def _check_metadata(path: pathlib.Path) -> list[Finding]:
-    try:
-        load_store_metadata(path)
-    except ValueError as exc:
-        return [error("LC006", "operations.json", str(exc))]
-    return []
-
-
-def _check_file(
-    file: pathlib.Path,
-    node: int,
-    vocabulary: Optional[frozenset[str]],
-) -> tuple[list[Finding], dict[str, int]]:
-    findings: list[Finding] = []
-    stats = {"lines": 0, "events": 0, "corrupt": 0}
-    last_time: Optional[float] = None
-    last_time_lineno = 0
-    last_gen_seq: Optional[int] = None
-
-    for lineno, decoded in scan_log_text(decode_text(file.read_bytes()), node):
-        stats["lines"] += 1
-        loc = f"{file.name}:{lineno}"
-        if isinstance(decoded, DecodeIssue):
-            stats["corrupt"] += 1
-            if decoded.event is None:
-                findings.append(
-                    error("LC001", loc, f"line failed to decode: {decoded.error}")
-                )
-            else:
-                stats["events"] += 1
-                findings.append(error("LC002", loc, decoded.error))
-            continue
-        stats["events"] += 1
-        event = decoded
-
-        if vocabulary is not None and event.etype not in vocabulary:
-            findings.append(
-                warning(
-                    "LC003",
-                    loc,
-                    f"event label {event.etype!r} matches no role template; "
-                    "inference will ignore it",
-                )
-            )
-
-        findings.extend(_check_packet_integrity(event, loc))
-
-        # Append-order sanity: one node, one (linear) clock — local
-        # timestamps must be monotone along the surviving log.
-        if event.time is not None:
-            if last_time is not None and event.time < last_time:
-                findings.append(
-                    warning(
-                        "LC005",
-                        loc,
-                        f"timestamp {event.time} precedes {last_time} at "
-                        f"line {last_time_lineno}; the log is reordered or "
-                        "the clock stepped backwards",
-                    )
-                )
-            last_time = event.time
-            last_time_lineno = lineno
-
-        # The origin's own gen records carry strictly increasing seqs.
-        if event.etype == EventType.GEN.value and event.packet is not None:
-            if event.packet.origin == node:
-                if last_gen_seq is not None and event.packet.seq <= last_gen_seq:
-                    findings.append(
-                        warning(
-                            "LC005",
-                            loc,
-                            f"gen sequence {event.packet.seq} does not "
-                            f"increase past {last_gen_seq}; duplicated or "
-                            "reordered generation records",
-                        )
-                    )
-                last_gen_seq = event.packet.seq
-
-    return findings, stats
-
-
-def _check_packet_integrity(event: Event, loc: str) -> list[Finding]:
-    if event.packet is None:
-        return []
-    findings: list[Finding] = []
-    if event.packet.origin < 0 or event.packet.seq < 0:
-        findings.append(
-            error(
-                "LC004",
-                loc,
-                f"packet key {event.packet} has a negative origin/seq",
-            )
-        )
-    if (
-        event.etype == EventType.GEN.value
-        and event.packet.origin != event.node
-    ):
-        findings.append(
-            error(
-                "LC004",
-                loc,
-                f"gen event for packet {event.packet} recorded on node "
-                f"{event.node}, not its origin {event.packet.origin}",
-            )
-        )
-    return findings

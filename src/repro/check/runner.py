@@ -45,11 +45,11 @@ def run_check(
     ``logs_dir`` when one is given.
     """
     report = CheckReport()
-    registry = get_registry()
     with span("check"):
         with span("check.templates"):
             report.extend(check_templates(spec))
         report.stats["roles"] = len(spec.roles)
+        _count_findings(report.findings)
         if logs_dir is not None:
             with span("check.corpus"):
                 corpus_findings, stats = check_corpus(
@@ -57,13 +57,24 @@ def run_check(
                 )
             report.extend(corpus_findings)
             report.stats.update(stats)
-            registry.counter("check.corpus.lines").inc(stats.get("lines", 0))
-            registry.counter("check.corpus.corrupt").inc(stats.get("corrupt", 0))
+            record_corpus(corpus_findings, stats)
+    return report
+
+
+def record_corpus(findings: list[Finding], stats: dict[str, int]) -> None:
+    """Count one corpus lint's results: ``check.corpus.*`` plus its findings."""
+    registry = get_registry()
+    registry.counter("check.corpus.lines").inc(stats.get("lines", 0))
+    registry.counter("check.corpus.corrupt").inc(stats.get("corrupt", 0))
+    _count_findings(findings)
+
+
+def _count_findings(findings: list[Finding]) -> None:
+    registry = get_registry()
     for severity in (Severity.ERROR, Severity.WARNING, Severity.INFO):
-        count = sum(1 for f in report.findings if f.severity is severity)
+        count = sum(1 for f in findings if f.severity is severity)
         if count:
             registry.counter("check.findings", severity=str(severity)).inc(count)
-    return report
 
 
 def model_errors(report: CheckReport) -> list[Finding]:

@@ -48,8 +48,9 @@ from typing import Optional
 from repro.analysis.causes import attribute_server_outages, cause_shares, sink_split
 from repro.analysis.report import render_cause_shares
 from repro.baselines.sink_view import SinkView
-from repro.check import load_spec, run_check
-from repro.check.runner import model_errors
+from repro.check import Severity, load_spec, run_check
+from repro.check.corpus import CorpusLint, check_corpus
+from repro.check.runner import model_errors, record_corpus
 from repro.core.backends import BACKENDS, make_backend
 from repro.core.session import ReconstructionSession
 from repro.core.tracing import trace_packet
@@ -213,24 +214,27 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _preflight_analyze(args: argparse.Namespace, spec) -> bool:
+def _preflight_analyze(spec) -> bool:
     """Pre-flight gate for ``refill analyze``: abort on *model* errors.
 
-    Corpus findings never block — field data is dirty by assumption and the
-    store loader tolerates it — but a broken template would silently
-    corrupt every reconstructed flow, so those fail fast.
+    A broken template would silently corrupt every reconstructed flow, so
+    it fails fast, before any shard is read.  The corpus half of the check
+    rides the store load instead (:func:`_report_corpus`).
     """
     with span("analyze.preflight"):
-        report = run_check(spec, args.logs)
+        report = run_check(spec)
     errors = model_errors(report)
-    corpus_errors = len(report.errors) - len(errors)
-    if corpus_errors:
-        log.warning("analyze.preflight.corpus-findings", errors=corpus_errors)
+    for finding in errors:
+        log.error("analyze.preflight.model-error", finding=finding.format())
+    return not errors
+
+
+def _report_corpus(findings, stats) -> None:
+    """Count the corpus lint; its errors only warn (field data is dirty)."""
+    record_corpus(findings, stats)
+    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     if errors:
-        for finding in errors:
-            log.error("analyze.preflight.model-error", finding=finding.format())
-        return False
-    return True
+        log.warning("analyze.preflight.corpus-findings", errors=errors)
 
 
 def _analyze_template(args: argparse.Namespace):
@@ -262,7 +266,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         log.error("analyze.bad-spec", spec=args.spec, error=str(exc))
         return 2
     with use_registry(registry):
-        if not args.no_check and not _preflight_analyze(args, spec):
+        if not args.no_check and not _preflight_analyze(spec):
             log.error("analyze.preflight-failed", hint="rerun with --no-check to force")
             return 1
         with span("analyze"):
@@ -271,6 +275,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 sharded = _open_store("analyze", args.logs, ShardedStore)
                 if sharded is None:
                     return 2
+                if not args.no_check:
+                    # the stream re-scans per window; the lint takes one pass
+                    with span("check.corpus"):
+                        _report_corpus(*check_corpus(args.logs, spec))
                 meta = sharded.metadata
                 log.info(
                     "analyze.reconstructing",
@@ -288,10 +296,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 )
                 corrupt_lines = sharded.corrupt_lines
             else:
+                lint = None if args.no_check else CorpusLint(spec)
+                tap = lint.tap if lint is not None else None
                 with span("analyze.load"):
-                    loaded = _open_store("analyze", args.logs)
+                    loaded = _open_store(
+                        "analyze", args.logs, lambda logs: load_store(logs, tap=tap)
+                    )
                 if loaded is None:
                     return 2
+                if lint is not None:
+                    _report_corpus(*lint.result())
                 log.debug(
                     "analyze.store-loaded",
                     logs=args.logs,
@@ -585,13 +599,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     packet = PacketKey.parse(args.packet)
-    session = ReconstructionSession(delivery_node=store.metadata.base_station)
-    flows = session.reconstruct(store.logs)
+    # the diagnosis refill analyze counts, server-outage attribution included
+    flows, reports, _est = _diagnose_store(store)
     flow = flows.get(packet)
     if flow is None:
         log.error("trace.packet-not-found", packet=str(packet))
         return 1
-    report = session.diagnose({packet: flow})[packet]
+    report = reports[packet]
     trace = trace_packet(flow)
     print(f"packet {packet}")
     print(f"  flow:      {flow.format()}")

@@ -7,8 +7,10 @@ sensing period, the server-outage operations log).
 
 Field data is dirty, so loading is tolerant: undecodable lines, misfiled
 lines and a torn final record are counted in ``corrupt_lines`` and skipped.
-Shards are read through :mod:`repro.events.codec`'s one line rule and one
-scanner, which every other door shares, so all doors see identical lines.
+Only this module reads shards for their events, through
+:mod:`repro.events.codec`'s one line rule and one scanner, which every other
+door shares, so all doors see identical lines.  A consumer of every scanned
+line (the corpus lint) passes a :data:`ShardTap` and rides the load's scan.
 """
 
 from __future__ import annotations
@@ -17,11 +19,17 @@ import json
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from repro.events.codec import DecodeIssue, cut_lines, decode_text, encode_log, scan_log_text
 from repro.events.event import Event
 from repro.events.log import NodeLog
+
+#: One scanned shard line.
+ScanItem = tuple[int, Union[Event, DecodeIssue]]
+#: ``tap(node, file, scan)``: a pass-through over one shard's scan; the
+#: loader reads the stream it returns, which must yield the same items.
+ShardTap = Callable[[int, pathlib.Path, Iterator[ScanItem]], Iterable[ScanItem]]
 
 
 @dataclass
@@ -122,11 +130,19 @@ def load_store_metadata(directory) -> StoreMetadata:
         raise ValueError(f"{path}: store metadata unreadable: {reason}") from None
 
 
-def _decode_shard(file: pathlib.Path, node: int) -> tuple[NodeLog, int]:
-    """Decode one ``node_*.log`` file: ``(log, bad_line_count)``."""
+def _decode_shard(
+    file: pathlib.Path, node: int, tap: Optional[ShardTap] = None
+) -> tuple[NodeLog, int]:
+    """Read and decode one ``node_*.log`` file: ``(log, bad_line_count)``.
+
+    Every loader below reads shards through here, once per shard per pass.
+    """
+    scan: Iterable[ScanItem] = scan_log_text(decode_text(file.read_bytes()), node)
+    if tap is not None:
+        scan = tap(node, file, scan)
     events: list[Event] = []
     bad = 0
-    for _lineno, decoded in scan_log_text(decode_text(file.read_bytes()), node):
+    for _lineno, decoded in scan:
         if isinstance(decoded, DecodeIssue):
             bad += 1
         else:
@@ -134,15 +150,17 @@ def _decode_shard(file: pathlib.Path, node: int) -> tuple[NodeLog, int]:
     return NodeLog(node, events), bad
 
 
-def iter_store_logs(directory) -> Iterator[tuple[int, NodeLog, int]]:
+def iter_store_logs(
+    directory, tap: Optional[ShardTap] = None
+) -> Iterator[tuple[int, NodeLog, int]]:
     """Decode one ``node_*.log`` shard at a time: ``(node, log, bad_lines)``.
 
     Only one shard's events are alive per step — the streaming substrate for
     corpora that do not fit in memory.  Bad lines are skipped and counted,
-    as in :func:`load_store`.
+    as in :func:`load_store`.  ``tap`` sees each shard's scan on the way.
     """
     for node, file in store_shards(directory):
-        log, bad = _decode_shard(file, node)
+        log, bad = _decode_shard(file, node, tap)
         yield node, log, bad
 
 
@@ -161,18 +179,19 @@ def read_complete_lines(file, start_line: int = 0) -> list[str]:
     return lines[start_line:]
 
 
-def load_store(directory) -> LoadedStore:
-    """Read a store directory.
+def load_store(directory, *, tap: Optional[ShardTap] = None) -> LoadedStore:
+    """Read a store directory, each shard exactly once.
 
     Undecodable lines, lines whose recorded node id disagrees with the file
     they sit in, and a torn final record are skipped and counted in
     ``corrupt_lines``.  A missing or unreadable ``operations.json`` raises
-    ``ValueError`` (see :func:`load_store_metadata`).
+    ``ValueError`` (see :func:`load_store_metadata`) before any shard is
+    read.  ``tap`` sees every shard's scan as the load reads it.
     """
     metadata = load_store_metadata(directory)
     logs: dict[int, NodeLog] = {}
     corrupt: dict[int, int] = {}
-    for node, log, bad in iter_store_logs(directory):
+    for node, log, bad in iter_store_logs(directory, tap):
         logs[node] = log
         if bad:
             corrupt[node] = bad

@@ -7,9 +7,9 @@ Responses that must be comparable across doors (``/flows``, ``/flow/<p>``,
 — byte-identical to ``refill analyze --flows-out`` on the same lines, which
 is the serve layer's correctness contract.
 
-The handler code here routes against the :class:`QueryTarget` surface: an
-async ``api_*`` method per route, implemented by
-:class:`~repro.serve.server.RefillServer` at every ``--shards``.  At
+The handler code here routes against
+:class:`~repro.serve.server.RefillServer`'s ``api_*`` surface, one async
+method per route, the same at every ``--shards``.  At
 ``--shards 1`` it answers from its in-process session; at ``--shards N``
 its :class:`~repro.serve.router.ShardSet` **scatter-gathers** — it fans the
 request out to every shard worker over their private query listeners and
@@ -61,7 +61,7 @@ import asyncio
 import json
 import time
 import urllib.parse
-from typing import Any, Mapping, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.analysis.causes import cause_shares, sink_split
 from repro.core.diagnosis import LossReport
@@ -70,11 +70,13 @@ from repro.events.packet import PacketKey
 from repro.events.store import StoreMetadata
 from repro.obs.promtext import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.promtext import render_snapshot
-from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import MetricsSnapshot, get_registry, timer
+from repro.obs.registry import get_registry, timer
 from repro.obs.structlog import get_logger
 from repro.obs.tracing import mint_request_id
 from repro.serve._compat import timeout
+
+if TYPE_CHECKING:
+    from repro.serve.server import RefillServer
 
 _log = get_logger("refill.serve.http")
 
@@ -101,40 +103,6 @@ ROUTES = (
     "/checkpoint",
     "/shutdown",
 )
-
-
-class QueryTarget(Protocol):
-    """What :class:`QueryApi` routes against — one async method per route.
-
-    Implemented by :class:`~repro.serve.server.RefillServer`, which answers
-    from its shard state (in-process, or scatter-gather merges).
-    """
-
-    recorder: FlightRecorder
-
-    def request_shutdown(self) -> None: ...
-
-    async def api_readiness(self) -> tuple[bool, dict[str, Any]]: ...
-
-    async def api_packets_body(self) -> str: ...
-
-    async def api_flows_body(self) -> str: ...
-
-    async def api_reports_body(self) -> str: ...
-
-    async def api_packet_body(
-        self, kind: str, packet: PacketKey
-    ) -> tuple[int, str]: ...
-
-    async def api_summary(self) -> dict[str, Any]: ...
-
-    async def api_offsets(self) -> dict[str, Any]: ...
-
-    async def api_metrics_snapshot(self) -> MetricsSnapshot: ...
-
-    async def api_checkpoint(
-        self, epoch: Optional[int]
-    ) -> tuple[int, dict[str, Any]]: ...
 
 
 def build_summary(
@@ -169,9 +137,9 @@ def build_summary(
 
 
 class QueryApi:
-    """Routes HTTP requests against a :class:`QueryTarget`."""
+    """Routes HTTP requests against a :class:`~repro.serve.server.RefillServer`."""
 
-    def __init__(self, server: QueryTarget) -> None:
+    def __init__(self, server: RefillServer) -> None:
         self.server = server
         #: Live handler tasks; shutdown cancels them because from Python
         #: 3.12.1 ``Server.wait_closed()`` waits for in-flight handlers, and

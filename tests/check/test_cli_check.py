@@ -131,3 +131,127 @@ class TestAnalyzePreflight:
         first.write_text(first.read_text() + "@@@ corrupt tail @@@\n")
         assert main(["analyze", "--logs", str(dirty)]) == 0
         assert "Loss cause shares" in capsys.readouterr().out
+
+
+def broken_spec():
+    """A uniform-role spec whose template has a model error (XF001)."""
+    from repro.check import DeploymentSpec
+    from repro.fsm.graph import TransitionGraph
+    from repro.fsm.prerequisites import Peer, PrereqRule
+    from repro.fsm.templates import FsmTemplate
+
+    template = FsmTemplate(
+        "broken",
+        TransitionGraph(["a", "b"], [("a", "b", "e")], "a"),
+        prereqs={"e": [PrereqRule(Peer.SRC, "GHOST")]},
+    )
+    return DeploymentSpec(roles={"broken": template})
+
+
+@pytest.fixture()
+def shard_reads(monkeypatch):
+    """Count every ``node_*.log`` read, per file name."""
+    reads: dict[str, int] = {}
+    real = pathlib.Path.read_bytes
+
+    def counting(self):
+        if self.name.startswith("node_") and self.suffix == ".log":
+            reads[self.name] = reads.get(self.name, 0) + 1
+        return real(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counting)
+    return reads
+
+
+@pytest.fixture(scope="module")
+def damaged_store(clean_store, tmp_path_factory):
+    """The clean store with one of each line defect the lint reports."""
+    import shutil
+
+    store = tmp_path_factory.mktemp("check-cli") / "damaged"
+    shutil.copytree(clean_store, store)
+    shards = sorted(store.glob("node_*.log"))
+    first = shards[0]
+    node = int(first.stem.split("_")[1])
+    other = node + 1000
+    lines = first.read_bytes().split(b"\n")
+    lines[3:3] = [
+        b"garbled ### not a record",
+        f"node={other} type=trans src={other} dst=9 pkt=p{other}.1 t=1.0".encode(),
+        f"node={node} type=gen pkt=p{other}.2 t=2.0".encode(),
+    ]
+    lines[8] = lines[8].replace(b"=", b"\x1d", 1)
+    first.write_bytes(b"\n".join(lines))
+    last = shards[-1]
+    last.write_bytes(last.read_bytes().rstrip(b"\n"))  # torn final record
+    return store
+
+
+class TestAnalyzeReadsEachShardOnce:
+    """The corpus lint rides the store load: one read per shard per run."""
+
+    def test_in_memory_analyze_reads_each_shard_once(
+        self, clean_store, shard_reads
+    ):
+        assert main(["analyze", "-q", "--logs", str(clean_store)]) == 0
+        shards = {f.name for f in clean_store.glob("node_*.log")}
+        assert shard_reads == {name: 1 for name in shards}
+
+    def test_model_error_aborts_before_any_shard_is_read(
+        self, clean_store, shard_reads
+    ):
+        spec = "tests.check.test_cli_check:broken_spec"
+        assert main(["analyze", "-q", "--logs", str(clean_store), "--spec", spec]) == 1
+        assert shard_reads == {}
+
+
+class TestAnalyzeLintParity:
+    """The lint riding ``refill analyze`` reports what a standalone pass does."""
+
+    @pytest.fixture(params=["defective", "damaged"])
+    def store(self, request, damaged_store):
+        return DEFECTIVE_STORE if request.param == "defective" else damaged_store
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["memory", "stream"])
+    def test_counters_and_warning_match_a_standalone_check(
+        self, store, stream, tmp_path, capsys
+    ):
+        from repro.check import load_spec, run_check
+        from repro.events.store import load_store
+        from repro.obs import MetricsRegistry, use_registry
+
+        metrics = tmp_path / "metrics.json"
+        argv = ["analyze", "--logs", str(store), "--spec", "ctp",
+                "--metrics-out", str(metrics)]
+        assert main(argv + (["--stream"] if stream else [])) == 0
+        err = capsys.readouterr().err
+        counters = json.loads(metrics.read_text())["counters"]
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = run_check(load_spec("ctp"), store)
+        expected = dict(registry.snapshot().counters)
+        assert {k: v for k, v in counters.items() if k.startswith("check.")} == expected
+
+        loaded = load_store(store)
+        assert {
+            k: v for k, v in counters.items() if k.startswith("codec.corrupt_lines")
+        } == {f"codec.corrupt_lines{{node={n}}}": c for n, c in loaded.corrupt_lines.items()}
+        if not stream:
+            assert counters["analyze.events.parsed"] == loaded.total_events
+        corpus_errors = sum(1 for f in report.errors if f.code.startswith("LC"))
+        assert corpus_errors > 0
+        assert f"event=analyze.preflight.corpus-findings errors={corpus_errors}" in err
+
+    def test_damaged_store_reports_every_defect(self, damaged_store, capsys):
+        code = main(["check", "--logs", str(damaged_store), "--spec", "ctp", "--json"])
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["by_code"]["LC001"] == 3  # garbled, \x1d, torn final record
+        assert data["by_code"]["LC002"] == 1
+        assert data["by_code"]["LC004"] == 1
+
+    def test_defective_fixture_check_json_is_pinned(self, capsys):
+        main(["check", "--logs", str(DEFECTIVE_STORE), "--spec", "ctp", "--json"])
+        golden = FIXTURES / "defective-deployment-ctp-check.json"
+        assert capsys.readouterr().out == golden.read_text()

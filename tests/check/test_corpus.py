@@ -156,3 +156,23 @@ class TestStoreAgreement:
         findings, stats = check_corpus(store, spec)
         loaded = load_store(store)
         assert stats["corrupt"] == sum(loaded.corrupt_lines.values())
+
+    def test_lint_riding_the_load_equals_a_standalone_pass(self, tmp_path, spec):
+        """A tapped load lints exactly what check_corpus does, logs untouched."""
+        from repro.check.corpus import CorpusLint
+        from repro.events.store import load_store
+
+        store = write_store(
+            tmp_path,
+            {
+                "node_0001.log": "node=1 type=e1 pkt=p1.0 t=5.0\nbroken line\n"
+                                 "node=2 type=e1\nnode=1 type=zz t=1.0\n",
+                "node_0002.log": "node=2 type=gen pkt=p3.0 t=1.0\nnode=2 type=e2",
+            },
+        )
+        lint = CorpusLint(spec)
+        tapped = load_store(store, tap=lint.tap)
+        plain = load_store(store)
+        assert lint.result() == check_corpus(store, spec)
+        assert tapped.logs == plain.logs
+        assert tapped.corrupt_lines == plain.corrupt_lines

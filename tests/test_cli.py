@@ -123,6 +123,26 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "diagnosis:" in out
 
+    def test_trace_prints_the_cause_analyze_counts(self, log_dir, capsys):
+        """An outage window re-attributes losses; trace must agree with analyze."""
+        from repro.cli import _diagnose_store
+        from repro.core.diagnosis import LossCause
+        from repro.events.store import load_store
+
+        store = load_store(log_dir)
+        assert store.metadata.outages
+        _flows, reports, _est = _diagnose_store(store)
+        outage = sorted(
+            (p for p, r in reports.items() if r.cause is LossCause.SERVER_OUTAGE),
+            key=str,
+        )
+        assert outage
+        for packet in outage[:3]:
+            assert main(["trace", "-q", "--logs", str(log_dir), str(packet)]) == 0
+            report = reports[packet]
+            expected = f"diagnosis: {report.cause} at node {report.position}"
+            assert expected in capsys.readouterr().out
+
     def test_trace_unknown_packet(self, log_dir, capsys):
         assert main(["trace", "--logs", str(log_dir), "p9999.9999"]) == 1
 
