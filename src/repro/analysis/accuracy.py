@@ -47,16 +47,6 @@ class AccuracyReport:
     #: (true cause, diagnosed cause) confusion counts.
     confusion: Counter = field(default_factory=Counter)
 
-    def summary_rows(self) -> list[tuple[str, float]]:
-        return [
-            ("coverage", self.coverage),
-            ("cause_accuracy", self.cause_accuracy),
-            ("position_accuracy", self.position_accuracy),
-            ("event_precision", self.event_precision),
-            ("event_recall", self.event_recall),
-            ("ordering_accuracy", self.ordering_accuracy),
-        ]
-
 
 # --------------------------------------------------------------------- #
 # cause scoring

@@ -67,9 +67,6 @@ class EvalResult:
     def base_station(self) -> int:
         return self.sim.base_station_node
 
-    def lost_reports(self) -> dict[PacketKey, LossReport]:
-        return {p: r for p, r in self.reports.items() if r.lost}
-
 
 def evaluate(
     params: ScenarioParams,

@@ -56,10 +56,6 @@ class DeploymentSpec:
     node_roles: Mapping[int, str] = field(default_factory=dict)
     aux_labels: frozenset[str] = frozenset()
 
-    def template_of(self, node: int) -> Optional[FsmTemplate]:
-        role = self.node_roles.get(node)
-        return self.roles[role] if role is not None else None
-
     def node_templates(self) -> dict[int, FsmTemplate]:
         return {n: self.roles[r] for n, r in self.node_roles.items()}
 

@@ -261,8 +261,3 @@ def cap_per_rule(
                 )
             )
     return kept
-
-
-def summarize_mapping(counts: Mapping[str, int]) -> str:
-    """``code=count`` summary line used by logs and the CLI."""
-    return " ".join(f"{code}={n}" for code, n in sorted(counts.items()))

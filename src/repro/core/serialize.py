@@ -34,14 +34,15 @@ def event_to_dict(event: Event) -> dict[str, Any]:
 
 
 def event_from_dict(data: Mapping[str, Any]) -> Event:
-    return Event.make(
+    info = data.get("info")
+    return Event(
         data["etype"],
         data["node"],
-        src=data.get("src"),
-        dst=data.get("dst"),
-        packet=PacketKey.parse(data["packet"]) if "packet" in data else None,
-        time=data.get("time"),
-        **data.get("info", {}),
+        data.get("src"),
+        data.get("dst"),
+        PacketKey.parse(data["packet"]) if "packet" in data else None,
+        data.get("time"),
+        tuple(sorted(info.items())) if info else (),
     )
 
 

@@ -350,8 +350,8 @@ class ReconstructionSession:
     def _start_backend(self) -> None:
         if not self._started:
             if isinstance(self.template, FsmTemplate):
-                # Pre-register the template's event vocabulary so the decode
-                # fast path interns every expected label up front (one shared
+                # Pre-register the template's event vocabulary so the
+                # decoder interns every expected label up front (one shared
                 # str per label).
                 intern_vocabulary(self.template.graph.events)
             self.backend.start(self.plan())

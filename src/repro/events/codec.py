@@ -9,15 +9,12 @@ format so logs can be written to disk, shipped around and re-parsed:
 Fields after ``type`` are optional; unknown keys round-trip through the
 event's ``info`` mapping.
 
-Decoding is two-tiered.  A fast tokenizer handles the canonical field order
-:func:`encode_event` emits (one whitespace split, positional field slices,
-no intermediate dicts) and *refuses* anything irregular — out-of-order or
-duplicate fields, malformed numbers, non-canonical spacing — by returning
-``None``, at which point the legacy token-loop parser re-parses the line
-with byte-identical accept/reject semantics and error messages.  The fast
-path may only ever produce exactly the event the legacy parser would have
-produced; equivalence is pinned by the differential corpus suite and the
-Hypothesis properties in ``tests/events/``.
+Decoding is one pass per line: :func:`decode_event` splits on whitespace,
+cuts each token at its first ``=``, files the six codec fields into fixed
+slots and every other key into ``info``, then converts the slots.  Field
+order and spacing never change the result, and every malformed line is a
+``ValueError`` — the first fault in token order, then missing
+``node``/``type``, then the conversions in field order.
 
 Every door — store loader, corpus lint, push client, file tailer, daemon
 framing — turns bytes into text with :func:`decode_text`, cuts lines with
@@ -36,7 +33,8 @@ from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
 
 _RESERVED = ("node", "type", "src", "dst", "pkt", "t")
-_RESERVED_SET = frozenset(_RESERVED)
+#: Codec field name → its slot in :func:`decode_event`.
+_SLOTS = {key: i for i, key in enumerate(_RESERVED)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,18 +79,15 @@ def scan_lines(
     node is a misfiled :class:`DecodeIssue` carrying that event: a node
     appends only to its own log.
     """
-    fast = _decode_fast
-    strict = _decode_event_strict
+    decode = decode_event
     for lineno, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue
-        event = fast(line)
-        if event is None:
-            try:
-                event = strict(line)
-            except ValueError as exc:
-                yield lineno, DecodeIssue(lineno, line, str(exc))
-                continue
+        try:
+            event = decode(line)
+        except ValueError as exc:
+            yield lineno, DecodeIssue(lineno, line, str(exc))
+            continue
         if node is not None and event.node != node:
             error = f"event recorded for node {event.node} inside the log file of node {node}"
             yield lineno, DecodeIssue(lineno, line, error, event)
@@ -170,49 +165,6 @@ def encode_event(event: Event) -> str:
     return " ".join(parts)
 
 
-def decode_event(line: str) -> Event:
-    """Parse one log line back into an :class:`Event`.
-
-    Values of unknown keys are kept as strings in ``info``.  Canonical
-    lines take the fast tokenizer; anything irregular falls back to the
-    legacy parser, which raises the same ``ValueError`` it always has.
-    """
-    event = _decode_fast(line)
-    if event is not None:
-        return event
-    return _decode_event_strict(line)
-
-
-def _decode_event_strict(line: str) -> Event:
-    """The legacy token-loop parser — the codec's semantic reference.
-
-    Every irregular line ends up here, so its accept/reject behavior and
-    error messages define the format; the fast tokenizer may only shortcut
-    lines this parser would accept with the identical result.
-    """
-    fields: dict[str, str] = {}
-    info: dict[str, str] = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"malformed log token {token!r} in line {line!r}")
-        target = fields if key in _RESERVED else info
-        if key in target:
-            raise ValueError(f"duplicate key {key!r} in line {line!r}")
-        target[key] = value
-    if "node" not in fields or "type" not in fields:
-        raise ValueError(f"log line missing node/type: {line!r}")
-    return Event.make(
-        fields["type"],
-        int(fields["node"]),
-        src=int(fields["src"]) if "src" in fields else None,
-        dst=int(fields["dst"]) if "dst" in fields else None,
-        packet=PacketKey.parse(fields["pkt"]) if "pkt" in fields else None,
-        time=float(fields["t"]) if "t" in fields else None,
-        **info,
-    )
-
-
 #: Interned event-type vocabulary: every decoded label becomes the one
 #: shared string object, so downstream ``(state, label)`` table lookups hit
 #: pointer-equality fast paths.  Sessions pre-register their template's
@@ -253,54 +205,41 @@ def _parse_packet(text: str) -> PacketKey:
     return packet
 
 
-def _decode_fast(line: str) -> Optional[Event]:
-    """Decode a canonical-order line in one pass; ``None`` defers to the
-    legacy parser (never-wrong contract: any returned event is exactly what
-    :func:`_decode_event_strict` would produce for the same line)."""
-    tokens = line.split()
-    n = len(tokens)
-    if n < 2:
-        return None
-    t0, t1 = tokens[0], tokens[1]
-    if t0[:5] != "node=" or t1[:5] != "type=":
-        return None
-    try:
-        node = int(t0[5:])
-    except ValueError:
-        return None
-    etype = _intern_label(t1[5:])
-    src = dst = packet = time_ = None
-    i = 2
-    try:
-        if i < n and tokens[i][:4] == "src=":
-            src = int(tokens[i][4:])
-            i += 1
-        if i < n and tokens[i][:4] == "dst=":
-            dst = int(tokens[i][4:])
-            i += 1
-        if i < n and tokens[i][:4] == "pkt=":
-            packet = _parse_packet(tokens[i][4:])
-            i += 1
-        if i < n and tokens[i][:2] == "t=":
-            time_ = float(tokens[i][2:])
-            i += 1
-    except ValueError:
-        return None
-    if i == n:
-        return Event(etype, node, src, dst, packet, time_)
-    info: list[tuple[str, str]] = []
-    keys: list[str] = []
-    for token in tokens[i:]:
-        eq = token.find("=")
-        if eq < 1:
-            return None
-        key = token[:eq]
-        if key in _RESERVED_SET or key in keys:
-            return None  # non-canonical order or duplicate: legacy decides
-        keys.append(key)
-        info.append((key, token[eq + 1 :]))
-    info.sort()
-    return Event(etype, node, src, dst, packet, time_, tuple(info))
+def decode_event(line: str) -> Event:
+    """Parse one log line back into an :class:`Event`.
+
+    Values of unknown keys are kept as strings in ``info``.  A malformed
+    line raises ``ValueError``: a token without ``=`` or a repeated key
+    (first in token order), then a missing ``node``/``type``, then a bad
+    ``node``, ``src``, ``dst``, ``pkt`` or ``t`` value, in that order.
+    """
+    slots: list[Optional[str]] = [None] * 6
+    info: dict[str, str] = {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"malformed log token {token!r} in line {line!r}")
+        slot = _SLOTS.get(key)
+        if slot is None:
+            if key in info:
+                raise ValueError(f"duplicate key {key!r} in line {line!r}")
+            info[key] = value
+        elif slots[slot] is None:
+            slots[slot] = value
+        else:
+            raise ValueError(f"duplicate key {key!r} in line {line!r}")
+    node, etype, src, dst, pkt, t = slots
+    if node is None or etype is None:
+        raise ValueError(f"log line missing node/type: {line!r}")
+    return Event(
+        _intern_label(etype),
+        int(node),
+        None if src is None else int(src),
+        None if dst is None else int(dst),
+        None if pkt is None else _parse_packet(pkt),
+        None if t is None else float(t),
+        tuple(sorted(info.items())) if info else (),
+    )
 
 
 def encode_log(log: NodeLog) -> str:

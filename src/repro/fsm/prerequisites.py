@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.events.event import Event
 
@@ -95,10 +95,3 @@ class PrereqRule:
                 return tuple(int(part) for part in raw.split(",") if part)
             return tuple(int(n) for n in raw)
         raise AssertionError(f"unhandled peer selector {self.peer!r}")
-
-
-def rules_for(
-    table: dict[str, Sequence[PrereqRule]], event_label: str
-) -> tuple[PrereqRule, ...]:
-    """Prerequisite rules registered for ``event_label`` (possibly empty)."""
-    return tuple(table.get(event_label, ()))

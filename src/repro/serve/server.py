@@ -43,8 +43,9 @@ Graceful shutdown (SIGTERM/SIGINT or ``POST /shutdown``): stop accepting,
 cancel live connections and tails, drain the queued batches into the
 shard state (concurrently with reaping, so a reader parked on a full queue
 can always finish), refresh, checkpoint, stop the shards, exit.  A dead
-shard or a failed forward is fail-stop: the daemon skips the final
-checkpoint, so the last committed manifest stays the recoverable truth.
+shard, a failed forward or any other consumer failure is fail-stop: the
+daemon skips the final checkpoint, so the last committed manifest stays
+the recoverable truth, and :meth:`RefillServer.run` returns 1.
 Evidence still in a connection's socket buffer is *not* consumed — that is
 what per-source offsets are for: the restarted server tells each
 reconnecting source how much to skip, so nothing is lost and no line is
@@ -57,6 +58,7 @@ import asyncio
 import pathlib
 import signal
 import time
+import traceback
 from typing import Any, Callable, Optional, Union
 
 from repro.core.serialize import dumps_canonical
@@ -389,22 +391,33 @@ class RefillServer:
         if item.lines:
             self._dirty_since_checkpoint = True
 
-    def _fail_stop(self, reason: str) -> None:
-        """A shard is gone: in-memory state is unrecoverable, so stop; the
-        last committed manifest stays the truth (clients re-push from its
-        offsets on restart)."""
-        _log.error("serve.shard-failed", error=reason)
+    def _fail_stop(self, reason: str, event: str = "serve.shard-failed") -> None:
+        """In-memory state is unrecoverable (a shard is gone, or the
+        consumer died, maybe mid-batch), so stop; the last committed
+        manifest stays the truth (clients re-push from its offsets on
+        restart)."""
+        _log.error(event, error=reason)
         self._degraded = True
         assert self._shutdown is not None
         self._shutdown.set()
+
+    def _consumer_failed(self, exc: Exception) -> None:
+        if isinstance(exc, (ConnectionError, OSError)):
+            self._fail_stop(f"forward failed: {exc}")
+            return
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        self._fail_stop(
+            f"{type(exc).__name__}: {exc} at {frame.filename}:{frame.lineno}",
+            "serve.consumer-failed",
+        )
 
     async def _drain_queue(self) -> None:
         """Ingest everything queued right now (shutdown; consumer stopped)."""
         while not self._degraded and not self.hub.queue.empty():
             try:
                 await self._ingest(self.hub.queue.get_nowait())
-            except (ConnectionError, OSError) as exc:
-                self._fail_stop(f"forward failed: {exc}")
+            except Exception as exc:  # noqa: BLE001 - fail-stop, see _consume
+                self._consumer_failed(exc)
 
     def _update_gauges(self) -> None:
         registry = get_registry()
@@ -434,8 +447,16 @@ class RefillServer:
 
         On an idle gap (``flush_interval`` with nothing queued) dirty flows
         are refreshed so queries and the readiness probe see fresh results;
-        periodic checkpoints piggyback on the same cadence.
+        periodic checkpoints piggyback on the same cadence.  Any exception
+        is fail-stop: a batch may be half in the session with its lines
+        uncounted, so checkpointing it could duplicate evidence on resume.
         """
+        try:
+            await self._consume_loop()
+        except Exception as exc:  # noqa: BLE001 - every failure fail-stops
+            self._consumer_failed(exc)
+
+    async def _consume_loop(self) -> None:
         interval = self.config.checkpoint_interval
         next_checkpoint = time.monotonic() + interval if interval > 0 else None
         while True:
@@ -450,11 +471,7 @@ class RefillServer:
             except TimeoutError:
                 self.state.refresh()
             else:
-                try:
-                    await self._ingest(item)
-                except (ConnectionError, OSError) as exc:
-                    self._fail_stop(f"forward failed: {exc}")
-                    return
+                await self._ingest(item)
                 self.hub.queue.task_done()
                 if item.flush and self.hub.queue.empty():
                     # last batch of a closed connection and nothing else
@@ -618,7 +635,8 @@ class RefillServer:
             )
 
     def run(self, ready: Optional[Callable[["RefillServer"], None]] = None) -> int:
-        """Blocking entry point: serve until SIGTERM/SIGINT or ``/shutdown``.
+        """Blocking entry point: serve until SIGTERM/SIGINT or ``/shutdown``;
+        ``1`` after a fail-stop, else ``0``.
 
         Restores (see :meth:`restore`) and starts the shard state before
         the loop — shard subprocesses spawn here, since process creation
@@ -636,4 +654,4 @@ class RefillServer:
                 asyncio.run(self._main(ready))
             finally:
                 self.state.join()
-        return 0
+        return 1 if self._degraded else 0

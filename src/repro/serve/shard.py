@@ -202,7 +202,7 @@ class ShardWorker:
     def refresh(self) -> None:
         """Refresh dirty flows (an idle gap, or a source finished)."""
         if self.session.pending:
-            with traced("serve.refresh", pending=self.session.pending):
+            with traced("serve.refresh"):
                 self.session.refresh()
 
     async def write_epoch(self, manifest_path: pathlib.Path, epoch: int) -> int:

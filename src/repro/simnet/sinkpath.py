@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.rng import RngStreams
-
 
 @dataclass(frozen=True, slots=True)
 class SerialLink:
@@ -67,24 +65,3 @@ class BaseStationModel:
 
     def is_down(self, t: float) -> bool:
         return any(start <= t < end for start, end in self.outages)
-
-    def total_downtime(self) -> float:
-        return sum(end - start for start, end in self.outages)
-
-
-def random_outages(
-    rng: RngStreams,
-    duration: float,
-    *,
-    count: int,
-    min_len: float,
-    max_len: float,
-) -> tuple[tuple[float, float], ...]:
-    """``count`` non-anchored outage windows inside ``[0, duration]``."""
-    stream = rng.stream("outages")
-    windows = []
-    for _ in range(count):
-        length = stream.uniform(min_len, max_len)
-        start = stream.uniform(0.0, max(0.0, duration - length))
-        windows.append((start, start + length))
-    return tuple(sorted(windows))

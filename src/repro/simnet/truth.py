@@ -187,16 +187,3 @@ def ground_truth_template():
     from repro.fsm.templates import forwarder_template
 
     return forwarder_template()
-
-
-def true_label_traces(truth: "GroundTruth") -> list[tuple[str, ...]]:
-    """Per-(packet, node) true label sequences, sorted and deduplicated.
-
-    The lossless analog of what :mod:`repro.learn.traces` extracts from
-    collected logs — the oracle training corpus for learner self-tests.
-    """
-    per: dict[tuple[PacketKey, int], list[str]] = {}
-    for packet in sorted(truth.events):
-        for event in truth.events[packet]:
-            per.setdefault((packet, event.node), []).append(event.etype)
-    return sorted({tuple(labels) for labels in per.values()})

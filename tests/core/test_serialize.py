@@ -49,6 +49,14 @@ class TestEventRoundTrip:
         event = Event.make("recv", 2, src=1, dst=2, packet=PKT, time=4.5)
         json.dumps(event_to_dict(event))  # must not raise
 
+    def test_info_keys_named_like_event_fields(self):
+        """Info keys are data: one named ``time`` or ``cls`` must not
+        collide with a keyword of the reader."""
+        info = (("cls", "z"), ("etype", "y"), ("packet", "x"), ("time", "5"))
+        event = Event("recv", 2, 1, 2, PKT, 4.5, info)
+        data = json.loads(json.dumps(event_to_dict(event)))
+        assert event_from_dict(data) == event
+
 
 class TestFlowRoundTrip:
     def test_everything_survives(self):

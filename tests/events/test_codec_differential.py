@@ -1,9 +1,8 @@
-"""Differential golden-corpus suite: fast tokenizer vs legacy scanner.
+"""Differential golden-corpus suite: the codec's scanner vs the oracle.
 
-The codec's two-tier decode (``_decode_fast`` with the legacy token-loop
-parser as fallback) must be *observationally identical* to the
-pre-tokenizer scanner (:mod:`tests.events.oracle`) on every corpus the repo
-ships:
+The codec's single-pass ``decode_event`` must be *observationally
+identical* to the token-loop reference scanner (:mod:`tests.events.oracle`)
+on every corpus the repo ships:
 committed fixture stores, stress-garbled mutations of them, and a
 simulated-deployment corpus like the ones ``examples/`` build.  "Identical"
 means the full scan output — line numbers, event payloads, ``DecodeIssue``
@@ -16,18 +15,25 @@ raw bytes of every corpus, and ``load_store``'s corrupt-line counts are
 re-derived from the legacy scanner so the tolerant loader can never drift.
 """
 
+import itertools
 import pathlib
 import random
 
 import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.events.codec import DecodeIssue, decode_text, encode_event, scan_log_text
+from repro.events.codec import (
+    DecodeIssue,
+    decode_event,
+    decode_text,
+    encode_event,
+    scan_log_text,
+)
 from repro.events.store import load_store
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
 from repro.stress.faults import GarbleLines
-from tests.events.oracle import scan_log_text_legacy
+from tests.events.oracle import decode_event_legacy, scan_log_text_legacy
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -109,7 +115,8 @@ def test_simulated_deployment_corpus_scans_identically():
 
 
 def test_edge_corpus_scans_identically():
-    """Hand-picked irregular lines that force the strict fallback."""
+    """Hand-picked irregular lines: field order, spacing, duplicates,
+    malformed values, and info keys named like ``Event`` fields."""
     lines = [
         "node=1 type=recv src=2 dst=1 pkt=p2.9 t=1.5",  # canonical
         "node=1 type=recv dst=1 src=2",                 # out-of-order fields
@@ -135,7 +142,32 @@ def test_edge_corpus_scans_identically():
         "=",
         "====",
         "node==1 type=gen",
+        "type=recv node=2 time=5",                      # colliding info keys,
+        "pkt=p1.1 node=1 type=gen packet=x",            # out of order
+        "type=gen node=1 etype=y",
+        "type=gen node=1 cls=z",
+        "node=2 type=recv src=1 dst=2 pkt=p1.1 time=5",  # and in order
+        "time=5 node=2 type=recv dst=x src=y",          # which fault wins
+        "node=x type=gen src=y t=z pkt=q",
     ]
     _assert_equivalent("\n".join(lines))
     # and interleaved with valid lines, repeated, in one buffer
     _assert_equivalent("\n".join(lines * 3))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "type=recv node=2 time=5",
+        "pkt=p1.1 node=1 type=gen packet=x",
+        "type=gen node=1 etype=y",
+        "type=gen node=1 cls=z",
+    ],
+)
+def test_colliding_info_keys_decode_alike_in_every_field_order(line):
+    """An info key named like an ``Event`` field or an ``Event.make``
+    parameter is just an info key, whatever the field order."""
+    expected = decode_event_legacy(line)
+    assert dict(expected.info)
+    for order in itertools.permutations(line.split()):
+        assert decode_event(" ".join(order)) == expected

@@ -1,6 +1,6 @@
 """Fuzz tests: the codec must reject garbage cleanly, never crash or hang."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -13,6 +13,11 @@ from repro.events.log import NodeLog
 class TestDecodeFuzz:
     @given(st.text(max_size=200))
     @settings(max_examples=200)
+    # info keys named like Event.make parameters, off the canonical order
+    @example("type=recv node=2 time=5")
+    @example("pkt=p1.1 node=1 type=gen packet=x")
+    @example("type=gen node=1 etype=y")
+    @example("type=gen node=1 cls=z")
     def test_decode_never_crashes_unexpectedly(self, line):
         """Any input either parses or raises ValueError — nothing else."""
         if not line.strip():

@@ -27,6 +27,7 @@ from tests.strategies import (
     garbled_lines,
     log_line_bytes,
     packet_keys,
+    shuffled_lines,
 )
 
 
@@ -78,16 +79,18 @@ class TestScannerProperties:
             assert decoded + corrupt == sum(1 for line in lines if line.strip())
 
 
-#: Raw wire buffers: damaged lines joined by \n, sometimes with a tail
-#: that has no trailing newline.
-_wire_buffers = st.lists(log_line_bytes(), max_size=8).map(b"\n".join)
+#: Raw wire buffers: damaged or field-shuffled lines joined by \n,
+#: sometimes with a tail that has no trailing newline.
+_wire_buffers = st.lists(
+    log_line_bytes() | shuffled_lines().map(str.encode), max_size=8
+).map(b"\n".join)
 
 
 class TestBytesScannerProperties:
     """Raw bytes through ``decode_text`` and the tolerant scanner are
     observationally identical to the legacy str scanner on *arbitrary* byte
-    input — valid, garbled, truncated mid-UTF-8, or framed with exotic
-    separators."""
+    input — valid, field-shuffled, garbled, truncated mid-UTF-8, or framed
+    with exotic separators."""
 
     @given(_wire_buffers)
     @settings(max_examples=200)

@@ -17,6 +17,7 @@ import pytest
 from repro.obs.promtext import parse_exposition
 from repro.serve import ServeConfig, ServerThread
 from repro.serve.client import push_lines, push_store
+from repro.serve.shard import ShardWorker
 from tests.serve.util import http_json, http_req, wait_ready
 
 DATA = "node=1 type=send pkt=p1.1"
@@ -125,6 +126,37 @@ class TestMetricsNegotiation:
         assert status == 200
         assert headers["content-type"].startswith("text/plain")
         parse_exposition(body)  # must be well-formed exposition text
+
+    def test_refresh_span_is_one_series(self, tmp_path, monkeypatch):
+        """The refresh histogram carries no per-call label: three pushes of
+        different sizes make one ``span.serve.refresh`` series counting
+        every refresh."""
+        refreshes = []
+        real_refresh = ShardWorker.refresh
+
+        def refresh(self):
+            if self.session.pending:
+                refreshes.append(self.session.pending)
+            real_refresh(self)
+
+        monkeypatch.setattr(ShardWorker, "refresh", refresh)
+        config = ServeConfig(
+            checkpoint_path=str(tmp_path / "cp.json"), flush_interval=0.05
+        )
+        with ServerThread(config) as thread:
+            for node, size in ((1, 1), (2, 3), (3, 7)):
+                lines = [f"node={node} type=gen pkt=p{node}.{seq}" for seq in range(size)]
+                push_lines(lines, port=thread.tcp_port, source=f"s{node}")
+                wait_ready(thread.http_port)
+            _, snapshot = http_json(thread.http_port, "/metrics")
+            _, _, text = _request(thread.http_port, "/metrics?format=prometheus")
+        series = [k for k in snapshot["histograms"] if k.startswith("span.serve.refresh")]
+        assert series == ["span.serve.refresh"]
+        assert len(set(refreshes)) > 1
+        assert snapshot["histograms"]["span.serve.refresh"]["count"] == len(refreshes)
+        refresh_lines = [line for line in text.splitlines()
+                         if line.startswith("span_serve_refresh")]
+        assert refresh_lines and not any("pending" in line for line in refresh_lines)
 
 
 class TestDebugTrace:

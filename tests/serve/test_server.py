@@ -10,14 +10,25 @@ restore and across server restarts.
 import json
 import pathlib
 import shutil
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.events.store import read_complete_lines, shard_node
-from repro.serve import ServeConfig, ServerThread, load_checkpoint, load_manifest
+from repro.serve import (
+    RefillServer,
+    ServeConfig,
+    ServerThread,
+    load_checkpoint,
+    load_manifest,
+)
 from repro.serve.client import push_lines, push_store
+from repro.serve.shard import ShardWorker
 from tests.serve.util import http_json, http_req, wait_ready
+
+#: A canonical-order line whose info key is named like an ``Event`` field.
+COLLIDING_LINE = "node=2 type=recv src=1 dst=2 pkt=p1.1 time=5"
 
 
 def _config(store, tmp_path, **overrides):
@@ -184,6 +195,64 @@ class TestCheckpointRestart:
             wait_ready(thread.http_port)
             _, served = http_req(thread.http_port, "/flows")
         assert served.strip() == batch_flows
+
+    def test_info_key_named_time_survives_a_restart(self, tmp_path):
+        """The daemon must restore every checkpoint it writes: an info key
+        named like an ``Event`` field is data, not a keyword."""
+        config = ServeConfig(
+            checkpoint_path=str(tmp_path / "cp.json"), flush_interval=0.05
+        )
+        with ServerThread(config) as thread:
+            push_lines([COLLIDING_LINE], port=thread.tcp_port, source="s1")
+            wait_ready(thread.http_port)
+            _, before = http_req(thread.http_port, "/flows")
+        assert '"info":{"time":"5"}' in before
+        with ServerThread(config) as thread:
+            assert thread.server.restored
+            wait_ready(thread.http_port)
+            _, after = http_req(thread.http_port, "/flows")
+        assert after == before
+
+
+class TestFailStop:
+    def test_consumer_failure_stops_the_daemon(self, tmp_path, monkeypatch, capsys):
+        """Any consumer exception fail-stops like a dead shard: one error
+        line, no final checkpoint, ``run()`` returns 1."""
+        real_ingest = ShardWorker.ingest_item
+
+        def ingest_item(self, item):
+            if any("boom=1" in line for line in item.lines):
+                raise RuntimeError("injected consumer failure")
+            real_ingest(self, item)
+
+        monkeypatch.setattr(ShardWorker, "ingest_item", ingest_item)
+        config = ServeConfig(
+            checkpoint_path=str(tmp_path / "cp.json"), flush_interval=0.05
+        )
+        server = RefillServer(config)
+        started = threading.Event()
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(server.run(ready=lambda _s: started.set())),
+            daemon=True,
+        )
+        runner.start()
+        try:
+            assert started.wait(30)
+            push_lines([COLLIDING_LINE], port=server.tcp_port, source="good")
+            wait_ready(server.http_port)
+            status, body = http_json(server.http_port, "/checkpoint", method="POST")
+            assert status == 200
+            push_lines(["node=3 type=gen boom=1"], port=server.tcp_port, source="bad")
+            runner.join(30)
+            assert not runner.is_alive(), "daemon kept serving with a dead consumer"
+        finally:
+            if runner.is_alive():
+                server.request_shutdown()
+                runner.join(30)
+        assert codes == [1]
+        assert load_manifest(tmp_path / "cp.json").epoch == body["epoch"]
+        assert capsys.readouterr().err.count("event=serve.consumer-failed") == 1
 
 
 class TestOtherIngestDoors:

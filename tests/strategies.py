@@ -3,7 +3,7 @@
 Property tests (``tests/events/test_properties.py``) and the stress-harness
 tests draw from one vocabulary, so "a random event" means the same thing
 everywhere: codec-encodable events over safe identifier text, with the
-reserved keys kept out of the info dict.
+codec's field names kept out of the info dict.
 
 ``garbled_lines`` mirrors the mutation modes of
 :class:`repro.stress.faults.GarbleLines` — truncation, character flip,
@@ -14,6 +14,7 @@ injector deals.
 
 import keyword
 import string
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -29,12 +30,12 @@ SAFE_TEXT = st.text(
     string.ascii_lowercase + string.digits + "_", min_size=1, max_size=12
 )
 
-#: Keys an info dict may not use: the codec's encoded field names plus the
-#: :meth:`Event.make` keyword names they would collide with.
-RESERVED_KEYS = (
-    "node", "type", "src", "dst", "pkt", "t",
-    "etype", "packet", "time",
-)
+#: Keys an info dict may not use: the codec's encoded field names.
+RESERVED_KEYS = ("node", "type", "src", "dst", "pkt", "t")
+
+#: Info keys that are no codec field but name an :class:`Event` field or an
+#: :meth:`Event.make` parameter.
+COLLIDING_KEYS = ("etype", "packet", "time", "cls")
 
 packet_keys = st.builds(
     PacketKey,
@@ -43,8 +44,8 @@ packet_keys = st.builds(
 )
 
 events = st.builds(
-    lambda etype, node, src, dst, packet, time, info: Event.make(
-        etype, node, src=src, dst=dst, packet=packet, time=time, **info
+    lambda etype, node, src, dst, packet, time, info: Event(
+        etype, node, src, dst, packet, time, tuple(sorted(info.items()))
     ),
     etype=SAFE_TEXT,
     node=st.integers(min_value=0, max_value=9999),
@@ -237,6 +238,18 @@ def log_line_bytes(draw) -> bytes:
     i = draw(st.integers(min_value=0, max_value=len(line)))
     sep = draw(st.sampled_from(_EXOTIC_SEPARATORS))
     return (line[:i] + sep + line[i:]).encode("utf-8")
+
+
+@st.composite
+def shuffled_lines(draw) -> str:
+    """An encoded event with its tokens permuted, half the time carrying
+    an info key from ``COLLIDING_KEYS``: field order never matters."""
+    event = draw(events)
+    if draw(st.booleans()):
+        info = dict(event.info)
+        info[draw(st.sampled_from(COLLIDING_KEYS))] = draw(SAFE_TEXT)
+        event = replace(event, info=tuple(sorted(info.items())))
+    return " ".join(draw(st.permutations(encode_event(event).split(" "))))
 
 
 @st.composite

@@ -73,6 +73,31 @@ class TestAnalyze:
         counters = json.loads(metrics.read_text())["counters"]
         assert counters[f"codec.corrupt_lines{{node={node}}}"] == 2
 
+    def test_field_order_and_info_key_names_do_not_change_flows(
+        self, log_dir, tmp_path, capsys
+    ):
+        """A line carrying an info key named ``time``, fields reordered,
+        decodes like its canonical twin at every batch door."""
+        import shutil
+
+        flows = {}
+        for name, order in (("canonical", 1), ("reversed", -1)):
+            store = tmp_path / name
+            shutil.copytree(log_dir, store)
+            shard = sorted(store.glob("node_*.log"))[0]
+            first = shard.read_text().split("\n", 1)[0]
+            with shard.open("a") as fh:
+                fh.write(" ".join(first.split()[::order]) + " time=5\n")
+            out = tmp_path / f"{name}.json"
+            assert main(["analyze", "-q", "--logs", str(store),
+                         "--flows-out", str(out)]) == 0
+            flows[name] = out.read_bytes()
+            capsys.readouterr()
+            assert main(["check", "--logs", str(store), "--json"]) in (0, 1)
+            json.loads(capsys.readouterr().out)
+        assert flows["reversed"] == flows["canonical"]
+        assert b'"info":{"time":"5"}' in flows["canonical"]
+
     def test_profile_prints_stage_table(self, log_dir, capsys):
         assert main(["analyze", "--logs", str(log_dir), "--profile"]) == 0
         err = capsys.readouterr().err
