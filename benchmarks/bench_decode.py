@@ -1,6 +1,6 @@
-"""S3 — the decode→inference hot path in isolation.
+"""S3 — the decode→inference→encode hot path in isolation.
 
-Two microbenchmarks under the end-to-end serve numbers:
+Three microbenchmarks under the end-to-end serve numbers:
 
 - **Tokenizer throughput** — lines/s of the tolerant scanner over raw
   bytes (``scan_log_text(decode_text(...))``, the store loader's route) on
@@ -13,13 +13,19 @@ Two microbenchmarks under the end-to-end serve numbers:
   BFS walks, over the forwarder template's graph with the full admissible
   mask.  This is the query mix the transition algorithm issues while
   reconstructing.
+- **Flow encoding** — flows/s of the one flow encoder
+  (:func:`~repro.core.serialize.encode_flows`, the bytes of ``refill
+  analyze --flows-out`` and ``/flows``) over the corpus's reconstructed
+  flows, against the dict route it replaced (a dict per flow, then
+  ``dumps_canonical`` of the whole document), byte-checked.
 
-Both legacy comparators are the test oracles in ``tests/events/oracle.py``
-and ``tests/fsm/oracle.py``.
+The legacy comparators are the test oracles in ``tests/events/oracle.py``,
+``tests/fsm/oracle.py`` and ``tests/core/oracle.py``.
 
 The run writes ``BENCH_decode.json`` at the repo root (schema-stamped like
-``BENCH_serve.json``); ``bench_history.py`` gates its rates so a tokenizer
-or jump-table regression needs an attributed trajectory entry to land.
+``BENCH_serve.json``); ``bench_history.py`` gates its rates so a tokenizer,
+jump-table or encoder regression needs an attributed trajectory entry to
+land.
 """
 
 import json
@@ -28,6 +34,8 @@ import pathlib
 import time
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
+from repro.core.serialize import dumps_canonical, encode_flows
+from repro.core.session import ReconstructionSession
 from repro.events.codec import decode_text, encode_event, scan_log_text
 from repro.fsm.templates import forwarder_template
 from repro.lognet.collector import collect_logs
@@ -35,6 +43,7 @@ from repro.simnet.scenarios import citysee
 from repro.util.tables import render_table
 
 from benchmarks.conftest import BENCH_SCHEMA, bench_seed, run_metadata
+from tests.core.oracle import oracle_flows_to_json
 from tests.events.oracle import scan_log_text_legacy
 from tests.fsm.oracle import Reachability
 
@@ -44,8 +53,9 @@ N_NODES = 50
 ROUNDS = 5
 
 
-def _corpus_bytes() -> tuple[bytes, int]:
-    """The serve corpus rendered to one wire buffer (node order)."""
+def _corpus():
+    """The serve corpus rendered to one wire buffer (node order), its line
+    count, and its reconstructed flows."""
     params = citysee(n_nodes=N_NODES, days=2, seed=bench_seed("decode", 17))
     sim = run_simulation(params)
     logs = collect_logs(
@@ -57,7 +67,9 @@ def _corpus_bytes() -> tuple[bytes, int]:
     lines = [
         encode_event(event) for node in sorted(logs) for event in logs[node]
     ]
-    return ("\n".join(lines) + "\n").encode("utf-8"), len(lines)
+    session = ReconstructionSession(delivery_node=sim.base_station_node)
+    flows = session.reconstruct(logs)
+    return ("\n".join(lines) + "\n").encode("utf-8"), len(lines), flows
 
 
 def _best_of(fn, rounds=ROUNDS):
@@ -72,8 +84,8 @@ def _best_of(fn, rounds=ROUNDS):
     return best, result
 
 
-def test_decode_and_reachability_throughput(emit):
-    data, n_lines = _corpus_bytes()
+def test_decode_reachability_and_encode_throughput(emit):
+    data, n_lines, flows = _corpus()
 
     fast_s, fast_events = _best_of(
         lambda: sum(1 for _ in scan_log_text(decode_text(data)))
@@ -121,10 +133,18 @@ def test_decode_and_reachability_throughput(emit):
     compiled_s, _ = _best_of(compiled_lookups)
     legacy_walk_s, _ = _best_of(legacy_walks)
 
+    encode_s, encoded = _best_of(lambda: encode_flows(flows))
+    dict_route_s, dict_route = _best_of(
+        lambda: dumps_canonical(oracle_flows_to_json(flows))
+    )
+    assert encoded == dict_route  # the same document, byte for byte
+
     fast_rate = n_lines / fast_s
     legacy_rate = n_lines / legacy_s
     compiled_rate = queries / compiled_s
     legacy_walk_rate = queries / legacy_walk_s
+    encode_rate = len(flows) / encode_s
+    dict_route_rate = len(flows) / dict_route_s
 
     emit(
         "bench_decode",
@@ -135,12 +155,17 @@ def test_decode_and_reachability_throughput(emit):
                 ("tokenize (oracle)", n_lines, f"{legacy_s:.4f}", int(legacy_rate)),
                 ("reach lookup (compiled)", queries, f"{compiled_s:.4f}", int(compiled_rate)),
                 ("reach lookup (legacy)", queries, f"{legacy_walk_s:.4f}", int(legacy_walk_rate)),
+                ("encode flows (encoder)", len(flows), f"{encode_s:.4f}", int(encode_rate)),
+                ("encode flows (oracle)", len(flows), f"{dict_route_s:.4f}", int(dict_route_rate)),
             ],
-            title=f"S3 — decode→inference microbenchmarks, {N_NODES}-node corpus (best of {ROUNDS})",
+            title=(
+                f"S3 — decode→inference→encode microbenchmarks, "
+                f"{N_NODES}-node corpus (best of {ROUNDS})"
+            ),
         ),
     )
 
-    corpus = {"n_nodes": N_NODES, "days": 2, "lines": n_lines}
+    corpus = {"n_nodes": N_NODES, "days": 2, "lines": n_lines, "flows": len(flows)}
     baseline = {
         "schema": BENCH_SCHEMA,
         "run": run_metadata(
@@ -160,12 +185,20 @@ def test_decode_and_reachability_throughput(emit):
             "legacy_walks_per_s": round(legacy_walk_rate, 1),
             "speedup": round(compiled_rate / legacy_walk_rate, 2),
         },
+        "encode": {
+            "flows_per_s": round(encode_rate, 1),
+            "oracle_flows_per_s": round(dict_route_rate, 1),
+            "speedup": round(encode_rate / dict_route_rate, 2),
+        },
     }
     BASELINE_PATH.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
 
     # generous floors — the gate for real drift is bench_history's
     assert fast_rate > 20_000
     assert compiled_rate > 20_000
-    # the interning decoder and the jump tables must beat their references
+    assert encode_rate > 1_000
+    # the interning decoder, the jump tables and the direct encoder must
+    # beat their references
     assert fast_rate > legacy_rate
     assert compiled_rate > legacy_walk_rate
+    assert encode_rate > dict_route_rate

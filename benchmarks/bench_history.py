@@ -80,6 +80,7 @@ METRIC_SPECS: dict[str, tuple[MetricSpec, ...]] = {
     "decode": (
         MetricSpec("tokenize.lines_per_s", "higher", 0.40),
         MetricSpec("reachability.lookups_per_s", "higher", 0.40),
+        MetricSpec("encode.flows_per_s", "higher", 0.40),
     ),
     "learn": (
         MetricSpec("mine.traces_per_s", "higher", 0.40),

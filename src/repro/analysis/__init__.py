@@ -12,77 +12,3 @@
   simulator's ground truth (the ablation benchmarks);
 - :mod:`repro.analysis.report` — ASCII rendering of figure data.
 """
-
-from repro.analysis.pipeline import EvalResult, default_loss_spec, evaluate
-from repro.analysis.causes import (
-    attribute_server_outages,
-    cause_shares,
-    daily_composition,
-    sink_split,
-)
-from repro.analysis.temporal import (
-    burstiness,
-    concentration_gini,
-    loss_scatter,
-)
-from repro.analysis.spatial import received_loss_map
-from repro.analysis.accuracy import (
-    AccuracyReport,
-    cause_accuracy,
-    event_recovery,
-    ordering_accuracy,
-    score_run,
-)
-from repro.analysis.routes import (
-    RouteTimeline,
-    churn_hotspots,
-    network_churn,
-    route_timelines,
-)
-from repro.analysis.implications import (
-    Implications,
-    check_citysee_pathologies,
-    derive_implications,
-)
-from repro.analysis.comparison import ComparisonResult, compare_analyzers
-from repro.analysis.linkquality import LinkObservation, observe_links, worst_links
-from repro.analysis.deltas import DeltaReport, compare_windows, window_diagnosis
-from repro.analysis.sweeps import SweepResult, accuracy_metrics, delivery_metrics, run_sweep
-
-__all__ = [
-    "ComparisonResult",
-    "compare_analyzers",
-    "LinkObservation",
-    "observe_links",
-    "worst_links",
-    "DeltaReport",
-    "compare_windows",
-    "window_diagnosis",
-    "SweepResult",
-    "accuracy_metrics",
-    "delivery_metrics",
-    "run_sweep",
-    "RouteTimeline",
-    "churn_hotspots",
-    "network_churn",
-    "route_timelines",
-    "Implications",
-    "check_citysee_pathologies",
-    "derive_implications",
-    "EvalResult",
-    "default_loss_spec",
-    "evaluate",
-    "attribute_server_outages",
-    "cause_shares",
-    "daily_composition",
-    "sink_split",
-    "burstiness",
-    "concentration_gini",
-    "loss_scatter",
-    "received_loss_map",
-    "AccuracyReport",
-    "cause_accuracy",
-    "event_recovery",
-    "ordering_accuracy",
-    "score_run",
-]

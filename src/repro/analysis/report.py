@@ -6,11 +6,13 @@ helpers keep the formatting consistent.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.diagnosis import LossCause
-from repro.analysis.spatial import SpatialPoint
 from repro.util.tables import render_table
+
+if TYPE_CHECKING:
+    from repro.analysis.spatial import SpatialPoint
 
 #: Figure legend order used throughout.
 CAUSE_ORDER = [

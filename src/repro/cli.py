@@ -57,8 +57,6 @@ from repro.core.tracing import trace_packet
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
 from repro.events.store import ShardedStore, StoreMetadata, load_store, save_store
-from repro.lognet.collector import collect_logs
-from repro.analysis.pipeline import default_loss_spec
 from repro.obs import (
     DEBUG,
     ERROR,
@@ -70,12 +68,16 @@ from repro.obs import (
     span,
     use_registry,
 )
-from repro.simnet.scenarios import citysee, run_scenario
 
 log = get_logger("refill.cli")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # the simulator's modules (and numpy) load only for the command that runs them
+    from repro.analysis.pipeline import default_loss_spec
+    from repro.lognet.collector import collect_logs
+    from repro.simnet.scenarios import citysee, run_scenario
+
     params = citysee(n_nodes=args.nodes, days=args.days, seed=args.seed)
     log.info("simulate.start", nodes=args.nodes, days=args.days, seed=args.seed)
     with span("simulate.run"):
@@ -337,11 +339,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for key, value in split.items():
             print(f"  {key:<16} {value:5.1f}%")
     if args.flows_out:
-        from repro.core.serialize import dumps_canonical, flows_to_json
+        from repro.core.serialize import encode_flows
 
-        pathlib.Path(args.flows_out).write_text(
-            dumps_canonical(flows_to_json(flows)) + "\n"
-        )
+        pathlib.Path(args.flows_out).write_text(encode_flows(flows) + "\n")
         log.info("analyze.flows-written", path=args.flows_out)
     if args.metrics_out:
         snapshot = registry.snapshot()

@@ -5,11 +5,20 @@ round-trips :class:`~repro.core.event_flow.EventFlow` (entries, provenance,
 happens-before edges, omissions, anomalies, engine states) and
 :class:`~repro.core.diagnosis.LossReport` through plain JSON-compatible
 dicts.
+
+A flow has one encoding: :func:`flow_json` writes its canonical JSON
+straight from the flow's fields, and :func:`encode_flows` joins those
+pieces into the flows document every door serves (``refill analyze
+--flows-out``, ``/flows``, ``/flow/<p>``).  A flow depends only on its own
+packet's evidence (paper §IV), so each flow's bytes are built once and
+joined once, with no dict copy of the document.  :func:`flow_to_dict` and
+:func:`flows_to_json` are those bytes, decoded.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Mapping
 
 from repro.core.diagnosis import LossCause, LossReport
@@ -47,25 +56,8 @@ def event_from_dict(data: Mapping[str, Any]) -> Event:
 
 
 def flow_to_dict(flow: EventFlow) -> dict[str, Any]:
-    """JSON-compatible representation of a flow."""
-    return {
-        "packet": str(flow.packet) if flow.packet else None,
-        "entries": [
-            {
-                "event": event_to_dict(e.event),
-                "inferred": e.inferred,
-                "provenance": e.provenance,
-            }
-            for e in flow.entries
-        ],
-        "happens_before": sorted(list(edge) for edge in flow.hb_edges),
-        "omitted": [event_to_dict(e) for e in flow.omitted],
-        "anomalies": list(flow.anomalies),
-        "final_states": {str(n): s for n, s in flow.final_states.items()},
-        "visited_states": {
-            str(n): sorted(states) for n, states in flow.visited_states.items()
-        },
-    }
+    """JSON-compatible representation of a flow: :func:`flow_json`, decoded."""
+    return _shared_decoder().decode(flow_json(flow))
 
 
 def flow_from_dict(data: Mapping[str, Any]) -> EventFlow:
@@ -110,8 +102,16 @@ def report_from_dict(data: Mapping[str, Any]) -> LossReport:
 
 
 def flows_to_json(flows: Mapping[PacketKey, EventFlow]) -> dict[str, Any]:
-    """``{"p<o>.<s>": flow_to_dict(...)}`` sorted by packet key."""
-    return {str(packet): flow_to_dict(flows[packet]) for packet in sorted(flows)}
+    """``{"p<o>.<s>": flow_to_dict(...)}``: :func:`encode_flows`, decoded.
+
+    Decoded flow by flow through one string-sharing decoder, so the view
+    holds one copy of each repeated key, label and state name, as a dict
+    built from the flows' own fields would.
+    """
+    decoder = _shared_decoder()
+    return {
+        key: decoder.decode(flow_json(flow)) for key, flow in _document_order(flows)
+    }
 
 
 def reports_to_json(reports: Mapping[PacketKey, LossReport]) -> dict[str, Any]:
@@ -124,6 +124,167 @@ def dumps_canonical(data: Any) -> str:
 
     The equivalence contract between the batch CLI (``refill analyze
     --flows-out``) and the serve layer's query API is *byte identity* of
-    this form — both sides must serialize through here.
+    this form.  Flows reach it through their one encoder,
+    :func:`flow_json` / :func:`encode_flows`, which writes exactly what
+    this function writes for :func:`flow_to_dict`'s shape; every other
+    document (reports, summaries, errors) is serialized here directly.
     """
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+# --------------------------------------------------------------------- #
+# the one flow encoder
+
+#: :func:`dumps_canonical`'s settings, bound once for the encoder's small
+#: nested pieces (per-node maps, happens-before pairs).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _value(value: Any) -> str:
+    """One JSON scalar as :func:`dumps_canonical` writes it."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    return dumps_canonical(value)
+
+
+def _info_json(info: tuple[tuple[str, Any], ...]) -> str:
+    parts = []
+    previous = None
+    for key, value in info:
+        if type(key) is not str or (previous is not None and key <= previous):
+            # unsorted, duplicate or non-string keys: the dict rule decides
+            return dumps_canonical(dict(info))
+        parts.append(_json_str(key) + ":" + _value(value))
+        previous = key
+    return "{" + ",".join(parts) + "}"
+
+
+def _event_json(event: Event, flow_packet: Any, flow_packet_json: str) -> str:
+    """``event_to_dict(event)`` in canonical form (keys in sorted order).
+
+    Each field takes the inline branch for its usual type and
+    :func:`_value` for any other; ``flow_packet_json`` is the encoded
+    packet of the enclosing flow, reused when the event carries that very
+    key object.
+    """
+    dst = event.dst
+    out = (
+        '{"dst":' + (int.__repr__(dst) if type(dst) is int else _value(dst)) + ',"etype":'
+        if dst is not None
+        else '{"etype":'
+    )
+    etype = event.etype
+    out += _json_str(etype) if type(etype) is str else _value(etype)
+    if event.info:
+        out += ',"info":' + _info_json(event.info)
+    node = event.node
+    out += ',"node":' + (int.__repr__(node) if type(node) is int else _value(node))
+    packet = event.packet
+    if packet is not None:
+        out += ',"packet":' + (
+            flow_packet_json if packet is flow_packet else _json_str(str(packet))
+        )
+    src = event.src
+    if src is not None:
+        out += ',"src":' + (int.__repr__(src) if type(src) is int else _value(src))
+    time = event.time
+    if time is not None:
+        out += ',"time":' + (
+            float.__repr__(time) if type(time) is float and time - time == 0.0
+            else _value(time)
+        )
+    return out + "}"
+
+
+def _by_node(states: Mapping[int, Any]) -> str:
+    """A per-node map: keys ``str(node)`` in sorted order (a few nodes per
+    flow, handed to the C encoder as one small dict)."""
+    return _CANONICAL.encode({str(node): value for node, value in states.items()})
+
+
+def _flag(value: Any) -> str:
+    return "true" if value is True else "false" if value is False else _value(value)
+
+
+def flow_json(flow: EventFlow) -> str:
+    """A flow's canonical JSON, written straight from its fields.
+
+    The bytes :func:`dumps_canonical` writes for the flow's dict form
+    (:func:`event_to_dict` per event, ``str(node)`` keys, happens-before
+    pairs and visited states sorted): object keys in sorted order, strings
+    ASCII-escaped the way :mod:`json` escapes them, finite numbers as
+    :mod:`json` writes them, anything else through :func:`dumps_canonical`.
+    """
+    packet = flow.packet
+    packet_json = _json_str(str(packet))
+    entries = ",".join([
+        '{"event":' + _event_json(entry.event, packet, packet_json)
+        + ',"inferred":' + _flag(entry.inferred)
+        + ',"provenance":'
+        + (_json_str(entry.provenance) if type(entry.provenance) is str
+           else _value(entry.provenance))
+        + "}"
+        for entry in flow.entries
+    ])
+    return (
+        '{"anomalies":[' + ",".join([_value(a) for a in flow.anomalies])
+        + '],"entries":[' + entries
+        + '],"final_states":' + _by_node(flow.final_states)
+        + ',"happens_before":' + _CANONICAL.encode(sorted(flow.hb_edges))
+        + ',"omitted":['
+        + ",".join([_event_json(e, packet, packet_json) for e in flow.omitted])
+        + '],"packet":' + (packet_json if packet else "null")
+        + ',"visited_states":' + _by_node(
+            {node: sorted(states) for node, states in flow.visited_states.items()}
+        )
+        + "}"
+    )
+
+
+def _document_order(
+    flows: Mapping[PacketKey, EventFlow]
+) -> list[tuple[str, EventFlow]]:
+    """``(str(packet), flow)`` in string order (``"p1.10"`` before
+    ``"p1.2"``), as sorted keys order them."""
+    named = {str(packet): packet for packet in sorted(flows)}
+    return [(key, flows[named[key]]) for key in sorted(named)]
+
+
+def encode_flows(flows: Mapping[PacketKey, EventFlow]) -> str:
+    """The flows document: ``{"p<o>.<s>": flow_json(...)}``, canonical.
+
+    Each flow is encoded once and the pieces are joined once.
+    """
+    return "{" + ",".join(
+        [_json_str(key) + ":" + flow_json(flow) for key, flow in _document_order(flows)]
+    ) + "}"
+
+
+def _shared_decoder() -> json.JSONDecoder:
+    """A JSON decoder that keeps one copy of each string it meets.
+
+    :func:`json.loads` makes a fresh string for every value; decoded flows
+    repeat the same few labels, provenance notes and state names thousands
+    of times.  Flow documents nest strings at most one list deep (state
+    names, anomalies).
+    """
+    memo: dict[str, str] = {}
+    share = memo.setdefault
+
+    def pairs_hook(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        for key, value in pairs:
+            kind = type(value)
+            if kind is str:
+                value = share(value, value)
+            elif kind is list:
+                value = [share(v, v) if type(v) is str else v for v in value]
+            out[share(key, key)] = value
+        return out
+
+    return json.JSONDecoder(object_pairs_hook=pairs_hook)

@@ -2,10 +2,12 @@
 
 A deliberately tiny HTTP/1.1 subset over asyncio streams: parse the request
 line and headers, route, respond with a JSON body and ``Connection: close``.
-Responses that must be comparable across doors (``/flows``, ``/flow/<p>``,
-``/reports``) serialize through :func:`repro.core.serialize.dumps_canonical`
-— byte-identical to ``refill analyze --flows-out`` on the same lines, which
-is the serve layer's correctness contract.
+Responses that must be comparable across doors are canonical JSON:
+``/flows`` and ``/flow/<p>`` through the one flow encoder
+(:func:`repro.core.serialize.encode_flows` / ``flow_json``), ``/reports``
+through :func:`repro.core.serialize.dumps_canonical` — byte-identical to
+``refill analyze --flows-out`` on the same lines, which is the serve
+layer's correctness contract.
 
 The handler code here routes against
 :class:`~repro.serve.server.RefillServer`'s ``api_*`` surface, one async

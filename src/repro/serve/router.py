@@ -49,10 +49,15 @@ import pathlib
 import time
 from typing import Any, Mapping, Optional
 
-from repro.core.serialize import report_from_dict
+from repro.core.serialize import dumps_canonical, report_from_dict
 from repro.core.session import session_evidence
 from repro.events.packet import PacketKey
-from repro.obs.registry import MetricsSnapshot, get_registry, merge_shard_snapshots
+from repro.obs.registry import (
+    MetricsRegistry,
+    MetricsSnapshot,
+    get_registry,
+    merge_shard_snapshots,
+)
 from repro.obs.structlog import get_logger
 from repro.serve import protocol
 from repro.serve._compat import timeout
@@ -348,8 +353,8 @@ class ShardSet:
         }
         return [str(k) for k in sorted(keys)]
 
-    async def flows_json(self) -> dict[str, Any]:
-        return await self._merged("/flows")
+    async def flows_body(self) -> str:
+        return dumps_canonical(await self._merged("/flows"))
 
     async def reports_json(self) -> dict[str, Any]:
         return await self._merged("/reports")
@@ -388,12 +393,12 @@ class ShardSet:
                 corrupt[source] = corrupt.get(source, 0) + count
         return corrupt
 
-    async def metrics(self, own: MetricsSnapshot) -> MetricsSnapshot:
+    async def metrics(self, registry: MetricsRegistry) -> MetricsSnapshot:
         snapshots = [
             MetricsSnapshot.from_json(payload)
             for payload in await self._fanout_json("/metrics")
         ]
-        return merge_shard_snapshots(own, list(enumerate(snapshots)))
+        return merge_shard_snapshots(registry.snapshot(), list(enumerate(snapshots)))
 
     def update_gauges(self) -> None:
         """Shard gauges live in the shards (relabeled on merge)."""

@@ -279,7 +279,7 @@ class RefillServer:
         return dumps_canonical({"packets": await self.state.packets()})
 
     async def api_flows_body(self) -> str:
-        return dumps_canonical(await self.state.flows_json())
+        return await self.state.flows_body()
 
     async def api_reports_body(self) -> str:
         return dumps_canonical(await self.state.reports_json())
@@ -308,7 +308,7 @@ class RefillServer:
         }
 
     async def api_metrics_snapshot(self) -> MetricsSnapshot:
-        return await self.state.metrics(get_registry().snapshot())
+        return await self.state.metrics(get_registry())
 
     async def api_checkpoint(self, epoch: Optional[int]) -> tuple[int, dict[str, Any]]:
         """``POST /checkpoint``: commit now, or write one epoch's shard file.

@@ -40,8 +40,8 @@ from typing import Any, Mapping, Optional
 from repro.core.backends.incremental import IncrementalBackend
 from repro.core.serialize import (
     dumps_canonical,
-    flow_to_dict,
-    flows_to_json,
+    encode_flows,
+    flow_json,
     report_to_dict,
     reports_to_json,
 )
@@ -221,22 +221,22 @@ class ShardWorker:
     async def packets(self) -> list[str]:
         return [str(p) for p in self.session.packets()]
 
-    async def flows_json(self) -> dict[str, Any]:
-        return flows_to_json(self.session.flows())
+    async def flows_body(self) -> str:
+        return encode_flows(self.session.flows())
 
     async def reports_json(self) -> dict[str, Any]:
         return reports_to_json(self.session.reports())
 
     async def packet_body(self, kind: str, packet: PacketKey) -> tuple[int, str]:
         if kind == "flow":
-            found = self.session.flow(packet)
-            body = flow_to_dict(found) if found is not None else None
+            flow = self.session.flow(packet)
+            body = flow_json(flow) if flow is not None else None
         else:
-            found = self.session.reports().get(packet)
-            body = report_to_dict(found) if found is not None else None
+            report = self.session.reports().get(packet)
+            body = dumps_canonical(report_to_dict(report)) if report is not None else None
         if body is None:
             return 404, dumps_canonical({"error": f"unknown packet {packet}"})
-        return 200, dumps_canonical(body)
+        return 200, body
 
     async def summary_parts(self) -> tuple[Mapping[PacketKey, Any], int, int]:
         """``(reports, pending, batches_ingested)`` for ``/summary``."""
@@ -246,8 +246,16 @@ class ShardWorker:
     async def corrupt_lines(self) -> dict[str, int]:
         return dict(self.book.corrupt)
 
-    async def metrics(self, own: MetricsSnapshot) -> MetricsSnapshot:
-        return own
+    async def metrics(self, registry: MetricsRegistry) -> MetricsSnapshot:
+        """The snapshot, with ``refill.refresh.amplification``: flow
+        derivations (``refill.packets``) per distinct packet, 1.0 when every
+        packet was derived once."""
+        packets = len(self.session.packets())
+        if packets:
+            registry.gauge("refill.refresh.amplification").set(
+                registry.counter("refill.packets").value / packets
+            )
+        return registry.snapshot()
 
     def update_gauges(self) -> None:
         get_registry().gauge("serve.ingest.pending_packets").set(self.session.pending)

@@ -1,13 +1,1 @@
 """Small shared helpers: deterministic RNG streams, ASCII tables, stats."""
-
-from repro.util.rng import RngStreams
-from repro.util.tables import render_table
-from repro.util.stats import histogram, percentage_breakdown, time_buckets
-
-__all__ = [
-    "RngStreams",
-    "render_table",
-    "histogram",
-    "percentage_breakdown",
-    "time_buckets",
-]

@@ -7,7 +7,6 @@ merged counter totals — for every options configuration, including
 ``strip_times`` and the ablation switches.
 """
 
-import json
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from repro.core.backends import (
     ProcessPoolBackend,
     SerialBackend,
 )
-from repro.core.serialize import flow_to_dict
+from repro.core.serialize import flow_json
 from repro.core.session import ReconstructionSession, RefillOptions
 from repro.events.log import NodeLog
 from repro.lognet.collector import collect_logs
@@ -48,10 +47,7 @@ def corpus():
 
 def canonical(flows):
     """Byte-exact fingerprint of a reconstruction result."""
-    return {
-        str(p): json.dumps(flow_to_dict(f), sort_keys=True)
-        for p, f in flows.items()
-    }
+    return {str(p): flow_json(f) for p, f in flows.items()}
 
 
 def run_backend(logs, delivery_node, options, backend, *, ingest_batches=None):

@@ -159,6 +159,43 @@ class TestMetricsNegotiation:
         assert refresh_lines and not any("pending" in line for line in refresh_lines)
 
 
+class TestRefreshAmplification:
+    """``refill.refresh.amplification`` is the refresh waste ratio: flow
+    derivations (``refill.packets``) per distinct packet, per shard."""
+
+    @staticmethod
+    def _ratio(port: int) -> tuple[float, float]:
+        _, snapshot = http_json(port, "/metrics")
+        _, body = http_json(port, "/packets")
+        derived = snapshot["counters"]["refill.packets"]
+        return snapshot["gauges"]["refill.refresh.amplification"], derived / len(
+            body["packets"]
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_gauge_is_derivations_per_distinct_packet(self, store, tmp_path, shards):
+        config = ServeConfig(
+            store=str(store),
+            shards=shards,
+            checkpoint_path=str(tmp_path / "cp.json"),
+            checkpoint_interval=0.0,
+        )
+        with ServerThread(config) as running:
+            push_store(store, port=running.tcp_port)
+            wait_ready(running.http_port)
+            if shards == 1:
+                gauge, expected = self._ratio(running.http_port)
+                assert gauge == expected >= 1.0
+                return
+            _, merged = http_json(running.http_port, "/metrics")
+            for shard in range(shards):
+                port = running.listeners()[f"shard{shard}-http"]["port"]
+                gauge, expected = self._ratio(port)
+                assert gauge == expected >= 1.0
+                key = f"refill.refresh.amplification{{shard={shard}}}"
+                assert merged["gauges"][key] == gauge
+
+
 class TestDebugTrace:
     def test_records_appear_after_a_push(self, server):
         push_lines([DATA], port=server.tcp_port, source="dbg", trace="dbg-t1")
