@@ -16,11 +16,12 @@ Three microbenchmarks under the end-to-end serve numbers:
 - **Flow encoding** — flows/s of the one flow encoder
   (:func:`~repro.core.serialize.encode_flows`, the bytes of ``refill
   analyze --flows-out`` and ``/flows``) over the corpus's reconstructed
-  flows, against the dict route it replaced (a dict per flow, then
-  ``dumps_canonical`` of the whole document), byte-checked.
+  flows, against the dict route (:func:`~repro.core.serialize.flows_to_json`,
+  a dict per flow, then ``dumps_canonical`` of the whole document),
+  byte-checked.
 
-The legacy comparators are the test oracles in ``tests/events/oracle.py``,
-``tests/fsm/oracle.py`` and ``tests/core/oracle.py``.
+The legacy tokenizer and reachability comparators are the test oracles in
+``tests/events/oracle.py`` and ``tests/fsm/oracle.py``.
 
 The run writes ``BENCH_decode.json`` at the repo root (schema-stamped like
 ``BENCH_serve.json``); ``bench_history.py`` gates its rates so a tokenizer,
@@ -34,7 +35,7 @@ import pathlib
 import time
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.serialize import dumps_canonical, encode_flows
+from repro.core.serialize import dumps_canonical, encode_flows, flows_to_json
 from repro.core.session import ReconstructionSession
 from repro.events.codec import decode_text, encode_event, scan_log_text
 from repro.fsm.templates import forwarder_template
@@ -43,7 +44,6 @@ from repro.simnet.scenarios import citysee
 from repro.util.tables import render_table
 
 from benchmarks.conftest import BENCH_SCHEMA, bench_seed, run_metadata
-from tests.core.oracle import oracle_flows_to_json
 from tests.events.oracle import scan_log_text_legacy
 from tests.fsm.oracle import Reachability
 
@@ -135,7 +135,7 @@ def test_decode_reachability_and_encode_throughput(emit):
 
     encode_s, encoded = _best_of(lambda: encode_flows(flows))
     dict_route_s, dict_route = _best_of(
-        lambda: dumps_canonical(oracle_flows_to_json(flows))
+        lambda: dumps_canonical(flows_to_json(flows))
     )
     assert encoded == dict_route  # the same document, byte for byte
 
@@ -156,7 +156,7 @@ def test_decode_reachability_and_encode_throughput(emit):
                 ("reach lookup (compiled)", queries, f"{compiled_s:.4f}", int(compiled_rate)),
                 ("reach lookup (legacy)", queries, f"{legacy_walk_s:.4f}", int(legacy_walk_rate)),
                 ("encode flows (encoder)", len(flows), f"{encode_s:.4f}", int(encode_rate)),
-                ("encode flows (oracle)", len(flows), f"{dict_route_s:.4f}", int(dict_route_rate)),
+                ("encode flows (dict route)", len(flows), f"{dict_route_s:.4f}", int(dict_route_rate)),
             ],
             title=(
                 f"S3 — decode→inference→encode microbenchmarks, "
@@ -187,7 +187,7 @@ def test_decode_reachability_and_encode_throughput(emit):
         },
         "encode": {
             "flows_per_s": round(encode_rate, 1),
-            "oracle_flows_per_s": round(dict_route_rate, 1),
+            "dict_route_flows_per_s": round(dict_route_rate, 1),
             "speedup": round(encode_rate / dict_route_rate, 2),
         },
     }

@@ -12,7 +12,9 @@ pieces into the flows document every door serves (``refill analyze
 --flows-out``, ``/flows``, ``/flow/<p>``).  A flow depends only on its own
 packet's evidence (paper §IV), so each flow's bytes are built once and
 joined once, with no dict copy of the document.  :func:`flow_to_dict` and
-:func:`flows_to_json` are those bytes, decoded.
+:func:`flows_to_json` build the same document as plain dicts, field by
+field: a second, independent route to the same bytes through
+:func:`dumps_canonical`.
 """
 
 from __future__ import annotations
@@ -56,8 +58,25 @@ def event_from_dict(data: Mapping[str, Any]) -> Event:
 
 
 def flow_to_dict(flow: EventFlow) -> dict[str, Any]:
-    """JSON-compatible representation of a flow: :func:`flow_json`, decoded."""
-    return _shared_decoder().decode(flow_json(flow))
+    """JSON-compatible representation of a flow."""
+    return {
+        "packet": str(flow.packet) if flow.packet else None,
+        "entries": [
+            {
+                "event": event_to_dict(e.event),
+                "inferred": e.inferred,
+                "provenance": e.provenance,
+            }
+            for e in flow.entries
+        ],
+        "happens_before": sorted(list(edge) for edge in flow.hb_edges),
+        "omitted": [event_to_dict(e) for e in flow.omitted],
+        "anomalies": list(flow.anomalies),
+        "final_states": {str(n): s for n, s in flow.final_states.items()},
+        "visited_states": {
+            str(n): sorted(states) for n, states in flow.visited_states.items()
+        },
+    }
 
 
 def flow_from_dict(data: Mapping[str, Any]) -> EventFlow:
@@ -102,16 +121,8 @@ def report_from_dict(data: Mapping[str, Any]) -> LossReport:
 
 
 def flows_to_json(flows: Mapping[PacketKey, EventFlow]) -> dict[str, Any]:
-    """``{"p<o>.<s>": flow_to_dict(...)}``: :func:`encode_flows`, decoded.
-
-    Decoded flow by flow through one string-sharing decoder, so the view
-    holds one copy of each repeated key, label and state name, as a dict
-    built from the flows' own fields would.
-    """
-    decoder = _shared_decoder()
-    return {
-        key: decoder.decode(flow_json(flow)) for key, flow in _document_order(flows)
-    }
+    """``{"p<o>.<s>": flow_to_dict(...)}`` sorted by packet key."""
+    return {str(packet): flow_to_dict(flows[packet]) for packet in sorted(flows)}
 
 
 def reports_to_json(reports: Mapping[PacketKey, LossReport]) -> dict[str, Any]:
@@ -149,6 +160,8 @@ def _value(value: Any) -> str:
         return int.__repr__(value)
     if kind is float and value - value == 0.0:  # finite
         return float.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
     return dumps_canonical(value)
 
 
@@ -167,37 +180,23 @@ def _info_json(info: tuple[tuple[str, Any], ...]) -> str:
 def _event_json(event: Event, flow_packet: Any, flow_packet_json: str) -> str:
     """``event_to_dict(event)`` in canonical form (keys in sorted order).
 
-    Each field takes the inline branch for its usual type and
-    :func:`_value` for any other; ``flow_packet_json`` is the encoded
-    packet of the enclosing flow, reused when the event carries that very
-    key object.
+    ``flow_packet_json`` is the encoded packet of the enclosing flow,
+    reused when the event carries that very key object.
     """
-    dst = event.dst
-    out = (
-        '{"dst":' + (int.__repr__(dst) if type(dst) is int else _value(dst)) + ',"etype":'
-        if dst is not None
-        else '{"etype":'
-    )
-    etype = event.etype
-    out += _json_str(etype) if type(etype) is str else _value(etype)
+    out = '{"dst":' + _value(event.dst) + "," if event.dst is not None else "{"
+    out += '"etype":' + _value(event.etype)
     if event.info:
         out += ',"info":' + _info_json(event.info)
-    node = event.node
-    out += ',"node":' + (int.__repr__(node) if type(node) is int else _value(node))
+    out += ',"node":' + _value(event.node)
     packet = event.packet
     if packet is not None:
         out += ',"packet":' + (
             flow_packet_json if packet is flow_packet else _json_str(str(packet))
         )
-    src = event.src
-    if src is not None:
-        out += ',"src":' + (int.__repr__(src) if type(src) is int else _value(src))
-    time = event.time
-    if time is not None:
-        out += ',"time":' + (
-            float.__repr__(time) if type(time) is float and time - time == 0.0
-            else _value(time)
-        )
+    if event.src is not None:
+        out += ',"src":' + _value(event.src)
+    if event.time is not None:
+        out += ',"time":' + _value(event.time)
     return out + "}"
 
 
@@ -205,10 +204,6 @@ def _by_node(states: Mapping[int, Any]) -> str:
     """A per-node map: keys ``str(node)`` in sorted order (a few nodes per
     flow, handed to the C encoder as one small dict)."""
     return _CANONICAL.encode({str(node): value for node, value in states.items()})
-
-
-def _flag(value: Any) -> str:
-    return "true" if value is True else "false" if value is False else _value(value)
 
 
 def flow_json(flow: EventFlow) -> str:
@@ -224,10 +219,8 @@ def flow_json(flow: EventFlow) -> str:
     packet_json = _json_str(str(packet))
     entries = ",".join([
         '{"event":' + _event_json(entry.event, packet, packet_json)
-        + ',"inferred":' + _flag(entry.inferred)
-        + ',"provenance":'
-        + (_json_str(entry.provenance) if type(entry.provenance) is str
-           else _value(entry.provenance))
+        + ',"inferred":' + _value(entry.inferred)
+        + ',"provenance":' + _value(entry.provenance)
         + "}"
         for entry in flow.entries
     ])
@@ -251,8 +244,9 @@ def _document_order(
 ) -> list[tuple[str, EventFlow]]:
     """``(str(packet), flow)`` in string order (``"p1.10"`` before
     ``"p1.2"``), as sorted keys order them."""
-    named = {str(packet): packet for packet in sorted(flows)}
-    return [(key, flows[named[key]]) for key in sorted(named)]
+    return sorted(
+        ((str(packet), flow) for packet, flow in flows.items()), key=lambda kv: kv[0]
+    )
 
 
 def encode_flows(flows: Mapping[PacketKey, EventFlow]) -> str:
@@ -264,27 +258,3 @@ def encode_flows(flows: Mapping[PacketKey, EventFlow]) -> str:
         [_json_str(key) + ":" + flow_json(flow) for key, flow in _document_order(flows)]
     ) + "}"
 
-
-def _shared_decoder() -> json.JSONDecoder:
-    """A JSON decoder that keeps one copy of each string it meets.
-
-    :func:`json.loads` makes a fresh string for every value; decoded flows
-    repeat the same few labels, provenance notes and state names thousands
-    of times.  Flow documents nest strings at most one list deep (state
-    names, anomalies).
-    """
-    memo: dict[str, str] = {}
-    share = memo.setdefault
-
-    def pairs_hook(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for key, value in pairs:
-            kind = type(value)
-            if kind is str:
-                value = share(value, value)
-            elif kind is list:
-                value = [share(v, v) if type(v) is str else v for v in value]
-            out[share(key, key)] = value
-        return out
-
-    return json.JSONDecoder(object_pairs_hook=pairs_hook)

@@ -1,11 +1,11 @@
-"""The one flow encoder against the dict route it replaced.
+"""The one flow encoder against the dict route.
 
 :func:`repro.core.serialize.flow_json` writes canonical JSON straight from
-a flow's fields; ``dumps_canonical(oracle_flow_to_dict(flow))`` (the
-oracle in ``tests/core/oracle.py``) is what every door wrote before.  The
-two must agree byte for byte on every flow, including the values the
-inline branches do not take: escapes and non-ASCII text, signed zero,
-exponents and non-finite times, non-string info values, packet-less
+a flow's fields; ``dumps_canonical(flow_to_dict(flow))`` builds the same
+document as a plain dict, field by field, and is what every door wrote
+before.  The two must agree byte for byte on every flow, including the
+values that leave the common case: escapes and non-ASCII text, signed
+zero, exponents and non-finite times, non-string info values, packet-less
 flows, and keys whose string order differs from their numeric order.
 """
 
@@ -25,7 +25,6 @@ from repro.core.serialize import (
 )
 from repro.events.event import Event
 from repro.events.packet import PacketKey
-from tests.core.oracle import oracle_flow_to_dict, oracle_flows_to_json
 from tests.strategies import SAFE_TEXT, event_flows, packet_keys
 
 #: Text the JSON encoder must escape, or write as ``\\uXXXX``.
@@ -62,8 +61,8 @@ NODES_FLOW = _flow(nodes=(10, 9, 100))
 UNSORTED_INFO_FLOW = _flow(info=(("z", 1), ("a", 2), ("a", 3)))
 
 
-def _oracle_bytes(flow) -> str:
-    return dumps_canonical(oracle_flow_to_dict(flow))
+def _dict_route(flow) -> str:
+    return dumps_canonical(flow_to_dict(flow))
 
 
 @given(event_flows())
@@ -75,7 +74,7 @@ def _oracle_bytes(flow) -> str:
 @example(UNSORTED_INFO_FLOW)
 @example(EventFlow())
 def test_flow_json_matches_the_dict_route(flow):
-    assert flow_json(flow) == _oracle_bytes(flow)
+    assert flow_json(flow) == _dict_route(flow)
 
 
 _SCALARS = (
@@ -89,7 +88,7 @@ _SCALARS = (
 
 @st.composite
 def wild_flows(draw):
-    """Flows whose fields leave the inline branches: any text, any float
+    """Flows whose fields leave the common case: any text, any float
     (signed zero, non-finite), info values of every JSON scalar type."""
     packet = draw(st.none() | packet_keys)
     flow = EventFlow(packet)
@@ -118,7 +117,7 @@ def wild_flows(draw):
 
 @given(wild_flows())
 def test_flow_json_matches_the_dict_route_on_any_value(flow):
-    assert flow_json(flow) == _oracle_bytes(flow)
+    assert flow_json(flow) == _dict_route(flow)
 
 
 @given(st.lists(event_flows(), max_size=6))
@@ -126,7 +125,7 @@ def test_flow_json_matches_the_dict_route_on_any_value(flow):
 def test_encode_flows_matches_the_dict_route(flow_list):
     # p1.2, p1.10, p1.18, ...: string order differs from packet-key order
     flows = {PacketKey(1, 2 + 8 * i): flow for i, flow in enumerate(flow_list)}
-    assert encode_flows(flows) == dumps_canonical(oracle_flows_to_json(flows))
+    assert encode_flows(flows) == dumps_canonical(flows_to_json(flows))
 
 
 def test_document_keys_are_in_string_order():
@@ -138,12 +137,3 @@ def test_document_keys_are_in_string_order():
 def test_final_states_keys_are_in_string_order():
     assert list(json.loads(flow_json(NODES_FLOW))["final_states"]) == ["10", "100", "9"]
 
-
-@given(event_flows())
-@example(TEXT_FLOW)
-@example(INFO_FLOW)
-@example(PACKETLESS_FLOW)
-def test_dict_views_equal_the_oracle_dicts(flow):
-    assert flow_to_dict(flow) == oracle_flow_to_dict(flow)
-    flows = {PacketKey(4, 4): flow}
-    assert flows_to_json(flows) == oracle_flows_to_json(flows)
