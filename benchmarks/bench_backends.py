@@ -1,11 +1,8 @@
 """S2 — execution backends: throughput and peak memory per strategy.
 
 The session layer promises backend-independent *results*; this benchmark
-records the backend-dependent *costs*: packets/second per backend and the
-peak working set of full-materialization vs streaming reconstruction.  The
-streaming row demonstrates the bounded-batch path end to end: groups are
-materialized at most ``batch_size`` at a time (asserted), at the price of
-re-scanning the corpus once per key window.
+records the backend-dependent *costs*: packets/second and Python peak
+memory per backend over the same corpus.
 """
 
 import json
@@ -17,7 +14,6 @@ import tracemalloc
 from repro.analysis.pipeline import default_loss_spec, run_simulation
 from repro.core.backends import ProcessPoolBackend, SerialBackend
 from repro.core.session import ReconstructionSession
-from repro.events.merge import iter_packet_groups
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
 from repro.util.tables import render_table
@@ -60,9 +56,6 @@ def test_backend_throughput(emit):
         ).reconstruct(logs),
         "process(2)": lambda: ReconstructionSession(
             backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=100
-        ).reconstruct(logs),
-        "serial+stream": lambda: ReconstructionSession(
-            backend=SerialBackend(), stream=True, batch_size=64
         ).reconstruct(logs),
     }
     rows = []
@@ -112,46 +105,3 @@ def test_backend_throughput(emit):
         + "\n"
     )
 
-
-def test_streaming_bounds_group_materialization():
-    """The streaming path must never hold more than batch_size groups."""
-    logs = prepare(n_nodes=60)
-    batch_size = 32
-    peak_groups = 0
-    total = 0
-    for batch in iter_packet_groups(logs, batch_size=batch_size):
-        peak_groups = max(peak_groups, len(batch))
-        total += len(batch)
-    assert peak_groups <= batch_size
-    assert total > batch_size  # the corpus genuinely exceeded one window
-
-
-def test_streaming_peak_memory_below_full_grouping(emit):
-    """Bounded batching keeps the grouping working set well under the
-    one-pass full grouping on the same corpus."""
-    from repro.events.merge import group_by_packet
-
-    logs = prepare(n_nodes=120, days=2)
-
-    def full():
-        return len(group_by_packet(logs))
-
-    def streamed():
-        count = 0
-        for batch in iter_packet_groups(logs, batch_size=32):
-            count += len(batch)
-        return count
-
-    n_full, t_full, peak_full = timed(full)
-    n_stream, t_stream, peak_stream = timed(streamed)
-    assert n_full == n_stream
-    table = render_table(
-        ["grouping", "packets", "wall_s", "py_peak_MB"],
-        [
-            ("one-pass", n_full, f"{t_full:.3f}", f"{peak_full / 1e6:.2f}"),
-            ("streamed(32)", n_stream, f"{t_stream:.3f}", f"{peak_stream / 1e6:.2f}"),
-        ],
-    )
-    emit("bench_backends_memory", table)
-    # the point of the exercise: bounded batches need less live memory
-    assert peak_stream < peak_full

@@ -75,7 +75,6 @@ METRIC_SPECS: dict[str, tuple[MetricSpec, ...]] = {
     ),
     "backends": (
         MetricSpec("backends.serial.packets_per_s", "higher", 0.40),
-        MetricSpec("backends.serial+stream.packets_per_s", "higher", 0.40),
     ),
     "decode": (
         MetricSpec("tokenize.lines_per_s", "higher", 0.40),

@@ -15,7 +15,8 @@ corrupts every reconstructed event flow.  This package verifies a deployment
   (schema conformance, append-order sanity, packet referential integrity,
   unknown labels, corrupt lines);
 - :mod:`repro.check.code` — AST-based concurrency & determinism lint over
-  the Python sources themselves (``refill check --code``, ``CC*`` codes);
+  the Python sources themselves (``refill check --code``, ``CC*`` codes;
+  import :func:`~repro.check.code.check_code` from there);
 - :mod:`repro.check.runner` — orchestration plus the pre-flight gate used
   by :mod:`repro.analysis.pipeline`;
 - :mod:`repro.check.specs` — named deployment specs for the CLI.
@@ -24,7 +25,6 @@ corrupts every reconstructed event flow.  This package verifies a deployment
 example and remediation.
 """
 
-from repro.check.code import check_code
 from repro.check.corpus import check_corpus
 from repro.check.crossfsm import DeploymentSpec, check_templates
 from repro.check.findings import (
@@ -44,7 +44,6 @@ __all__ = [
     "PreflightError",
     "RULES",
     "Severity",
-    "check_code",
     "check_corpus",
     "check_templates",
     "load_spec",

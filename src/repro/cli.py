@@ -49,14 +49,14 @@ from repro.analysis.causes import attribute_server_outages, cause_shares, sink_s
 from repro.analysis.report import render_cause_shares
 from repro.baselines.sink_view import SinkView
 from repro.check import Severity, load_spec, run_check
-from repro.check.corpus import CorpusLint, check_corpus
+from repro.check.corpus import CorpusLint
 from repro.check.runner import model_errors, record_corpus
 from repro.core.backends import BACKENDS, make_backend
 from repro.core.session import ReconstructionSession
 from repro.core.tracing import trace_packet
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
-from repro.events.store import ShardedStore, StoreMetadata, load_store, save_store
+from repro.events.store import ShardTap, StoreMetadata, load_store, save_store
 from repro.obs import (
     DEBUG,
     ERROR,
@@ -272,69 +272,39 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             log.error("analyze.preflight-failed", hint="rerun with --no-check to force")
             return 1
         with span("analyze"):
-            if args.stream:
-                # shard-at-a-time: the corpus never has to fit in memory
-                sharded = _open_store("analyze", args.logs, ShardedStore)
-                if sharded is None:
-                    return 2
-                if not args.no_check:
-                    # the stream re-scans per window; the lint takes one pass
-                    with span("check.corpus"):
-                        _report_corpus(*check_corpus(args.logs, spec))
-                meta = sharded.metadata
-                log.info(
-                    "analyze.reconstructing",
-                    node_logs=len(sharded.nodes()),
-                    backend=args.backend,
-                    stream=True,
+            lint = None if args.no_check else CorpusLint(spec)
+            with span("analyze.load"):
+                loaded = _open_store(
+                    "analyze", args.logs, tap=lint.tap if lint is not None else None
                 )
-                flows, reports, _est = _diagnose_store(
-                    sharded,
-                    template=template,
-                    backend_name=args.backend,
-                    workers=args.workers,
-                    batch_size=args.batch_size,
-                    stream=True,
-                )
-                corrupt_lines = sharded.corrupt_lines
-            else:
-                lint = None if args.no_check else CorpusLint(spec)
-                tap = lint.tap if lint is not None else None
-                with span("analyze.load"):
-                    loaded = _open_store(
-                        "analyze", args.logs, lambda logs: load_store(logs, tap=tap)
-                    )
-                if loaded is None:
-                    return 2
-                if lint is not None:
-                    _report_corpus(*lint.result())
-                log.debug(
-                    "analyze.store-loaded",
-                    logs=args.logs,
-                    node_logs=len(loaded.logs),
-                    corrupt_lines=sum(loaded.corrupt_lines.values()),
-                )
-                registry.counter("analyze.events.parsed").inc(loaded.total_events)
-                meta = loaded.metadata
-                log.info(
-                    "analyze.reconstructing",
-                    node_logs=len(loaded.logs),
-                    events=loaded.total_events,
-                    backend=args.backend,
-                )
-                flows, reports, _est = _diagnose_store(
-                    loaded,
-                    template=template,
-                    backend_name=args.backend,
-                    workers=args.workers,
-                    batch_size=args.batch_size,
-                )
-                corrupt_lines = loaded.corrupt_lines
-            _report_corrupt_lines(registry, corrupt_lines)
+            if loaded is None:
+                return 2
+            if lint is not None:
+                _report_corpus(*lint.result())
+            log.debug(
+                "analyze.store-loaded",
+                logs=args.logs,
+                node_logs=len(loaded.logs),
+                corrupt_lines=sum(loaded.corrupt_lines.values()),
+            )
+            registry.counter("analyze.events.parsed").inc(loaded.total_events)
+            log.info(
+                "analyze.reconstructing",
+                node_logs=len(loaded.logs),
+                events=loaded.total_events,
+                backend=args.backend,
+            )
+            flows, reports, _est = _diagnose_store(
+                loaded,
+                template=template,
+                backend_name=args.backend,
+                workers=args.workers,
+            )
+            _report_corrupt_lines(registry, loaded.corrupt_lines)
         lost = sum(1 for r in reports.values() if r.lost)
         print(f"{len(flows)} packets reconstructed, {lost} diagnosed as lost\n")
         print(render_cause_shares(cause_shares(reports)))
-        split = sink_split(reports, meta.sink)
+        split = sink_split(reports, loaded.metadata.sink)
         print()
         for key, value in split.items():
             print(f"  {key:<16} {value:5.1f}%")
@@ -352,10 +322,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_store(command: str, logs, opener=load_store):
-    """``opener(logs)``, or ``None`` after one ``<command>.bad-store`` error."""
+def _open_store(command: str, logs, tap: Optional[ShardTap] = None):
+    """``load_store(logs, tap=tap)``, or ``None`` after one
+    ``<command>.bad-store`` error."""
     try:
-        return opener(logs)
+        return load_store(logs, tap=tap)
     except ValueError as exc:
         log.error(f"{command}.bad-store", logs=str(logs), error=str(exc))
         return None
@@ -378,35 +349,25 @@ def _diagnose_store(
     template=None,
     backend_name: str = "serial",
     workers: Optional[int] = None,
-    batch_size: int = 256,
-    stream: bool = False,
 ):
-    """Shared reconstruct + diagnose over a loaded or sharded store.
+    """Shared reconstruct + diagnose over a loaded store.
 
     Every door goes through one :class:`ReconstructionSession`; the backend
     is the only variable.  ``store`` is a
-    :class:`~repro.events.store.LoadedStore` (in-memory) or a
-    :class:`~repro.events.store.ShardedStore` (shard-at-a-time).
-    ``template`` overrides the inference model (``analyze --spec``);
-    ``None`` keeps the hand-written CTP forwarder default.
+    :class:`~repro.events.store.LoadedStore`.  ``template`` overrides the
+    inference model (``analyze --spec``); ``None`` keeps the hand-written
+    CTP forwarder default.
     """
     meta = store.metadata
     bs = meta.base_station
-    if isinstance(store, ShardedStore):
-        logs_source = store
-        bs_log: NodeLog = store.load_node(bs)
-    else:
-        logs_source = store.logs
-        bs_log = store.logs.get(bs, NodeLog(bs))
+    bs_log = store.logs.get(bs, NodeLog(bs))
     session = ReconstructionSession(
         template,
         backend=make_backend(backend_name, workers=workers),
         delivery_node=bs,
-        batch_size=batch_size,
-        stream=stream,
     )
     with span("analyze.reconstruct"):
-        flows = session.reconstruct(logs_source)
+        flows = session.reconstruct(store.logs)
     with span("analyze.diagnose"):
         reports = session.diagnose(flows)
         bs_arrivals = [
@@ -747,15 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker processes for --backend process (default: cpu count)",
-    )
-    p_an.add_argument(
-        "--batch-size", type=int, default=256, metavar="K",
-        help="packet groups per submitted batch (default: 256)",
-    )
-    p_an.add_argument(
-        "--stream", action="store_true",
-        help="decode log shards one at a time instead of loading the "
-             "whole store into memory (bounded working set)",
     )
     p_an.set_defaults(fn=_cmd_analyze)
 

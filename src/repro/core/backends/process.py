@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.core.backends.base import ExecutionBackend, ExecutionPlan, TemplateFactory
 from repro.core.event_flow import EventFlow
@@ -32,6 +31,9 @@ from repro.events.merge import PacketGroup
 from repro.events.packet import PacketKey
 from repro.fsm.templates import FsmTemplate
 from repro.obs.registry import MetricsRegistry, get_registry, use_registry
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 # per-worker state, initialized once per process
 _worker_template: Optional[FsmTemplate] = None
@@ -69,8 +71,8 @@ class ProcessPoolBackend(ExecutionBackend):
         reconstruction runs serially on ``finish``.
     max_inflight:
         Cap on unfinished pool tasks (default ``2 * workers``); ``submit``
-        drains completed ones past the cap, so the streaming path keeps a
-        bounded number of batches pickled at any moment.
+        drains completed ones past the cap, so a run keeps a bounded
+        number of batches pickled at any moment.
     """
 
     name = "process"
@@ -139,6 +141,9 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
 
     def _open_pool(self) -> ProcessPoolExecutor:
+        # imported here so serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         plan = self._plan()
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,

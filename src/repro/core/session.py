@@ -2,7 +2,7 @@
 
 REFILL's per-packet independence means one pipeline serves every workload —
 batch, parallel, and live.  :class:`ReconstructionSession` owns that
-pipeline: stream packet groups out of the merge layer, apply
+pipeline: group events by packet in the merge layer, apply
 :class:`RefillOptions` (including ``strip_times``) in exactly one place,
 delegate execution to a pluggable
 :class:`~repro.core.backends.ExecutionBackend`, diagnose, and record
@@ -13,10 +13,9 @@ which door you enter through.
 
 Two driving modes:
 
-- **one-shot** — :meth:`reconstruct` pulls batches of *complete* packet
-  groups from a log collection (or a shard source, with ``stream=True``
-  bounding how many groups are ever materialized) and pushes them through
-  the backend;
+- **one-shot** — :meth:`reconstruct` groups a log collection into
+  *complete* packet groups in one pass and pushes them through the backend
+  in batches;
 - **streaming ingest** — :meth:`ingest` feeds *partial* evidence batches to
   an accumulating backend (live collection rounds); :meth:`refresh`
   re-derives exactly the dirtied flows and re-diagnoses them.
@@ -43,12 +42,7 @@ from repro.core.transition_algorithm import (
 from repro.events.codec import intern_vocabulary
 from repro.events.event import Event
 from repro.events.log import NodeLog
-from repro.events.merge import (
-    Logs,
-    PacketGroup,
-    group_by_packet,
-    iter_packet_groups,
-)
+from repro.events.merge import Logs, PacketGroup, group_by_packet
 from repro.events.packet import PacketKey
 from repro.fsm.templates import FsmTemplate, forwarder_template
 from repro.obs.registry import get_registry
@@ -113,14 +107,8 @@ class ReconstructionSession:
         Base-station node id for :meth:`diagnose` (``None`` disables
         delivery detection).
     batch_size:
-        Packet groups per backend submission; in ``stream`` mode also the
-        bound on simultaneously materialized groups.
-    stream:
-        Use the bounded two-phase grouping of
-        :func:`repro.events.merge.iter_packet_groups` instead of one-pass
-        full grouping — with a re-scannable shard source
-        (:class:`repro.events.store.ShardedStore`) the corpus never has to
-        fit in memory.
+        Packet groups per backend submission (the process pool's task
+        size).
     """
 
     def __init__(
@@ -132,7 +120,6 @@ class ReconstructionSession:
         template_factory: Optional[TemplateFactory] = None,
         delivery_node: Optional[int] = None,
         batch_size: int = 256,
-        stream: bool = False,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -146,7 +133,6 @@ class ReconstructionSession:
         self.backend = backend if backend is not None else SerialBackend()
         self.delivery_node = delivery_node
         self.batch_size = batch_size
-        self.stream = stream
         self.batches_ingested = 0
         self._started = False
         #: streaming-ingest caches (refresh keeps them current)
@@ -159,8 +145,7 @@ class ReconstructionSession:
     def reconstruct(self, logs: Logs) -> dict[PacketKey, EventFlow]:
         """Event flow of every packet mentioned anywhere in ``logs``.
 
-        ``logs`` is an in-memory ``{node: NodeLog}`` mapping or any shard
-        source with a re-iterable ``iter_logs()``.  Runs the backend's full
+        ``logs`` is a ``{node: NodeLog}`` mapping.  Runs the backend's full
         lifecycle and releases it; the returned map is sorted by packet key
         regardless of the backend's completion order.
         """
@@ -358,9 +343,6 @@ class ReconstructionSession:
             self._started = True
 
     def _batches(self, logs: Logs):
-        if self.stream:
-            yield from iter_packet_groups(logs, batch_size=self.batch_size)
-            return
         with span("reconstruct.merge"):
             groups = sorted(group_by_packet(logs).items())
         for i in range(0, len(groups), self.batch_size):

@@ -15,15 +15,12 @@ from repro.events.merge import (
     merge_logs,
     interleave_round_robin,
     group_by_packet,
-    iter_packet_groups,
     split_collection_rounds,
 )
-from repro.events.store import ShardedStore, iter_store_logs, load_store, save_store
+from repro.events.store import iter_store_logs, load_store, save_store
 
 __all__ = [
-    "iter_packet_groups",
     "split_collection_rounds",
-    "ShardedStore",
     "iter_store_logs",
     "load_store",
     "save_store",

@@ -9,7 +9,7 @@ algorithm later recovers the true cross-node ordering.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator, Mapping, Protocol, Union, runtime_checkable
+from typing import Iterator, Mapping
 
 from repro.events.event import Event
 from repro.events.log import NodeLog
@@ -18,33 +18,14 @@ from repro.events.packet import PacketKey
 #: One packet's evidence: per-node ordered event lists.
 PacketGroup = tuple[PacketKey, dict[int, list[Event]]]
 
-
-@runtime_checkable
-class LogSource(Protocol):
-    """Anything that can hand out per-node logs one shard at a time.
-
-    ``iter_logs`` must be *re-iterable* (each call starts a fresh pass) —
-    the bounded grouping in :func:`iter_packet_groups` scans the source
-    once per key window, which is what lets a corpus larger than memory be
-    reconstructed shard by shard (see
-    :class:`repro.events.store.ShardedStore`).
-    """
-
-    def iter_logs(self) -> Iterator[tuple[int, NodeLog]]: ...
-
-
-#: What the merge layer accepts: an in-memory collection or a shard source.
-Logs = Union[Mapping[int, NodeLog], LogSource]
+#: What the merge layer accepts: per-node logs keyed by node id.
+Logs = Mapping[int, NodeLog]
 
 
 def iter_node_logs(logs: Logs) -> Iterator[tuple[int, NodeLog]]:
-    """One pass over ``logs`` as ``(node, log)`` pairs, node order ascending
-    for mappings (shard sources define their own order)."""
-    if isinstance(logs, Mapping):
-        for node in sorted(logs):
-            yield node, logs[node]
-    else:
-        yield from logs.iter_logs()
+    """``logs`` as ``(node, log)`` pairs, node order ascending."""
+    for node in sorted(logs):
+        yield node, logs[node]
 
 
 def interleave_round_robin(logs: Mapping[int, NodeLog]) -> list[Event]:
@@ -93,47 +74,6 @@ def group_by_packet(
                 continue
             grouped[event.packet].setdefault(node, []).append(event)
     return dict(grouped)
-
-
-def packets_in(logs: Logs) -> list[PacketKey]:
-    """All packet keys mentioned anywhere, sorted by (origin, seq)."""
-    keys: set[PacketKey] = set()
-    for _node, log in iter_node_logs(logs):
-        keys |= log.packets()
-    return sorted(keys)
-
-
-def iter_packet_groups(
-    logs: Logs, *, batch_size: int = 256
-) -> Iterator[list[PacketGroup]]:
-    """Stream complete packet groups in sorted key order, ``batch_size`` at
-    a time, without materializing the whole grouping.
-
-    Pass 1 collects only the packet *keys* (a few dozen bytes per packet);
-    each subsequent pass re-scans the logs and extracts the events of one
-    key window.  Peak group memory is ``O(batch_size)`` instead of
-    ``O(total packets)`` — with a re-scannable shard source
-    (:class:`repro.events.store.ShardedStore`) the corpus never has to fit
-    in memory at all.  The trade is ``ceil(packets / batch_size)`` scans
-    over the logs, so callers pick the batch size to match their memory
-    budget (the one-shot session path skips this and groups in one pass).
-
-    Every yielded group is *complete*: all surviving evidence for that
-    packet, per node, in log order — exactly what
-    :func:`group_by_packet` would have produced for it.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    keys = packets_in(logs)
-    for start in range(0, len(keys), batch_size):
-        window = keys[start : start + batch_size]
-        wanted = set(window)
-        grouped: dict[PacketKey, dict[int, list[Event]]] = {k: {} for k in window}
-        for node, log in iter_node_logs(logs):
-            for event in log:
-                if event.packet is not None and event.packet in wanted:
-                    grouped[event.packet].setdefault(node, []).append(event)
-        yield [(key, grouped[key]) for key in window]
 
 
 def split_collection_rounds(

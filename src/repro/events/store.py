@@ -155,9 +155,8 @@ def iter_store_logs(
 ) -> Iterator[tuple[int, NodeLog, int]]:
     """Decode one ``node_*.log`` shard at a time: ``(node, log, bad_lines)``.
 
-    Only one shard's events are alive per step — the streaming substrate for
-    corpora that do not fit in memory.  Bad lines are skipped and counted,
-    as in :func:`load_store`.  ``tap`` sees each shard's scan on the way.
+    Bad lines are skipped and counted, as in :func:`load_store`.  ``tap``
+    sees each shard's scan on the way.
     """
     for node, file in store_shards(directory):
         log, bad = _decode_shard(file, node, tap)
@@ -197,44 +196,3 @@ def load_store(directory, *, tap: Optional[ShardTap] = None) -> LoadedStore:
             corrupt[node] = bad
     return LoadedStore(logs=logs, metadata=metadata, corrupt_lines=corrupt)
 
-
-class ShardedStore:
-    """Re-scannable shard-at-a-time view of a store directory.
-
-    Satisfies the :class:`repro.events.merge.LogSource` protocol: every
-    :meth:`iter_logs` call decodes the ``node_*.log`` files afresh, one at a
-    time, so a :class:`~repro.core.session.ReconstructionSession` in
-    streaming mode can reconstruct a corpus far larger than memory —
-    repeated scans trade CPU for a bounded working set.
-
-    ``corrupt_lines`` holds the per-node bad-line counts of the *latest*
-    completed pass (counts are per pass, not summed).
-    """
-
-    def __init__(self, directory) -> None:
-        self.directory = pathlib.Path(directory)
-        self.metadata = load_store_metadata(self.directory)
-        self.corrupt_lines: dict[int, int] = {}
-
-    def nodes(self) -> list[int]:
-        """Node ids present, from file names alone (no decoding)."""
-        return sorted(node for node, _file in store_shards(self.directory))
-
-    def iter_logs(self) -> Iterator[tuple[int, NodeLog]]:
-        corrupt: dict[int, int] = {}
-        for node, log, bad in iter_store_logs(self.directory):
-            if bad:
-                corrupt[node] = bad
-            yield node, log
-        self.corrupt_lines = corrupt
-
-    def load_node(self, node: int) -> NodeLog:
-        """Decode a single node's shard (empty log when the file is absent)."""
-        file = shard_path(self.directory, node)
-        if not file.exists():
-            return NodeLog(node)
-        log, _bad = _decode_shard(file, node)
-        return log
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardedStore({str(self.directory)!r})"

@@ -212,9 +212,8 @@ class TestAnalyzeLintParity:
     def store(self, request, damaged_store):
         return DEFECTIVE_STORE if request.param == "defective" else damaged_store
 
-    @pytest.mark.parametrize("stream", [False, True], ids=["memory", "stream"])
     def test_counters_and_warning_match_a_standalone_check(
-        self, store, stream, tmp_path, capsys
+        self, store, tmp_path, capsys
     ):
         from repro.check import load_spec, run_check
         from repro.events.store import load_store
@@ -223,7 +222,7 @@ class TestAnalyzeLintParity:
         metrics = tmp_path / "metrics.json"
         argv = ["analyze", "--logs", str(store), "--spec", "ctp",
                 "--metrics-out", str(metrics)]
-        assert main(argv + (["--stream"] if stream else [])) == 0
+        assert main(argv) == 0
         err = capsys.readouterr().err
         counters = json.loads(metrics.read_text())["counters"]
 
@@ -237,8 +236,7 @@ class TestAnalyzeLintParity:
         assert {
             k: v for k, v in counters.items() if k.startswith("codec.corrupt_lines")
         } == {f"codec.corrupt_lines{{node={n}}}": c for n, c in loaded.corrupt_lines.items()}
-        if not stream:
-            assert counters["analyze.events.parsed"] == loaded.total_events
+        assert counters["analyze.events.parsed"] == loaded.total_events
         corpus_errors = sum(1 for f in report.errors if f.code.startswith("LC"))
         assert corpus_errors > 0
         assert f"event=analyze.preflight.corpus-findings errors={corpus_errors}" in err

@@ -14,8 +14,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.check import check_code
-from repro.check.code import load_module, scan_module
+from repro.check.code import check_code, load_module, scan_module
 from repro.check.code.analyzer import collect_suppressions
 from repro.check.code.modules import classify
 

@@ -11,8 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.check import check_code
-from repro.check.code import load_module, scan_module
+from repro.check.code import check_code, load_module, scan_module
 from repro.check.findings import Severity
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "cc_defects"

@@ -138,17 +138,6 @@ class TestStreamingIngest:
         assert not session.reports()[PKT].lost
         assert session.packets() == [PKT]
 
-    def test_stream_mode_matches_full_grouping(self, logs):
-        full = ReconstructionSession(forwarder_template(with_gen=False)).reconstruct(
-            logs
-        )
-        streamed = ReconstructionSession(
-            forwarder_template(with_gen=False), stream=True, batch_size=1
-        ).reconstruct(logs)
-        assert {p: f.labels() for p, f in full.items()} == {
-            p: f.labels() for p, f in streamed.items()
-        }
-
 
 class TestPreflight:
     def test_preflight_passes_on_default_template(self):

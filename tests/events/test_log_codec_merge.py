@@ -9,7 +9,6 @@ from repro.events.merge import (
     group_by_packet,
     interleave_round_robin,
     merge_logs,
-    packets_in,
 )
 from repro.events.packet import PacketKey
 
@@ -131,13 +130,6 @@ class TestMerge:
         assert [e.etype for e in grouped[p0][2]] == ["recv"]
         # packet-less events are excluded
         assert all(e.packet is not None for evs in grouped[p0].values() for e in evs)
-
-    def test_packets_in_sorted(self):
-        logs = {
-            1: NodeLog(1, [ev(EventType.TRANS, 1, 1, 2, PacketKey(2, 0))]),
-            2: NodeLog(2, [ev(EventType.RECV, 2, 1, 2, PacketKey(1, 5))]),
-        }
-        assert packets_in(logs) == [PacketKey(1, 5), PacketKey(2, 0)]
 
     def test_merge_logs_normalizes(self):
         logs = {2: NodeLog(2, [ev("x", 2)]), 1: NodeLog(1, [ev("a", 1)])}

@@ -2,7 +2,9 @@
 
 ``refill analyze`` and ``refill serve`` reconstruct from a store; the
 simulator (``repro.simnet``), the loss model (``repro.lognet``) and numpy
-belong to ``refill simulate`` alone.  Each door runs in a fresh interpreter
+belong to ``refill simulate`` alone.  A serial ``refill analyze`` also
+loads neither the ``refill check --code`` analyzer nor the process pool.
+Each door runs in a fresh interpreter
 under ``-X importtime``, which names every module the process imported
 over its whole life.
 """
@@ -19,6 +21,13 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 STORE = REPO / "tests" / "fixtures" / "defective-deployment"
 #: Modules only ``refill simulate`` needs.
 SIMULATOR_ONLY = ("numpy", "repro.simnet", "repro.lognet")
+#: Modules a serial ``refill analyze`` does not run.
+NOT_IN_SERIAL_ANALYZE = (
+    *SIMULATOR_ONLY,
+    "repro.check.code",
+    "multiprocessing",
+    "concurrent.futures.process",
+)
 
 
 def _refill(stderr, *argv: str, **kwargs) -> subprocess.Popen:
@@ -30,7 +39,8 @@ def _refill(stderr, *argv: str, **kwargs) -> subprocess.Popen:
     )
 
 
-def _simulator_modules(importtime: str) -> list[str]:
+def _loaded(importtime: str, tops=SIMULATOR_ONLY) -> list[str]:
+    """The imported modules that are, or sit under, one of ``tops``."""
     names = [
         line.rsplit("|", 1)[1].strip()
         for line in importtime.splitlines()
@@ -39,11 +49,12 @@ def _simulator_modules(importtime: str) -> list[str]:
     assert "repro.cli" in names, importtime[-2000:]
     return sorted(
         name for name in names
-        if any(name == top or name.startswith(top + ".") for top in SIMULATOR_ONLY)
+        if any(name == top or name.startswith(top + ".") for top in tops)
     )
 
 
 def test_analyze_loads_no_simulator_module(tmp_path):
+    """No simulator module, and (a serial run) no analyzer or process pool."""
     with open(tmp_path / "stderr", "w") as stderr:
         proc = _refill(
             stderr, "analyze", "-q", "--logs", str(STORE),
@@ -53,7 +64,7 @@ def test_analyze_loads_no_simulator_module(tmp_path):
     importtime = (tmp_path / "stderr").read_text()
     assert proc.returncode == 0, importtime[-2000:]
     assert (tmp_path / "flows.json").stat().st_size > 2
-    assert _simulator_modules(importtime) == []
+    assert _loaded(importtime, NOT_IN_SERIAL_ANALYZE) == []
 
 
 def test_serve_loads_no_simulator_module(tmp_path):
@@ -80,4 +91,4 @@ def test_serve_loads_no_simulator_module(tmp_path):
         stderr.close()
     importtime = (tmp_path / "stderr").read_text()
     assert proc.returncode == 0, importtime[-2000:]
-    assert _simulator_modules(importtime) == []
+    assert _loaded(importtime) == []
