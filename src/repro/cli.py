@@ -756,8 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--logs", default=None, metavar="DIR",
-        help="store directory: supplies deployment metadata and the default "
-             "checkpoint location (shards are NOT preloaded)",
+        help="store directory: supplies deployment metadata (shards are NOT "
+             "preloaded, and nothing is written there)",
     )
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument(
@@ -776,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--checkpoint", default=None, metavar="FILE",
         help="checkpoint manifest; shard files sit next to it "
-             "(default: <store>/refill-checkpoint.json)",
+             "(default: no checkpoints)",
     )
     p_srv.add_argument(
         "--checkpoint-interval", type=float, default=30.0, metavar="SECS",

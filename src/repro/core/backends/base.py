@@ -4,10 +4,15 @@ Per-packet independence (paper §IV–V) means *how* packet groups get turned
 into event flows is a deployment choice, not an algorithmic one: in one
 process, across a worker pool, or statefully as evidence trickles in from a
 live collection.  :class:`ExecutionBackend` is that seam.  The session owns
-everything above it — streaming merge, option normalization (including
-``strip_times``), diagnosis, metrics — and hands each backend fully
-normalized, per-node-ordered packet groups, so every backend reconstructs
-from byte-identical inputs and must produce byte-identical flows.
+everything above it — grouping events by packet, option normalization
+(including ``strip_times``), diagnosis, metrics — and hands each backend
+fully normalized, per-node-ordered packet groups, so every backend
+reconstructs from byte-identical inputs and must produce byte-identical
+flows.
+
+Each backend instance owns a :class:`~repro.core.memo.ShapeMemo` from
+``start`` to ``close``: a batch run's memo ends with the run, a daemon's
+lives across its refreshes.
 
 Lifecycle::
 
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.event_flow import EventFlow
+from repro.core.memo import ShapeMemo
 from repro.core.transition_algorithm import (
     PacketReconstructor,
     ReconstructorOptions,
@@ -39,6 +45,7 @@ from repro.core.transition_algorithm import (
 from repro.events.merge import PacketGroup
 from repro.events.packet import PacketKey
 from repro.fsm.templates import FsmTemplate
+from repro.obs.spans import span
 
 #: A zero-argument, *module-level* (hence picklable-by-reference) function
 #: returning the FSM template — process workers call it once each.
@@ -71,10 +78,14 @@ class ExecutionBackend(abc.ABC):
 
     def __init__(self) -> None:
         self.plan: Optional[ExecutionPlan] = None
+        #: ``None`` when the plan's template bypasses the memo.
+        self.memo: Optional[ShapeMemo] = None
 
     def start(self, plan: ExecutionPlan) -> None:
-        """Bind the plan; called once before any ``submit``."""
+        """Bind the plan (and a fresh shape memo); called once before any
+        ``submit``."""
         self.plan = plan
+        self.memo = ShapeMemo.for_template(plan.template)
 
     @abc.abstractmethod
     def submit(
@@ -87,7 +98,8 @@ class ExecutionBackend(abc.ABC):
         return ()
 
     def close(self) -> None:
-        """Release resources (worker pools, accumulated state)."""
+        """Release resources (worker pools, accumulated state, the memo)."""
+        self.memo = None
 
     # ------------------------------------------------------------------ #
 
@@ -97,15 +109,23 @@ class ExecutionBackend(abc.ABC):
         """The one group→flow loop every in-process path shares.
 
         One :class:`PacketReconstructor` is reused across the whole batch —
-        ``reconstruct`` resets every per-packet structure, so only the packet
-        key needs rebinding, and the template/options plumbing is paid once
-        per batch instead of once per packet.
+        ``run`` resets every per-packet structure, so only the packet key
+        needs rebinding, and the template/options plumbing is paid once per
+        batch instead of once per packet.  Each packet goes through the
+        shape memo when the template allows it; the ``reconstruct.packet``
+        span times every packet, replayed or run.
         """
         plan = self._plan()
         reconstructor = PacketReconstructor(plan.template, None, plan.options)
+        memo = self.memo
         for packet, events_by_node in groups:
             reconstructor.packet = packet
-            yield packet, reconstructor.reconstruct(events_by_node)
+            with span("reconstruct.packet"):
+                if memo is None:
+                    flow = reconstructor.run(events_by_node)
+                else:
+                    flow = memo.flow(reconstructor, events_by_node)
+            yield packet, flow
 
     def _plan(self) -> ExecutionPlan:
         if self.plan is None:

@@ -63,6 +63,7 @@ class IncrementalBackend(ExecutionBackend):
         self.dirty.clear()
 
     def close(self) -> None:
+        super().close()
         self._events.clear()
         self.dirty.clear()
 

@@ -16,21 +16,34 @@ pool startup entirely.
 Worker metrics land in private per-batch registries that ride back with the
 flows (they pickle cleanly — plain dicts, no locks) and are folded into the
 parent's active registry, so counter totals match a serial run exactly.
+
+The shape memo (:mod:`repro.core.memo`) stays in the parent, and it sees
+the packets in the order a serial run does: a packet of a new shape goes
+to a worker, which sends back its flow and the shape's record; a packet
+of a known shape is replayed in the parent — at once when the record is
+here, else when the task recording it has drained.  So hit and miss
+counts match a serial run too.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core.backends.base import ExecutionBackend, ExecutionPlan, TemplateFactory
 from repro.core.event_flow import EventFlow
-from repro.core.transition_algorithm import PacketReconstructor, ReconstructorOptions
+from repro.core.memo import Pending, ShapeRecord, record_of, replay
+from repro.core.transition_algorithm import (
+    PacketReconstructor,
+    ReconCounters,
+    ReconstructorOptions,
+)
 from repro.events.merge import PacketGroup
 from repro.events.packet import PacketKey
 from repro.fsm.templates import FsmTemplate
 from repro.obs.registry import MetricsRegistry, get_registry, use_registry
+from repro.obs.spans import span
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -46,17 +59,43 @@ def _init_worker(factory: TemplateFactory, options: ReconstructorOptions) -> Non
     _worker_options = options
 
 
+#: Per packet of a task: the ids to record its shape in (rank order), or
+#: ``None`` when no record is wanted.
+RecordIds = Optional[list[int]]
+
+
 def _reconstruct_batch(
-    batch: Sequence[PacketGroup],
-) -> tuple[list[tuple[PacketKey, EventFlow]], MetricsRegistry]:
+    batch: Sequence[PacketGroup], record_ids: Sequence[RecordIds]
+) -> tuple[list[tuple[PacketKey, EventFlow, Optional[ShapeRecord]]], MetricsRegistry]:
     """One batch in one worker; metrics land in a private registry."""
     assert _worker_template is not None, "worker not initialized"
     out = []
+    reconstructor = PacketReconstructor(_worker_template, None, _worker_options)
     with use_registry(MetricsRegistry()) as registry:
-        for packet, events_by_node in batch:
-            reconstructor = PacketReconstructor(_worker_template, packet, _worker_options)
-            out.append((packet, reconstructor.reconstruct(events_by_node)))
+        for (packet, events_by_node), ids in zip(batch, record_ids):
+            reconstructor.packet = packet
+            flow = reconstructor.reconstruct(events_by_node)
+            record = None if ids is None else record_of(reconstructor, ids)
+            out.append((packet, flow, record))
     return out, registry
+
+
+class _Task:
+    """One pool task, and the packets replayed once it has drained."""
+
+    __slots__ = ("future", "pending", "hits")
+
+    def __init__(
+        self,
+        future: "Future",
+        pending: list[Optional[Pending]],
+        hits: list[tuple[Pending, PacketGroup, list[int]]],
+    ) -> None:
+        self.future = future
+        #: per task packet, the memo slot its record fills (or ``None``)
+        self.pending = pending
+        #: packets whose shape a task up to this one is recording
+        self.hits = hits
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -89,7 +128,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self.min_packets = min_packets
         self.max_inflight = max_inflight or 2 * self.workers
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: deque[Future] = deque()
+        self._tasks: deque[_Task] = deque()
         self._buffer: list[list[PacketGroup]] = []
         self._buffered = 0
 
@@ -113,13 +152,12 @@ class ProcessPoolBackend(ExecutionBackend):
             self._buffered += len(batch)
             if self._buffered < self.min_packets or self.workers <= 1:
                 return ()
-            pool = self._open_pool()
+            self._open_pool()
             pending, self._buffer, self._buffered = self._buffer, [], 0
-            for buffered in pending:
-                self._futures.append(pool.submit(_reconstruct_batch, buffered))
-            return self._drain(keep=self.max_inflight)
-        self._futures.append(self._pool.submit(_reconstruct_batch, list(batch)))
-        return self._drain(keep=self.max_inflight)
+            replayed = [flow for buffered in pending for flow in self._dispatch(buffered)]
+            return [*replayed, *self._drain(keep=self.max_inflight)]
+        replayed = self._dispatch(batch)
+        return [*replayed, *self._drain(keep=self.max_inflight)]
 
     def finish(self) -> Iterable[tuple[PacketKey, EventFlow]]:
         if self._pool is None:
@@ -132,10 +170,11 @@ class ProcessPoolBackend(ExecutionBackend):
         yield from self._drain(keep=0)
 
     def close(self) -> None:
+        super().close()
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        self._futures.clear()
+        self._tasks.clear()
         self._buffer, self._buffered = [], 0
 
     # ------------------------------------------------------------------ #
@@ -152,15 +191,75 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         return self._pool
 
+    def _dispatch(self, batch: Sequence[PacketGroup]) -> list[tuple[PacketKey, EventFlow]]:
+        """Send ``batch``'s packets of new shapes to the pool as one task;
+        returns the packets replayed here from a record already at hand."""
+        assert self._pool is not None
+        memo = self.memo
+        counters = ReconCounters.for_registry(get_registry())
+        send: list[PacketGroup] = []
+        record_ids: list[RecordIds] = []
+        pending: list[Optional[Pending]] = []
+        hits: list[tuple[Pending, PacketGroup, list[int]]] = []
+        replayed: list[tuple[PacketKey, EventFlow]] = []
+        for group in batch:
+            slot: Optional[Pending] = None
+            wanted: RecordIds = None
+            if memo is not None:
+                packet, events_by_node = group
+                key, ids = memo.shape(packet, events_by_node)
+                entry = None if key is None else memo.records.get(key)
+                if isinstance(entry, Pending):
+                    counters.memo_hits.inc()
+                    hits.append((entry, group, ids))
+                    continue
+                if entry is not None:
+                    counters.memo_hits.inc()
+                    replayed.append((packet, self._replay(entry, group, ids)))
+                    continue
+                counters.memo_misses.inc()
+                if key is not None:
+                    slot = Pending(key)
+                    memo.put(key, slot)
+                    wanted = ids
+            send.append(group)
+            record_ids.append(wanted)
+            pending.append(slot)
+        if send or hits:
+            future = self._pool.submit(_reconstruct_batch, send, record_ids)
+            self._tasks.append(_Task(future, pending, hits))
+        return replayed
+
+    def _replay(
+        self, entry: Union[ShapeRecord, Pending], group: PacketGroup, ids: list[int]
+    ) -> EventFlow:
+        packet, events_by_node = group
+        record = entry.record if isinstance(entry, Pending) else entry
+        with span("reconstruct.packet"):
+            if record is None:  # the recording run could not be recorded
+                plan = self._plan()
+                reconstructor = PacketReconstructor(plan.template, packet, plan.options)
+                return reconstructor.run(events_by_node)
+            counters = ReconCounters.for_registry(get_registry())
+            return replay(record, packet, events_by_node, ids, counters)
+
     def _drain(self, *, keep: int) -> Iterator[tuple[PacketKey, EventFlow]]:
         """Yield results of completed tasks until ≤ ``keep`` remain in flight.
 
         FIFO order: batches were submitted in sorted-packet order and the
         session re-sorts its flow map anyway, so blocking on the oldest
-        future keeps memory bounded without hurting determinism.
+        task keeps memory bounded without hurting determinism — and every
+        shape a task's parked packets wait for was recorded by it or by an
+        older task.
         """
         parent_registry = get_registry()
-        while len(self._futures) > keep:
-            flows, worker_registry = self._futures.popleft().result()
+        while len(self._tasks) > keep:
+            task = self._tasks.popleft()
+            flows, worker_registry = task.future.result()
             parent_registry.merge(worker_registry)
-            yield from flows
+            for (packet, flow, record), slot in zip(flows, task.pending):
+                if slot is not None:
+                    self.memo.settle(slot, record)  # type: ignore[union-attr]
+                yield packet, flow
+            for slot, group, ids in task.hits:
+                yield group[0], self._replay(slot, group, ids)

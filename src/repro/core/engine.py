@@ -19,7 +19,7 @@ question becomes a table lookup instead of a fresh graph walk.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Optional
 
 from repro.events.packet import PacketKey
 from repro.fsm.graph import Transition
@@ -27,13 +27,7 @@ from repro.fsm.intra import Selection
 from repro.fsm.reachability import EdgeFilter
 from repro.fsm.templates import FsmTemplate, NeighborContext
 
-__all__ = ["CounterLike", "EngineInstance", "Selection"]
-
-
-class CounterLike(Protocol):
-    """Anything with ``inc`` — a real or null obs counter."""
-
-    def inc(self, n: int = 1) -> None: ...
+__all__ = ["EngineInstance", "Selection"]
 
 
 class EngineInstance:
@@ -44,7 +38,6 @@ class EngineInstance:
         "select_table",
         "node",
         "packet",
-        "fire_counter",
         "state",
         "trajectory",
         "visit_count",
@@ -61,16 +54,11 @@ class EngineInstance:
         template: FsmTemplate,
         node: int,
         packet: Optional[PacketKey],
-        *,
-        fire_counter: Optional["CounterLike"] = None,
     ) -> None:
         self.template = template
         self.select_table = template.select_table
         self.node = node
         self.packet = packet
-        #: Observability hook: incremented on every fired transition
-        #: (``engine.fires``).  ``None`` keeps standalone engines metric-free.
-        self.fire_counter = fire_counter
         self.state: str = template.initial_state(node, packet)
         self.trajectory: list[str] = [self.state]
         #: Times each state was entered; the initial state counts once.
@@ -101,8 +89,6 @@ class EngineInstance:
 
     def fire(self, target: str, entry: Optional[int]) -> None:
         """Move to ``target``; ``entry`` is the flow index of the cause."""
-        if self.fire_counter is not None:
-            self.fire_counter.inc()
         self.state = target
         self.trajectory.append(target)
         counts = self.visit_count

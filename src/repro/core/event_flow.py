@@ -11,10 +11,58 @@ callers can distinguish determined from incidental orderings (paper Fig. 3b:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from repro.events.event import Event
 from repro.events.packet import PacketKey
+
+
+#: :attr:`Note.kind` of a logged entry; also its rendered provenance.
+LOGGED = "logged"
+
+#: How each :attr:`Note.kind` renders: ``{node}`` and ``{event}`` are the
+#: note's refs (an event renders as its pair label), ``{0}``, ``{1}`` its
+#: :attr:`Note.detail` values.
+NOTE_FORMATS = {
+    LOGGED: LOGGED,
+    "intra": "intra: skipped by {event}",
+    "prereq": "prereq: required by {0} at node {node}",
+    "recursion": "recursion limit while processing {event}",
+    "unresolvable": "unresolvable prerequisite peer for {event}",
+    "self": "self-referential prerequisite for {event}",
+    "unmet": "prerequisite {0!r} (visit {1}) unmet on node {node}",
+    "cycle": "prerequisite cycle at node {node} -> {0}",
+    "unreachable": "prerequisite states {0!r} unreachable on node {node}",
+    "no-path": "no inference path to {0!r} on node {node}",
+    "stalled": "drive to {0!r} on node {node} made no progress",
+}
+
+
+class Note(NamedTuple):
+    """Structured provenance or anomaly: a kind plus its node and event refs.
+
+    The transition algorithm states *why* an entry exists (or what went
+    wrong) as a note, and the flow keeps its rendering: the provenance and
+    anomaly strings.  A logged entry's note points at its evidence, the
+    queue ``node`` and the ``(position,)`` in that node's ordered events.
+    Keeping node ids as refs, not text, is what lets a flow be relabelled
+    (see :mod:`repro.core.memo`).
+    """
+
+    kind: str
+    node: Optional[int] = None
+    event: Optional[Event] = None
+    #: Values that are not node ids: a label, prerequisite states, a
+    #: demand count, a target state, a queue position.
+    detail: tuple[Any, ...] = ()
+
+    def render(self) -> str:
+        """The text the flow stores (``FlowEntry.provenance``, an anomaly)."""
+        if self.kind == LOGGED:
+            return LOGGED
+        return NOTE_FORMATS[self.kind].format(
+            *self.detail, node=self.node, event=self.event
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,7 +75,7 @@ class FlowEntry:
     #: Where the entry came from: ``"logged"`` for real records,
     #: ``"intra: ..."`` for events recovered by an intra-node jump,
     #: ``"prereq: ..."`` for events recovered by a prerequisite drive.
-    provenance: str = "logged"
+    provenance: str = LOGGED
 
     def label(self) -> str:
         text = self.event.pair_label()
@@ -91,6 +139,11 @@ class EventFlow:
                     raise ValueError(f"happens-before index {i} out of range")
                 hb.add((i, index))
         return index
+
+    def add_orders(self, edges: Iterable[tuple[int, int]]) -> None:
+        """Record happens-before pairs already known to be valid (a replayed
+        flow's edges, see :mod:`repro.core.memo`)."""
+        self._hb.update(edges)
 
     def add_order(self, before: int, after: int) -> None:
         """Record that entry ``before`` happens before entry ``after``."""

@@ -145,14 +145,6 @@ def advised_plan(template: FsmTemplate) -> LoggingPlan:
     return LoggingPlan("advised", logged)
 
 
-def minimal_diagnostic_plan(template: FsmTemplate) -> LoggingPlan:
-    """Log only the diagnosis anchors (aggressive energy saving)."""
-    logged = frozenset(
-        label for label in template.graph.events if label in DIAGNOSTIC_LABELS
-    )
-    return LoggingPlan("diagnostic-only", logged)
-
-
 def apply_plan(logs: Mapping[int, "NodeLog"], plan: LoggingPlan) -> dict[int, "NodeLog"]:
     """Filter node logs down to the plan's labels (simulating sparse logging)."""
     from repro.events.log import NodeLog

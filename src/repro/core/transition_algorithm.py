@@ -33,7 +33,7 @@ from repro.events.event import Event
 from repro.events.packet import PacketKey
 from repro.core.context import PacketContext
 from repro.core.engine import EngineInstance, Selection
-from repro.core.event_flow import EventFlow
+from repro.core.event_flow import LOGGED, EventFlow, Note
 from repro.fsm.templates import FsmTemplate
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.spans import span
@@ -42,13 +42,18 @@ from repro.obs.spans import span
 TemplateFor = Callable[[int], FsmTemplate]
 
 
-class ReconCounters:
-    """Counters the reconstructor increments, bound once per packet.
+#: Per-packet transition counts the flow itself does not show:
+#: (normal, intra, inter, prerequisite drives, unmet prerequisites).
+Tally = tuple[int, int, int, int, int]
 
-    Names are catalogued in ``docs/OBSERVABILITY.md``.  Binding resolves
-    each registry lookup up front so the hot loop pays one attribute access
-    and one integer add per increment (or a no-op under a
-    :class:`~repro.obs.registry.NullRegistry`).
+
+class ReconCounters:
+    """Counters one reconstructed packet adds to, bound once per registry.
+
+    Names are catalogued in ``docs/OBSERVABILITY.md``.  The reconstructor
+    tallies a packet in plain integers and :meth:`add` folds the totals in
+    once per packet, so a replayed flow (:mod:`repro.core.memo`) counts
+    exactly what running the engine on it would have.
     """
 
     __slots__ = (
@@ -63,6 +68,8 @@ class ReconCounters:
         "prereq_unmet",
         "anomalies",
         "engine_fires",
+        "memo_hits",
+        "memo_misses",
     )
 
     @classmethod
@@ -86,6 +93,26 @@ class ReconCounters:
         self.prereq_unmet = counter("refill.prereq.unmet")
         self.anomalies = counter("refill.anomalies")
         self.engine_fires = counter("engine.fires")
+        self.memo_hits = counter("refill.memo.hits")
+        self.memo_misses = counter("refill.memo.misses")
+
+    def add(self, flow: EventFlow, tally: Tally) -> None:
+        """Count one packet: its flow's entries, omissions and anomalies
+        plus the transition ``tally`` (every entry is one engine fire)."""
+        normal, intra, inter, drives, unmet = tally
+        entries = len(flow.entries)
+        inferred = flow.inferred_count
+        self.packets.inc()
+        self.events_inferred.inc(inferred)
+        self.events_logged.inc(entries - inferred)
+        self.events_omitted.inc(len(flow.omitted))
+        self.anomalies.inc(len(flow.anomalies))
+        self.engine_fires.inc(entries)
+        self.trans_normal.inc(normal)
+        self.trans_intra.inc(intra)
+        self.trans_inter.inc(inter)
+        self.prereq_drives.inc(drives)
+        self.prereq_unmet.inc(unmet)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +138,14 @@ class ReconstructorOptions:
 
 
 class PacketReconstructor:
-    """Reconstructs the event flow of a single packet."""
+    """Reconstructs the event flow of a single packet.
+
+    Besides the flow, a run leaves the structured reasons behind it:
+    :attr:`notes` (one :class:`~repro.core.event_flow.Note` per flow entry),
+    :attr:`omitted_notes` (one per omitted event), :attr:`anomaly_notes`
+    and :meth:`tally`.  The flow's provenance and anomaly strings are their
+    renderings.
+    """
 
     def __init__(
         self,
@@ -136,16 +170,25 @@ class PacketReconstructor:
     def reconstruct(self, events_by_node: Mapping[int, Sequence[Event]]) -> EventFlow:
         """Run the transition algorithm over per-node ordered event lists."""
         with span("reconstruct.packet"):
-            return self._reconstruct(events_by_node)
+            return self.run(events_by_node)
 
-    def _reconstruct(self, events_by_node: Mapping[int, Sequence[Event]]) -> EventFlow:
+    def run(self, events_by_node: Mapping[int, Sequence[Event]]) -> EventFlow:
+        """:meth:`reconstruct` without its ``reconstruct.packet`` span, for
+        callers that time the packet themselves."""
         self.flow = EventFlow(self.packet)
         self.ctx = PacketContext()
-        self.metrics = ReconCounters.for_registry(get_registry())
+        self.notes: list[Note] = []
+        self.omitted_notes: list[Note] = []
+        self.anomaly_notes: list[Note] = []
+        self.n_normal = self.n_intra = self.n_inter = 0
+        self.n_drives = self.n_unmet = 0
         self.engines: dict[int, EngineInstance] = {}
         self.queues: dict[int, deque[Event]] = {
             node: deque(events) for node, events in sorted(events_by_node.items())
         }
+        #: queue lengths before any pop: a popped event's position is
+        #: ``sizes[node] - len(queue)``
+        self.sizes = {node: len(queue) for node, queue in self.queues.items()}
         for queue in self.queues.values():
             self.ctx.preseed(queue)
         #: Per-consumer prerequisite demand counts; key is
@@ -155,6 +198,7 @@ class PacketReconstructor:
         self._depth = 0
 
         rotation = self._rotation()
+        sizes = self.sizes
         while any(self.queues.values()):
             progressed = False
             for node in rotation:
@@ -165,8 +209,9 @@ class PacketReconstructor:
                     selection = self._select(engine, head.etype)
                     if selection is None:
                         break  # temporarily unprocessable; revisit next pass
+                    note = Note(LOGGED, node, None, (sizes[node] - len(queue),))
                     queue.popleft()
-                    self._process(head, False, None, "logged", selection)
+                    self._process(head, False, None, note, selection)
                     progressed = True
             if not progressed:
                 self._omit_one(rotation)
@@ -177,14 +222,12 @@ class PacketReconstructor:
             # fired targets — exactly the visit-count keys
             self.flow.visited_states[node] = frozenset(engine.visit_count)
 
-        m = self.metrics
-        m.packets.inc()
-        inferred = self.flow.inferred_count
-        m.events_inferred.inc(inferred)
-        m.events_logged.inc(len(self.flow.entries) - inferred)
-        m.events_omitted.inc(len(self.flow.omitted))
-        m.anomalies.inc(len(self.flow.anomalies))
+        ReconCounters.for_registry(get_registry()).add(self.flow, self.tally())
         return self.flow
+
+    def tally(self) -> Tally:
+        """The last run's transition counts (see :data:`Tally`)."""
+        return (self.n_normal, self.n_intra, self.n_inter, self.n_drives, self.n_unmet)
 
     # ------------------------------------------------------------------ #
     # internals
@@ -199,10 +242,7 @@ class PacketReconstructor:
     def _engine(self, node: int) -> EngineInstance:
         engine = self.engines.get(node)
         if engine is None:
-            engine = EngineInstance(
-                self._template_for(node), node, self.packet,
-                fire_counter=self.metrics.engine_fires,
-            )
+            engine = EngineInstance(self._template_for(node), node, self.packet)
             self.engines[node] = engine
         return engine
 
@@ -216,28 +256,38 @@ class PacketReconstructor:
         for node in rotation:
             queue = self.queues[node]
             if queue:
-                event = queue.popleft()
-                self.flow.omitted.append(event)
+                note = Note(LOGGED, node, None, (self.sizes[node] - len(queue),))
+                self._omit(queue.popleft(), note)
                 return
         raise AssertionError("omit requested with all queues empty")  # pragma: no cover
+
+    def _omit(self, event: Event, note: Note) -> None:
+        self.flow.omitted.append(event)
+        self.omitted_notes.append(note)
+
+    def _anomaly(self, note: Note) -> None:
+        self.flow.anomalies.append(note.render())
+        self.anomaly_notes.append(note)
 
     def _process(
         self,
         event: Event,
         inferred: bool,
-        forced_target: Optional[str] = None,
-        provenance: str = "logged",
+        forced_target: Optional[str],
+        note: Note,
         selection: Optional[Selection] = None,
     ) -> None:
         """Steps 1-2 for one event, with recursive prerequisite resolution.
 
-        ``selection`` lets the caller hand over a selection it already made
-        at the engine's current state (the main loop probes before it pops),
-        saving the re-probe; it is ignored under ``forced_target``.
+        ``note`` says where the event comes from: its queue position when
+        logged, the reason it was inferred otherwise.  ``selection`` lets
+        the caller hand over a selection it already made at the engine's
+        current state (the main loop probes before it pops), saving the
+        re-probe; it is ignored under ``forced_target``.
         """
         if self._depth >= self._max_depth:
-            self.flow.anomalies.append(f"recursion limit while processing {event}")
-            self.flow.omitted.append(event)
+            self._anomaly(Note("recursion", None, event))
+            self._omit(event, note)
             return
         self._depth += 1
         try:
@@ -254,22 +304,24 @@ class PacketReconstructor:
                 if selection is None:
                     selection = self._select(engine, label)
                 if selection is None:
-                    self.flow.omitted.append(event)
+                    self._omit(event, note)
                     return
                 target = selection.target
                 prefix = []
                 if selection.kind == "intra":
-                    self.metrics.trans_intra.inc()
+                    self.n_intra += 1
                     prefix = engine.intra_inference_path(label, target, self.ctx) or []
                 else:
-                    self.metrics.trans_normal.inc()
+                    self.n_normal += 1
 
             # Step 2: inferred prerequisite events on the skipped normal path.
-            for edge in prefix:
-                lost = template.realize_event(edge.event, event.node, self.packet, self.ctx)
-                self._process(
-                    lost, True, edge.dst, f"intra: skipped by {event.pair_label()}"
-                )
+            if prefix:
+                skipped = Note("intra", None, event)
+                for edge in prefix:
+                    lost = template.realize_event(
+                        edge.event, event.node, self.packet, self.ctx
+                    )
+                    self._process(lost, True, edge.dst, skipped)
 
             # Step 3: inter-node prerequisites of this event.
             prereq_entries: list[int] = []
@@ -278,15 +330,11 @@ class PacketReconstructor:
                 for rule in rules:
                     peers = rule.resolve_nodes(event)
                     if not peers:
-                        self.flow.anomalies.append(
-                            f"unresolvable prerequisite peer for {event}"
-                        )
+                        self._anomaly(Note("unresolvable", None, event))
                         continue
                     for peer in peers:
                         if peer == event.node:
-                            self.flow.anomalies.append(
-                                f"self-referential prerequisite for {event}"
-                            )
+                            self._anomaly(Note("self", None, event))
                             continue
                         entry = self._require_visit(event.node, label, peer, rule.states)
                         if entry is not None:
@@ -304,8 +352,9 @@ class PacketReconstructor:
             else:
                 after = ()
             index = self.flow.append(
-                event, inferred=inferred, after=after, provenance=provenance
+                event, inferred=inferred, after=after, provenance=note.render()
             )
+            self.notes.append(note)
             engine.fire(target, index)
             self.ctx.note(event, not inferred)
         finally:
@@ -328,25 +377,22 @@ class PacketReconstructor:
         demand_key = (consumer, label, peer, states)
         demand = self._demands.get(demand_key, 0) + 1
         self._demands[demand_key] = demand
-        self.metrics.trans_inter.inc()
+        self.n_inter += 1
         engine = self.engines.get(peer)
         if engine is None:
             engine = self._engine(peer)
         if engine.visits_of(states) < demand:
             self._drive(
-                peer, states, demand,
-                reason=f"prereq: required by {label} at node {consumer}",
+                peer, states, demand, reason=Note("prereq", consumer, None, (label,))
             )
         if engine.visits_of(states) >= demand:
             return engine.visit_entry_of(states, demand)
-        self.metrics.prereq_unmet.inc()
-        self.flow.anomalies.append(
-            f"prerequisite {states!r} (visit {demand}) unmet on node {peer}"
-        )
+        self.n_unmet += 1
+        self._anomaly(Note("unmet", peer, None, (states, demand)))
         return engine.last_entry
 
     def _drive(
-        self, node: int, states: tuple[str, ...], demand: int, *, reason: str = "prereq"
+        self, node: int, states: tuple[str, ...], demand: int, *, reason: Note
     ) -> None:
         """Drive ``node``'s engine until ``states`` have ``demand`` visits.
 
@@ -356,27 +402,23 @@ class PacketReconstructor:
         """
         key = (node, states)
         if key in self._driving:
-            self.flow.anomalies.append(f"prerequisite cycle at node {node} -> {states}")
+            self._anomaly(Note("cycle", node, None, (states,)))
             return
-        self.metrics.prereq_drives.inc()
+        self.n_drives += 1
         self._driving.add(key)
         try:
             engine = self._engine(node)
             while engine.visits_of(states) < demand:
                 target, distance = engine.nearest_of(states, self.ctx)
                 if target is None:
-                    self.flow.anomalies.append(
-                        f"prerequisite states {states!r} unreachable on node {node}"
-                    )
+                    self._anomaly(Note("unreachable", node, None, (states,)))
                     return
                 if self._consume_toward(engine, node, states, target, distance):
                     continue
                 # Infer one step along the shortest admissible path.
                 path = engine.inference_path(target, self.ctx)
                 if not path:  # pragma: no cover - distance>0 guarantees a path
-                    self.flow.anomalies.append(
-                        f"no inference path to {target!r} on node {node}"
-                    )
+                    self._anomaly(Note("no-path", node, None, (target,)))
                     return
                 edge = path[0]
                 lost = engine.template.realize_event(edge.event, node, self.packet, self.ctx)
@@ -385,9 +427,7 @@ class PacketReconstructor:
                 if len(engine.trajectory) == before:
                     # the inferred step could not fire (e.g. depth limit):
                     # abort the drive instead of spinning
-                    self.flow.anomalies.append(
-                        f"drive to {target!r} on node {node} made no progress"
-                    )
+                    self._anomaly(Note("stalled", node, None, (target,)))
                     return
         finally:
             self._driving.discard(key)
@@ -412,8 +452,9 @@ class PacketReconstructor:
             after = self._distance_from(engine, selection.target, target)
             if after is None or after >= distance:
                 return False
+        note = Note(LOGGED, node, None, (self.sizes[node] - len(queue),))
         queue.popleft()
-        self._process(head, False)
+        self._process(head, False, None, note)
         return True
 
     def _distance_from(self, engine: EngineInstance, start: str, target: str) -> Optional[int]:

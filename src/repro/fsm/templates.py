@@ -70,6 +70,7 @@ class FsmTemplate:
         admissible: Optional[AdmissibleFn] = None,
         realize: Optional[RealizeFn] = None,
         initial_for: Optional[Callable[[int, Optional[PacketKey]], str]] = None,
+        pinned_nodes: Optional[tuple[Optional[int], ...]] = None,
     ) -> None:
         self.name = name
         self.graph = graph
@@ -84,6 +85,13 @@ class FsmTemplate:
         self._admissible = admissible
         self._realize = realize
         self._initial_for = initial_for
+        #: The node ids ``admissible``, ``realize`` and ``initial_for``
+        #: compare against besides the packet's own, when those callables
+        #: read ids only through order, equality and the neighbour context
+        #: (the shape memo, :mod:`repro.core.memo`, may then replay runs
+        #: across relabelled packets).  ``None``: they may read ids in any
+        #: other way, and every packet runs the engine.
+        self.pinned_nodes = pinned_nodes
         #: Precomputed transition selection: normal transitions shadow
         #: derived jumps, and among normal transitions the first declared
         #: per (state, label) wins — the same precedence engines used to
@@ -245,6 +253,7 @@ def forwarder_template(with_gen: bool = True) -> FsmTemplate:
         admissible=_forwarder_admissible,
         realize=_forwarder_realize,
         initial_for=initial_for,
+        pinned_nodes=(),
     )
 
 

@@ -230,6 +230,7 @@ class LearnedSpec:
             admissible=admissible if origin_only else None,
             realize=realize,
             initial_for=initial_for,
+            pinned_nodes=(self.sink, self.base_station),
         )
 
     def deployment_spec(self):

@@ -105,51 +105,3 @@ def collect_into(
         for batch in split_collection_rounds(collected, rounds):
             session.ingest(batch)
     return collected
-
-
-def collect_to_server(
-    true_logs: Mapping[int, NodeLog],
-    spec: LogLossSpec,
-    seed: int,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    unix_socket: Optional[str] = None,
-    source: str = "collector",
-    rounds: int = 1,
-    clocks: Optional[Mapping[int, LocalClock]] = None,
-    perfect_clocks: frozenset[int] = frozenset(),
-) -> dict[int, NodeLog]:
-    """Collect and ship the result to a running ``refill serve`` daemon —
-    the remote-monitoring door.
-
-    Like :func:`collect_into`, but the delivery target is a network service
-    speaking the line protocol (:mod:`repro.serve.protocol`) instead of an
-    in-process session.  Events are encoded with the shared codec and
-    pushed as one resumable *source* in a deterministic order (round by
-    round, nodes ascending within a round), so re-running the same
-    collection resumes at the server's offset instead of re-sending.  The
-    events are authentic (no binding needed), and a full server queue
-    simply blocks the push — backpressure ends here.  Returns the complete
-    collected logs, same as :func:`collect_logs`.
-    """
-    from repro.events.codec import encode_event
-    from repro.serve.client import push_lines
-
-    collected = collect_logs(
-        true_logs, spec, seed, clocks=clocks, perfect_clocks=perfect_clocks
-    )
-    lines: list[str] = []
-    for batch in split_collection_rounds(collected, rounds):
-        for node in sorted(batch):
-            lines.extend(encode_event(event) for event in batch[node])
-    with span("collect.push"):
-        result = push_lines(
-            lines, host=host, port=port, unix_socket=unix_socket, source=source
-        )
-    get_registry().counter("collect.push.lines").inc(result.sent)
-    _log.info(
-        "logs.pushed", source=source, sent=result.sent, skipped=result.skipped,
-        accepted=result.accepted,
-    )
-    return collected

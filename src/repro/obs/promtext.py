@@ -23,9 +23,8 @@ and to fold a scraped shard's families back into floats.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Optional
 
-from repro.obs.registry import HistogramSummary, MetricsSnapshot
+from repro.obs.registry import MetricsSnapshot
 
 #: The content type Prometheus scrapers send/expect for this format.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -177,27 +176,3 @@ def parse_exposition(
         value = float(match.group("value"))
         samples.setdefault(match.group("name"), {})[tuple(sorted(labels))] = value
     return samples, types
-
-
-def summaries_from_samples(
-    samples: Mapping[str, Mapping[tuple[tuple[str, str], ...], float]],
-    family: str,
-    labels: tuple[tuple[str, str], ...] = (),
-) -> Optional[HistogramSummary]:
-    """Reassemble one histogram's summary from parsed exposition samples."""
-    base = samples.get(family, {})
-    count = samples.get(family + "_count", {}).get(labels)
-    total = samples.get(family + "_sum", {}).get(labels)
-    if count is None or total is None:
-        return None
-    quantiles = {}
-    for quantile, attr in _QUANTILES:
-        quantiles[attr] = base.get(tuple(sorted(labels + (("quantile", quantile),))))
-    return HistogramSummary(
-        count=int(count),
-        total=total,
-        min=samples.get(family + "_min", {}).get(labels),
-        max=samples.get(family + "_max", {}).get(labels),
-        p50=quantiles["p50"],
-        p95=quantiles["p95"],
-    )

@@ -15,9 +15,6 @@ from typing import Optional
 
 from repro.events.store import StoreMetadata, load_store_metadata
 
-#: Default checkpoint file name inside the store directory.
-DEFAULT_CHECKPOINT_NAME = "refill-checkpoint.json"
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -26,11 +23,11 @@ class ServeConfig:
     Attributes
     ----------
     store:
-        Optional store directory.  Used for deployment metadata
+        Optional store directory, read for deployment metadata only
         (``operations.json`` provides the base-station id that drives
-        delivery detection) and as the default checkpoint location.  The
-        shards themselves are *not* preloaded — evidence arrives through
-        ingest.
+        delivery detection).  The shards themselves are *not* preloaded —
+        evidence arrives through ingest — and the daemon writes nothing
+        there.
     host / port:
         TCP ingest listener (``port=0``: OS-assigned).
     unix_socket:
@@ -38,8 +35,7 @@ class ServeConfig:
     http_host / http_port:
         Query-API listener.
     checkpoint_path:
-        Checkpoint manifest; defaults to ``<store>/refill-checkpoint.json``
-        when a store is configured, else checkpointing is off.  The shard
+        Checkpoint manifest; ``None`` turns checkpointing off.  The shard
         files it names sit next to it.
     checkpoint_interval:
         Seconds between periodic checkpoints (``0`` disables the timer;
@@ -114,11 +110,9 @@ class ServeConfig:
 
     def resolved_checkpoint(self) -> Optional[pathlib.Path]:
         """The checkpoint file path, or ``None`` when checkpointing is off."""
-        if self.checkpoint_path is not None:
-            return pathlib.Path(self.checkpoint_path)
-        if self.store is not None:
-            return pathlib.Path(self.store) / DEFAULT_CHECKPOINT_NAME
-        return None
+        if self.checkpoint_path is None:
+            return None
+        return pathlib.Path(self.checkpoint_path)
 
     def metadata(self) -> Optional[StoreMetadata]:
         """Deployment metadata from the configured store, if any."""

@@ -508,6 +508,11 @@ class RefillServer:
                     loop.add_signal_handler(sig, self._shutdown.set)
                 except (NotImplementedError, RuntimeError, ValueError):
                     pass  # non-main thread or unsupported platform
+            if self.manifest_path is None:
+                _log.info(
+                    "serve.checkpoints-off",
+                    detail="no --checkpoint: state is lost on exit",
+                )
 
         servers: list[asyncio.AbstractServer] = []
         tcp = await asyncio.start_server(

@@ -8,7 +8,6 @@ from repro.obs.promtext import (
     metric_name,
     parse_exposition,
     render_snapshot,
-    summaries_from_samples,
 )
 
 
@@ -71,17 +70,15 @@ class TestRoundTrip:
     def test_histogram_summary_round_trips(self, registry):
         snap = registry.snapshot()
         samples, _ = parse_exposition(render_snapshot(snap))
-        rebuilt = summaries_from_samples(
-            samples, "serve_request_seconds", (("route", "flows"),)
-        )
+        family, labels = "serve_request_seconds", (("route", "flows"),)
         original = snap.histograms['serve.request.seconds{route=flows}']
-        assert rebuilt is not None
-        assert rebuilt.count == original.count
-        assert rebuilt.total == pytest.approx(original.total)
-        assert rebuilt.p50 == pytest.approx(original.p50)
-        assert rebuilt.p95 == pytest.approx(original.p95)
-        assert rebuilt.min == pytest.approx(original.min)
-        assert rebuilt.max == pytest.approx(original.max)
+        assert samples[family + "_count"][labels] == original.count
+        assert samples[family + "_sum"][labels] == pytest.approx(original.total)
+        assert samples[family + "_min"][labels] == pytest.approx(original.min)
+        assert samples[family + "_max"][labels] == pytest.approx(original.max)
+        for quantile, value in (("0.5", original.p50), ("0.95", original.p95)):
+            key = tuple(sorted(labels + (("quantile", quantile),)))
+            assert samples[family][key] == pytest.approx(value)
 
     def test_escaped_label_values_round_trip(self):
         reg = MetricsRegistry()

@@ -57,6 +57,26 @@ def single_bodies(store, tmp_path_factory):
         return _collect_bodies(running.http_port)
 
 
+class TestCheckpointOffByDefault:
+    def test_daemons_without_checkpoint_write_nothing_into_the_store(
+        self, store, batch_flows, tmp_path
+    ):
+        """No ``--checkpoint``: no checkpoints, so a ``--shards 1`` and then
+        a ``--shards 2`` daemon over one store both start, serve the batch
+        bytes, and leave the store's files as they were."""
+        before = sorted(p.name for p in store.iterdir())
+        for shards in (1, 2):
+            config = ServeConfig(store=str(store), shards=shards)
+            assert config.resolved_checkpoint() is None
+            with ServerThread(config) as running:
+                push_store(store, port=running.tcp_port)
+                wait_ready(running.http_port)
+                assert http_req(running.http_port, "/flows")[1].strip() == batch_flows
+                status, _ = http_req(running.http_port, "/checkpoint", method="POST")
+                assert status == 409
+        assert sorted(p.name for p in store.iterdir()) == before
+
+
 class TestClusterByteIdentity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_query_bodies_match_single_and_batch(

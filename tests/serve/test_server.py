@@ -12,8 +12,6 @@ import pathlib
 import shutil
 import threading
 
-import pytest
-
 from repro.cli import main
 from repro.events.store import read_complete_lines, shard_node
 from repro.serve import (
@@ -305,42 +303,3 @@ class TestOtherIngestDoors:
                 return
             time.sleep(0.05)
         raise TimeoutError(f"tails never caught up: {offsets}")
-
-
-class TestCollectToServer:
-    def test_collector_door_matches_in_process_session(self, tmp_path):
-        from repro.analysis.pipeline import default_loss_spec
-        from repro.core.backends.incremental import IncrementalBackend
-        from repro.core.serialize import dumps_canonical, flows_to_json
-        from repro.core.session import ReconstructionSession
-        from repro.lognet.collector import collect_into, collect_to_server
-        from repro.simnet.scenarios import citysee, run_scenario
-
-        sim = run_scenario(citysee(n_nodes=10, days=1, seed=5))
-        spec = default_loss_spec(sim)
-        local = ReconstructionSession(
-            backend=IncrementalBackend(), delivery_node=sim.base_station_node
-        )
-        collect_into(local, sim.true_logs, spec, 99, rounds=3)
-
-        config = ServeConfig(
-            checkpoint_path=str(tmp_path / "cp.json"),
-            flush_interval=0.05,
-            delivery_node=sim.base_station_node,
-        )
-        with ServerThread(config) as thread:
-            collect_to_server(
-                sim.true_logs, spec, 99, port=thread.tcp_port, rounds=3
-            )
-            wait_ready(thread.http_port)
-            _, served = http_req(thread.http_port, "/flows")
-            # pushing the same collection again is a no-op (resumable source)
-            result = collect_to_server(
-                sim.true_logs, spec, 99, port=thread.tcp_port, rounds=3
-            )
-            del result
-            _, offsets = http_json(thread.http_port, "/offsets")
-        assert served.strip() == dumps_canonical(
-            flows_to_json(local.flows())
-        )
-        assert offsets["offsets"]["collector"] == offsets["received"]["collector"]
