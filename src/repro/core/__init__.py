@@ -22,14 +22,6 @@ from repro.core.backends import (
 )
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
 from repro.core.tracing import PacketTrace, trace_packet
-from repro.core.queries import (
-    NetworkStats,
-    PacketStats,
-    estimate_delay,
-    network_stats,
-    packet_stats,
-    retransmission_hotspots,
-)
 from repro.core.logging_advisor import (
     LabelAdvice,
     LoggingPlan,
@@ -40,12 +32,6 @@ from repro.core.logging_advisor import (
 )
 
 __all__ = [
-    "NetworkStats",
-    "PacketStats",
-    "estimate_delay",
-    "network_stats",
-    "packet_stats",
-    "retransmission_hotspots",
     "LabelAdvice",
     "LoggingPlan",
     "advise",

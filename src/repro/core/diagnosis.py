@@ -31,20 +31,21 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.events.event import Event, EventType
+from repro.events.event import (
+    ACK,
+    DUP,
+    GEN,
+    OVERFLOW,
+    RECEIVER_SIDE_EVENTS,
+    RECV,
+    TIMEOUT,
+    TRANS,
+    Event,
+)
 from repro.core.event_flow import EventFlow
 
 #: Event types that place the packet at a node (vs. confirm an earlier hop).
-POSSESSION_EVENTS = frozenset(
-    {
-        EventType.GEN.value,
-        EventType.RECV.value,
-        EventType.TRANS.value,
-        EventType.DUP.value,
-        EventType.OVERFLOW.value,
-        EventType.TIMEOUT.value,
-    }
-)
+POSSESSION_EVENTS = frozenset({GEN, RECV, TRANS, DUP, OVERFLOW, TIMEOUT})
 
 
 class LossCause(str, enum.Enum):
@@ -108,26 +109,26 @@ def classify_flow(flow: EventFlow, *, delivery_node: Optional[int] = None) -> Lo
     if delivery_node is not None:
         for entry in flow.entries:
             e = entry.event
-            if e.node == delivery_node and e.etype == EventType.RECV.value:
+            if e.node == delivery_node and e.etype == RECV:
                 return LossReport(LossCause.DELIVERED, delivery_node, e)
 
     anchor_index = _anchor_index(flow)
     anchor = flow.entries[anchor_index].event
     etype = anchor.etype
 
-    if etype == EventType.RECV.value:
+    if etype == RECV:
         return LossReport(LossCause.RECEIVED_LOSS, anchor.node, anchor)
-    if etype == EventType.ACK.value:
+    if etype == ACK:
         position = anchor.dst if anchor.dst is not None else anchor.node
         cause = _ack_anchor_cause(flow, anchor_index, position)
         return LossReport(cause, position, anchor)
-    if etype == EventType.TIMEOUT.value:
+    if etype == TIMEOUT:
         return LossReport(LossCause.TIMEOUT_LOSS, anchor.node, anchor)
-    if etype == EventType.DUP.value:
+    if etype == DUP:
         return LossReport(LossCause.DUP_LOSS, anchor.node, anchor)
-    if etype == EventType.OVERFLOW.value:
+    if etype == OVERFLOW:
         return LossReport(LossCause.OVERFLOW_LOSS, anchor.node, anchor)
-    if etype == EventType.GEN.value:
+    if etype == GEN:
         # Generated but never observed leaving the origin: an in-node loss
         # at the origin (the application handed the packet over and it
         # vanished).
@@ -150,15 +151,15 @@ def _anchor_index(flow: EventFlow) -> int:
     arrivals = {
         (e.event.src, e.event.dst)
         for e in flow.entries
-        if e.event.etype in (EventType.RECV.value, EventType.DUP.value, EventType.OVERFLOW.value)
+        if e.event.etype in RECEIVER_SIDE_EVENTS
     }
-    transmitters = {e.event.src for e in flow.entries if e.event.etype == EventType.TRANS.value}
+    transmitters = {e.event.src for e in flow.entries if e.event.etype == TRANS}
     possession = [
         i
         for i in frontier
         if flow.entries[i].event.etype in POSSESSION_EVENTS
         and not (
-            flow.entries[i].event.etype == EventType.TIMEOUT.value
+            flow.entries[i].event.etype == TIMEOUT
             and (flow.entries[i].event.src, flow.entries[i].event.dst) in arrivals
         )
     ]
@@ -171,7 +172,7 @@ def _anchor_index(flow: EventFlow) -> int:
         i
         for i in frontier
         if not (
-            flow.entries[i].event.etype == EventType.ACK.value
+            flow.entries[i].event.etype == ACK
             and flow.entries[i].event.dst in transmitters
         )
     ]
@@ -193,10 +194,10 @@ def _ack_anchor_cause(flow: EventFlow, anchor_index: int, receiver: int) -> Loss
         event = entry.event
         if event.node != receiver:
             continue
-        if event.etype == EventType.RECV.value:
+        if event.etype == RECV:
             return LossCause.RECEIVED_LOSS if not entry.inferred else LossCause.ACKED_LOSS
-        if event.etype == EventType.OVERFLOW.value:
+        if event.etype == OVERFLOW:
             return LossCause.OVERFLOW_LOSS
-        if event.etype == EventType.DUP.value:
+        if event.etype == DUP:
             return LossCause.DUP_LOSS
     return LossCause.ACKED_LOSS

@@ -11,12 +11,7 @@ from repro.events.event import Event, EventType, SENDER_SIDE_EVENTS, RECEIVER_SI
 from repro.events.packet import PacketKey
 from repro.events.log import LogRecord, NodeLog
 from repro.events.codec import encode_event, decode_event, encode_log, decode_log
-from repro.events.merge import (
-    merge_logs,
-    interleave_round_robin,
-    group_by_packet,
-    split_collection_rounds,
-)
+from repro.events.merge import group_by_packet, split_collection_rounds
 from repro.events.store import iter_store_logs, load_store, save_store
 
 __all__ = [
@@ -35,7 +30,5 @@ __all__ = [
     "decode_event",
     "encode_log",
     "decode_log",
-    "merge_logs",
-    "interleave_round_robin",
     "group_by_packet",
 ]

@@ -49,11 +49,22 @@ class EventType(str, enum.Enum):
         return self.value
 
 
+#: The :class:`EventType` labels as plain strings.  ``EventType.X.value`` is
+#: an enum descriptor access, measurably hot where realizers, admissibility
+#: and diagnosis run per event; those paths compare against these instead.
+GEN = EventType.GEN.value
+RECV = EventType.RECV.value
+TRANS = EventType.TRANS.value
+ACK = EventType.ACK.value
+DUP = EventType.DUP.value
+OVERFLOW = EventType.OVERFLOW.value
+TIMEOUT = EventType.TIMEOUT.value
+
 #: Event types recorded on (and attributed to) the *sender* of the pair.
-SENDER_SIDE_EVENTS = frozenset({EventType.TRANS.value, EventType.ACK.value, EventType.TIMEOUT.value})
+SENDER_SIDE_EVENTS = frozenset({TRANS, ACK, TIMEOUT})
 
 #: Event types recorded on (and attributed to) the *receiver* of the pair.
-RECEIVER_SIDE_EVENTS = frozenset({EventType.RECV.value, EventType.DUP.value, EventType.OVERFLOW.value})
+RECEIVER_SIDE_EVENTS = frozenset({RECV, DUP, OVERFLOW})
 
 
 def _freeze_info(info: Optional[Mapping[str, Any]]) -> tuple[tuple[str, Any], ...]:

@@ -28,37 +28,6 @@ def iter_node_logs(logs: Logs) -> Iterator[tuple[int, NodeLog]]:
         yield node, logs[node]
 
 
-def interleave_round_robin(logs: Mapping[int, NodeLog]) -> list[Event]:
-    """Deterministic merge: round-robin over nodes in increasing id order.
-
-    Preserves each node's internal order while making no claim about
-    cross-node order — one valid "merged events" view of the collection
-    (the reconstructor itself consumes per-node queues via
-    :func:`group_by_packet`; this flat view serves inspection and export).
-    """
-    cursors = {node: 0 for node in sorted(logs)}
-    merged: list[Event] = []
-    remaining = sum(len(log) for log in logs.values())
-    while remaining:
-        progressed = False
-        for node in sorted(cursors):
-            log = logs[node]
-            i = cursors[node]
-            if i < len(log):
-                merged.append(log[i])
-                cursors[node] = i + 1
-                remaining -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover - defensive, cannot happen
-            break
-    return merged
-
-
-def merge_logs(logs: Mapping[int, NodeLog]) -> dict[int, tuple[Event, ...]]:
-    """Normalize a log collection into per-node ordered event tuples."""
-    return {node: log.events for node, log in sorted(logs.items())}
-
-
 def group_by_packet(
     logs: Logs,
 ) -> dict[PacketKey, dict[int, list[Event]]]:

@@ -23,23 +23,21 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
-from repro.events.event import Event, EventType
+from repro.events.event import (
+    ACK,
+    DUP,
+    GEN,
+    OVERFLOW,
+    RECV,
+    TIMEOUT,
+    TRANS,
+    Event,
+)
 from repro.events.packet import PacketKey
 from repro.fsm.graph import Transition, TransitionGraph
 from repro.fsm.intra import IntraTransition, Selection, derive_intra_transitions
 from repro.fsm.prerequisites import Peer, PrereqRule
 from repro.fsm.reachability import CompiledReachability
-
-#: Hoisted label constants: ``EventType.X.value`` is an enum descriptor
-#: access, measurably hot when realizers/admissibility run per inferred
-#: event — the hot paths compare against these plain strings instead.
-_GEN = EventType.GEN.value
-_RECV = EventType.RECV.value
-_TRANS = EventType.TRANS.value
-_ACK = EventType.ACK.value
-_DUP = EventType.DUP.value
-_OVERFLOW = EventType.OVERFLOW.value
-_TIMEOUT = EventType.TIMEOUT.value
 
 
 class NeighborContext(Protocol):
@@ -166,50 +164,48 @@ FORWARDER_STATES = (IDLE, RECEIVED, SENT, ACKED, DROPPED_TIMEOUT, DROPPED_OVERFL
 
 
 def _forwarder_graph(with_gen: bool) -> TransitionGraph:
-    e = EventType
     edges: list[tuple[str, str, str]] = []
     if with_gen:
         # Declared before the recv acquisition edge so that, at the origin,
         # shortest-path ties break toward `gen`.
-        edges.append((IDLE, RECEIVED, e.GEN.value))
+        edges.append((IDLE, RECEIVED, GEN))
     edges += [
-        (IDLE, RECEIVED, e.RECV.value),
-        (IDLE, DROPPED_OVERFLOW, e.OVERFLOW.value),
-        (DROPPED_OVERFLOW, RECEIVED, e.RECV.value),
-        (RECEIVED, SENT, e.TRANS.value),
-        (RECEIVED, RECEIVED, e.DUP.value),
-        (SENT, SENT, e.TRANS.value),
-        (SENT, SENT, e.DUP.value),
-        (SENT, ACKED, e.ACK.value),
-        (SENT, DROPPED_TIMEOUT, e.TIMEOUT.value),
-        (ACKED, SENT, e.TRANS.value),
-        (ACKED, RECEIVED, e.RECV.value),
-        (ACKED, ACKED, e.DUP.value),
+        (IDLE, RECEIVED, RECV),
+        (IDLE, DROPPED_OVERFLOW, OVERFLOW),
+        (DROPPED_OVERFLOW, RECEIVED, RECV),
+        (RECEIVED, SENT, TRANS),
+        (RECEIVED, RECEIVED, DUP),
+        (SENT, SENT, TRANS),
+        (SENT, SENT, DUP),
+        (SENT, ACKED, ACK),
+        (SENT, DROPPED_TIMEOUT, TIMEOUT),
+        (ACKED, SENT, TRANS),
+        (ACKED, RECEIVED, RECV),
+        (ACKED, ACKED, DUP),
     ]
     return TransitionGraph(FORWARDER_STATES, edges, IDLE)
 
 
 def _forwarder_prereqs() -> dict[str, tuple[PrereqRule, ...]]:
-    e = EventType
     return {
         # A receive implies the sender transmitted (paper Fig. 2).
-        e.RECV.value: (PrereqRule(Peer.SRC, SENT),),
-        e.DUP.value: (PrereqRule(Peer.SRC, SENT),),
-        e.OVERFLOW.value: (PrereqRule(Peer.SRC, SENT),),
+        RECV: (PrereqRule(Peer.SRC, SENT),),
+        DUP: (PrereqRule(Peer.SRC, SENT),),
+        OVERFLOW: (PrereqRule(Peer.SRC, SENT),),
         # An ack implies the receiver got the packet at the PHY (paper Table
         # II case 2: `1-2 trans, [1-2 recv], 1-2 ack recvd`).  A queue
         # overflow also satisfies it: the radio acked, the routing layer
         # dropped (paper §V-D5: hardware acks precede upper-layer delivery).
-        e.ACK.value: (PrereqRule(Peer.DST, RECEIVED, alt_states=(DROPPED_OVERFLOW,)),),
+        ACK: (PrereqRule(Peer.DST, RECEIVED, alt_states=(DROPPED_OVERFLOW,)),),
     }
 
 
 def _forwarder_admissible(
     t: Transition, node: int, packet: Optional[PacketKey], ctx: NeighborContext
 ) -> bool:
-    if t.event == _GEN:
+    if t.event == GEN:
         return packet is not None and node == packet.origin
-    if t.event == _RECV and packet is not None and node == packet.origin:
+    if t.event == RECV and packet is not None and node == packet.origin:
         # The origin can only "receive" its own packet through a routing
         # loop, which requires a known upstream sender.
         return ctx.upstream(node) is not None
@@ -219,11 +215,11 @@ def _forwarder_admissible(
 def _forwarder_realize(
     label: str, node: int, packet: Optional[PacketKey], ctx: NeighborContext
 ) -> Event:
-    if label == _GEN:
+    if label == GEN:
         return Event.make(label, node, packet=packet)
-    if label in (_RECV, _DUP, _OVERFLOW):
+    if label in (RECV, DUP, OVERFLOW):
         return Event.make(label, node, src=ctx.upstream(node), dst=node, packet=packet)
-    if label in (_TRANS, _ACK, _TIMEOUT):
+    if label in (TRANS, ACK, TIMEOUT):
         return Event.make(label, node, src=node, dst=ctx.downstream(node), packet=packet)
     return Event.make(label, node, packet=packet)
 

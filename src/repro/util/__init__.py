@@ -1,1 +1,1 @@
-"""Small shared helpers: deterministic RNG streams, ASCII tables, stats."""
+"""Small shared helpers: deterministic RNG streams and ASCII tables."""

@@ -1,10 +1,8 @@
-"""Tests for link-quality measurement and before/after deltas."""
+"""Tests for link-quality measurement from reconstructed flows."""
 
 import pytest
 
-from repro.analysis.deltas import compare_windows, window_diagnosis
 from repro.analysis.linkquality import LinkObservation, observe_links, worst_links
-from repro.core.diagnosis import LossCause, LossReport
 from repro.core.session import ReconstructionSession
 from repro.events.event import Event
 from repro.events.log import NodeLog
@@ -108,76 +106,3 @@ class TestLinkQualityAgainstGroundTruth:
                 checked += 1
         assert checked > 5
 
-
-class TestDeltas:
-    def make_reports(self):
-        reports = {}
-        est = {}
-        # before boundary (t<100): 10 packets, 5 lost at the sink
-        for i in range(10):
-            pkt = PacketKey(1, i)
-            lost = i < 5
-            reports[pkt] = LossReport(
-                LossCause.RECEIVED_LOSS if lost else LossCause.DELIVERED, 50
-            )
-            est[pkt] = 10.0 * i
-        # after boundary: 10 packets, 1 lost by timeout
-        for i in range(10, 20):
-            pkt = PacketKey(1, i)
-            lost = i == 10
-            reports[pkt] = LossReport(
-                LossCause.TIMEOUT_LOSS if lost else LossCause.DELIVERED, 3
-            )
-            est[pkt] = 100.0 + 10.0 * (i - 10)
-        return reports, est
-
-    def test_window_diagnosis(self):
-        reports, est = self.make_reports()
-        window = window_diagnosis(reports, est, label="w", start=0, end=100)
-        assert window.packets == 10
-        assert window.lost == 5
-        assert window.loss_rate == pytest.approx(0.5)
-        assert window.cause_share(LossCause.RECEIVED_LOSS) == 1.0
-
-    def test_compare_windows(self):
-        reports, est = self.make_reports()
-        delta = compare_windows(reports, est, boundary=100.0)
-        assert delta.before.lost == 5 and delta.after.lost == 1
-        assert delta.improvement_factor == pytest.approx(5.0)
-        assert delta.loss_rate_change == pytest.approx(-0.4)
-        assert delta.biggest_mover() is LossCause.RECEIVED_LOSS
-        assert "Before/after" in delta.render()
-
-    def test_boundary_validation(self):
-        reports, est = self.make_reports()
-        with pytest.raises(ValueError):
-            compare_windows(reports, est, boundary=0.0)
-
-    def test_unplaceable_packets_excluded(self):
-        reports = {PacketKey(1, 1): LossReport(LossCause.DELIVERED, 9)}
-        delta = compare_windows(reports, {PacketKey(1, 1): None}, boundary=5.0)
-        assert delta.before.packets == 0 and delta.after.packets == 0
-        assert delta.improvement_factor is None
-
-    def test_sink_fix_visible_end_to_end(self):
-        """The paper's day-23 intervention shows up as an improvement."""
-        from repro.analysis.pipeline import evaluate
-        from repro.simnet.scenarios import DAY, citysee
-
-        # outages off: a clean causal experiment on the serial fix
-        result = evaluate(
-            citysee(
-                n_nodes=60, days=8, seed=47, sink_fix_day=4,
-                snow_days=(), outage_fraction=0.0,
-            )
-        )
-        delta = compare_windows(
-            result.reports, result.est_loss_times, boundary=4 * DAY
-        )
-        assert delta.improvement_factor is not None
-        assert delta.improvement_factor > 1.5
-        # the fix moved in-node losses at the sink, exactly as in Fig. 6
-        assert delta.biggest_mover() in (
-            LossCause.RECEIVED_LOSS,
-            LossCause.ACKED_LOSS,
-        )

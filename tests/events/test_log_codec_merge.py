@@ -5,11 +5,7 @@ import pytest
 from repro.events.codec import decode_event, decode_log, encode_event, encode_log
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
-from repro.events.merge import (
-    group_by_packet,
-    interleave_round_robin,
-    merge_logs,
-)
+from repro.events.merge import group_by_packet
 from repro.events.packet import PacketKey
 
 
@@ -97,23 +93,6 @@ class TestCodec:
 
 
 class TestMerge:
-    def test_round_robin_preserves_per_node_order(self):
-        logs = {
-            1: NodeLog(1, [ev("a", 1), ev("b", 1), ev("c", 1)]),
-            2: NodeLog(2, [ev("x", 2)]),
-        }
-        merged = interleave_round_robin(logs)
-        node1_events = [e for e in merged if e.node == 1]
-        assert [e.etype for e in node1_events] == ["a", "b", "c"]
-        assert len(merged) == 4
-
-    def test_round_robin_alternates(self):
-        logs = {
-            1: NodeLog(1, [ev("a", 1), ev("b", 1)]),
-            2: NodeLog(2, [ev("x", 2), ev("y", 2)]),
-        }
-        assert [e.etype for e in interleave_round_robin(logs)] == ["a", "x", "b", "y"]
-
     def test_group_by_packet(self):
         p0, p1 = PacketKey(1, 0), PacketKey(1, 1)
         logs = {
@@ -130,9 +109,3 @@ class TestMerge:
         assert [e.etype for e in grouped[p0][2]] == ["recv"]
         # packet-less events are excluded
         assert all(e.packet is not None for evs in grouped[p0].values() for e in evs)
-
-    def test_merge_logs_normalizes(self):
-        logs = {2: NodeLog(2, [ev("x", 2)]), 1: NodeLog(1, [ev("a", 1)])}
-        normalized = merge_logs(logs)
-        assert list(normalized) == [1, 2]
-        assert normalized[1][0].etype == "a"

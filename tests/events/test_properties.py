@@ -18,7 +18,7 @@ from repro.events.codec import (
 )
 from repro.events.event import Event
 from repro.events.log import NodeLog
-from repro.events.merge import group_by_packet, interleave_round_robin
+from repro.events.merge import group_by_packet
 from repro.events.packet import PacketKey
 from tests.events.oracle import scan_log_text_legacy
 from tests.strategies import (
@@ -132,30 +132,7 @@ class TestPacketKeyProperties:
         assert PacketKey.parse(str(key)) == key
 
 
-def _subsequence(haystack, needle):
-    it = iter(haystack)
-    return all(x in it for x in needle)
-
-
 class TestMergeProperties:
-    @given(
-        st.dictionaries(
-            st.integers(min_value=1, max_value=8),
-            st.lists(SAFE_TEXT, max_size=15),
-            max_size=6,
-        )
-    )
-    def test_round_robin_preserves_per_node_subsequences(self, spec):
-        logs = {
-            node: NodeLog(node, [Event.make(label, node) for label in labels])
-            for node, labels in spec.items()
-        }
-        merged = interleave_round_robin(logs)
-        assert len(merged) == sum(len(log) for log in logs.values())
-        for node, log in logs.items():
-            merged_node = [e for e in merged if e.node == node]
-            assert merged_node == list(log.events)
-
     @given(
         st.lists(
             st.tuples(

@@ -21,7 +21,7 @@ from repro.fsm.templates import (
 )
 from repro.lognet.collector import collect_logs
 from repro.lognet.loss import LogLossSpec
-from repro.simnet.dissemination import DisseminationParams, run_dissemination
+from tests.simnet.dissemination import DisseminationParams, run_dissemination
 
 
 def reconstruct(template_for, logs):

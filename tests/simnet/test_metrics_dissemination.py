@@ -1,40 +1,14 @@
-"""Unit tests for network metrics and the dissemination simulator."""
+"""Unit tests for ground-truth paths and the dissemination simulator."""
 
 import pytest
 
-from repro.simnet.dissemination import DisseminationParams, run_dissemination
-from repro.simnet.metrics import summarize
 from repro.simnet.scenarios import run_scenario, small_network
+from tests.simnet.dissemination import DisseminationParams, run_dissemination
 
 
 @pytest.fixture(scope="module")
 def sim_result():
     return run_scenario(small_network(n_nodes=20, minutes=20))
-
-
-class TestNetworkMetrics:
-    def test_summary_consistent_with_truth(self, sim_result):
-        report = summarize(sim_result)
-        assert report.packets == len(sim_result.truth.fates)
-        assert report.delivered == len(sim_result.truth.delivered_packets())
-        assert 0.0 < report.delivery_ratio <= 1.0
-        assert report.loss_counts == sim_result.truth.loss_counts()
-
-    def test_per_origin_delivery_bounded(self, sim_result):
-        report = summarize(sim_result)
-        for origin, ratio in report.per_origin_delivery.items():
-            assert 0.0 <= ratio <= 1.0
-            assert origin != sim_result.sink  # sink generates nothing
-
-    def test_hop_histogram_positive(self, sim_result):
-        report = summarize(sim_result)
-        assert sum(report.hop_histogram.values()) == report.delivered
-        assert report.mean_hops() >= 1.0
-
-    def test_forwarding_load_excludes_origin_work(self, sim_result):
-        report = summarize(sim_result)
-        # the sink relays (terminates) almost everything delivered
-        assert report.node_forwarding_load[sim_result.sink] > 0
 
 
 class TestTruePath:

@@ -1,8 +1,11 @@
 """Tests for packet-less routing events in the logs (parent changes)."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.core.session import ReconstructionSession
+from repro.core.tracing import trace_packet
 from repro.events.log import NodeLog
 from repro.simnet.scenarios import citysee, run_scenario
 
@@ -40,15 +43,21 @@ class TestParentChangeEvents:
             assert with_noise[packet].labels() == without_noise[packet].labels()
 
     def test_switch_events_correlate_with_route_timelines(self, result):
-        """The two independent views of routing churn agree in direction."""
-        from repro.analysis.routes import route_timelines, network_churn
-
-        session = ReconstructionSession()
-        flows = session.reconstruct(result.true_logs)
-        timelines = route_timelines(
-            flows, exclude=frozenset({result.base_station_node})
+        """The two independent views of routing churn agree in direction:
+        logged parent switches, and consecutive packets of one origin whose
+        reconstructed paths differ."""
+        flows = ReconstructionSession().reconstruct(result.true_logs)
+        paths: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+        for packet in sorted(flows):  # origin, then sequence order
+            path = tuple(
+                n for n in trace_packet(flows[packet]).path
+                if n != result.base_station_node
+            )
+            if len(path) > 1:
+                paths[packet.origin].append(path)
+        path_switches = sum(
+            a != b for timeline in paths.values() for a, b in zip(timeline, timeline[1:])
         )
-        observed_churn = network_churn(timelines)
         switch_count = sum(
             1
             for log in result.true_logs.values()
@@ -56,4 +65,4 @@ class TestParentChangeEvents:
             if e.etype == "parent_change"
         )
         # both views see instability (non-zero), or neither does
-        assert (observed_churn > 0) == (switch_count > 0)
+        assert (path_switches > 0) == (switch_count > 0)

@@ -1,14 +1,21 @@
-"""The batch and serve doors load only what they run.
+"""The batch and serve doors load only what they run, and every module has a door.
 
 ``refill analyze`` and ``refill serve`` reconstruct from a store; the
 simulator (``repro.simnet``), the loss model (``repro.lognet``) and numpy
 belong to ``refill simulate`` alone.  A serial ``refill analyze`` also
-loads neither the ``refill check --code`` analyzer nor the process pool.
+loads neither the ``refill check --code`` analyzer, the process pool, the
+daemon, the stress engine nor the figure renderer.
 Each door runs in a fresh interpreter
 under ``-X importtime``, which names every module the process imported
 over its whole life.
+
+The other direction is static: every ``src/repro`` module must be reached
+by some ``import`` from an entry point (the CLI, ``examples/``,
+``benchmarks/``, ``refillbench/``).  A module only its own tests import is
+code no user runs.
 """
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -18,6 +25,7 @@ import urllib.request
 from repro.serve.runner import read_printed_ports
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 STORE = REPO / "tests" / "fixtures" / "defective-deployment"
 #: Modules only ``refill simulate`` needs.
 SIMULATOR_ONLY = ("numpy", "repro.simnet", "repro.lognet")
@@ -25,9 +33,79 @@ SIMULATOR_ONLY = ("numpy", "repro.simnet", "repro.lognet")
 NOT_IN_SERIAL_ANALYZE = (
     *SIMULATOR_ONLY,
     "repro.check.code",
+    "repro.serve",
+    "repro.stress",
+    "repro.vis",
     "multiprocessing",
     "concurrent.futures.process",
 )
+#: Where the static import walk starts: the CLI and every script directory.
+ENTRY_MODULES = ("repro.cli", "repro.__main__")
+ENTRY_DIRS = ("examples", "benchmarks", "refillbench")
+
+
+def _module_file(name: str) -> pathlib.Path | None:
+    """The source file of module ``name`` under ``src/`` or the repo root."""
+    for root in (SRC, REPO):
+        base = root.joinpath(*name.split("."))
+        for path in (base.with_suffix(".py"), base / "__init__.py"):
+            if path.is_file():
+                return path
+    return None
+
+
+def _imported_names(path: pathlib.Path, name: str):
+    """Every dotted name an ``import`` in ``path`` may load, at any depth.
+
+    ``from a import b`` yields ``a`` and ``a.b``: ``b`` may be a submodule.
+    """
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parts = package.split(".")[: len(package.split(".")) - node.level + 1]
+                module = ".".join(filter(None, [*parts, module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def _static_closure() -> set[str]:
+    """Modules reached from the entry points by following every ``import``.
+
+    Importing ``a.b.c`` runs ``a/__init__`` and ``a/b/__init__`` first, so
+    each parent package joins the closure with the module.
+    """
+    todo = [(name, _module_file(name)) for name in ENTRY_MODULES]
+    for directory in ENTRY_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            todo.append((".".join(path.relative_to(REPO).with_suffix("").parts), path))
+    seen: set[str] = set()
+    while todo:
+        name, path = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for dotted in _imported_names(path, name):
+            parts = dotted.split(".")
+            for cut in range(1, len(parts) + 1):
+                module = ".".join(parts[:cut])
+                found = module not in seen and _module_file(module)
+                if found:
+                    todo.append((module, found))
+    return seen
+
+
+def test_every_src_module_is_reached_from_an_entry_point():
+    """A module only tests import is code no door runs: delete it or move it."""
+    modules = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        for path in (SRC / "repro").rglob("*.py")
+    }
+    unreached = sorted(modules - _static_closure())
+    assert not unreached, f"no entry point imports {unreached}"
 
 
 def _refill(stderr, *argv: str, **kwargs) -> subprocess.Popen:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.util.rng import RngStreams
-from repro.util.stats import count_by, histogram, percentage_breakdown, time_buckets
 from repro.util.tables import render_table
 
 
@@ -35,31 +34,6 @@ class TestRngStreams:
         child2 = RngStreams(7).spawn("scenario")
         assert child1.stream("gen").random() == child2.stream("gen").random()
         assert child1.stream("gen") is not parent.stream("gen")
-
-
-class TestStats:
-    def test_percentage_breakdown(self):
-        shares = percentage_breakdown({"a": 3, "b": 1})
-        assert shares["a"] == pytest.approx(75.0)
-        assert sum(shares.values()) == pytest.approx(100.0)
-        assert percentage_breakdown({"a": 0}) == {"a": 0.0}
-
-    def test_histogram(self):
-        counts = histogram([0.5, 1.5, 1.6, 2.5], [0, 1, 2, 3])
-        assert counts == [1, 2, 1]
-        assert histogram([], [0, 1]) == [0]
-
-    def test_time_buckets(self):
-        edges = time_buckets(0.0, 10.0, 2.5)
-        assert edges == [0.0, 2.5, 5.0, 7.5, 10.0]
-        with pytest.raises(ValueError):
-            time_buckets(0, 10, 0)
-        with pytest.raises(ValueError):
-            time_buckets(10, 0, 1)
-
-    def test_count_by(self):
-        counts = count_by([1, 2, 3, 4], key=lambda x: x % 2)
-        assert counts == {1: 2, 0: 2}
 
 
 class TestRenderTable:
