@@ -22,7 +22,8 @@ import time
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
 from repro.lognet.collector import collect_logs
-from repro.obs import FlightRecorder, MetricsRegistry, NullRegistry, use_recorder
+from repro.obs import MetricsRegistry, NullRegistry
+from repro.obs.recorder import FlightRecorder, use_recorder
 from repro.obs.registry import use_registry
 from repro.serve import ServeConfig, ServerThread, ShardWorker
 from repro.serve.client import push_lines

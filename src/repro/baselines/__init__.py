@@ -11,17 +11,11 @@
 - :mod:`repro.baselines.wit` — Wit-style merging [10]: combines logs only
   through commonly recorded events; with individual (non-sniffer) logs
   there are none, so nothing merges.
+
+Each is imported from its own module; ``refill analyze`` loads only the
+sink view.
 """
 
 from repro.baselines.sink_view import SinkView
-from repro.baselines.time_correlation import TimeCorrelationDiagnosis
-from repro.baselines.netcheck import NetCheckAnalyzer
-from repro.baselines.wit import WitMerger, WitReport
 
-__all__ = [
-    "SinkView",
-    "TimeCorrelationDiagnosis",
-    "NetCheckAnalyzer",
-    "WitMerger",
-    "WitReport",
-]
+__all__ = ["SinkView"]

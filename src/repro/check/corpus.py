@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional
 from repro.check.crossfsm import DeploymentSpec
 from repro.check.findings import Finding, cap_per_rule, error, warning
 from repro.events.codec import DecodeIssue
-from repro.events.event import EventType
+from repro.events.event import GEN
 from repro.events.store import ScanItem, iter_store_logs, load_store_metadata
 
 
@@ -69,71 +69,89 @@ class CorpusLint:
     def tap(
         self, node: int, file: pathlib.Path, scan: Iterable[ScanItem]
     ) -> Iterator[ScanItem]:
-        """Yield ``scan`` unchanged, linting each line on the way."""
+        """Yield ``scan`` unchanged, linting each line on the way.
+
+        A finding's location (``<file>:<line>``) is built only when one is
+        emitted, and the shard's line counts join :attr:`stats` once, when
+        its scan ends."""
         add = self.findings.append
-        stats = self.stats
-        stats["files"] += 1
+        vocabulary = self.vocabulary
+        name = file.name
+        self.stats["files"] += 1
+        lines = events = corrupt = 0
         last_time: Optional[float] = None
         last_time_lineno = 0
         last_gen_seq: Optional[int] = None
 
-        for lineno, decoded in scan:
-            stats["lines"] += 1
-            loc = f"{file.name}:{lineno}"
-            if isinstance(decoded, DecodeIssue):
-                stats["corrupt"] += 1
-                if decoded.event is None:
-                    add(error("LC001", loc, f"line failed to decode: {decoded.error}"))
-                else:
-                    stats["events"] += 1
-                    add(error("LC002", loc, decoded.error))
-                yield lineno, decoded
-                continue
-            stats["events"] += 1
-            event, packet = decoded, decoded.packet
+        try:
+            for lineno, decoded in scan:
+                lines += 1
+                if isinstance(decoded, DecodeIssue):
+                    corrupt += 1
+                    if decoded.event is None:
+                        add(error(
+                            "LC001", f"{name}:{lineno}",
+                            f"line failed to decode: {decoded.error}",
+                        ))
+                    else:
+                        events += 1
+                        add(error("LC002", f"{name}:{lineno}", decoded.error))
+                    yield lineno, decoded
+                    continue
+                events += 1
+                event, packet = decoded, decoded.packet
 
-            if self.vocabulary is not None and event.etype not in self.vocabulary:
-                add(warning(
-                    "LC003", loc,
-                    f"event label {event.etype!r} matches no role template; "
-                    "inference will ignore it",
-                ))
-
-            # Packet referential integrity: well-formed keys, gen at origin.
-            if packet is not None and (packet.origin < 0 or packet.seq < 0):
-                add(error("LC004", loc, f"packet key {packet} has a negative origin/seq"))
-            gen = packet if event.etype == EventType.GEN.value else None
-            if gen is not None and gen.origin != event.node:
-                add(error(
-                    "LC004", loc,
-                    f"gen event for packet {gen} recorded on node "
-                    f"{event.node}, not its origin {gen.origin}",
-                ))
-
-            # Append-order sanity: one node, one (linear) clock — local
-            # timestamps must be monotone along the surviving log.
-            if event.time is not None:
-                if last_time is not None and event.time < last_time:
+                if vocabulary is not None and event.etype not in vocabulary:
                     add(warning(
-                        "LC005", loc,
-                        f"timestamp {event.time} precedes {last_time} at "
-                        f"line {last_time_lineno}; the log is reordered or "
-                        "the clock stepped backwards",
+                        "LC003", f"{name}:{lineno}",
+                        f"event label {event.etype!r} matches no role template; "
+                        "inference will ignore it",
                     ))
-                last_time = event.time
-                last_time_lineno = lineno
 
-            # The origin's own gen records carry strictly increasing seqs.
-            if gen is not None and gen.origin == node:
-                if last_gen_seq is not None and gen.seq <= last_gen_seq:
-                    add(warning(
-                        "LC005", loc,
-                        f"gen sequence {gen.seq} does not increase past "
-                        f"{last_gen_seq}; duplicated or reordered generation "
-                        "records",
+                # Packet referential integrity: well-formed keys, gen at origin.
+                if packet is not None and (packet.origin < 0 or packet.seq < 0):
+                    add(error(
+                        "LC004", f"{name}:{lineno}",
+                        f"packet key {packet} has a negative origin/seq",
                     ))
-                last_gen_seq = gen.seq
-            yield lineno, event
+                gen = packet if event.etype == GEN else None
+                if gen is not None and gen.origin != event.node:
+                    add(error(
+                        "LC004", f"{name}:{lineno}",
+                        f"gen event for packet {gen} recorded on node "
+                        f"{event.node}, not its origin {gen.origin}",
+                    ))
+
+                # Append-order sanity: one node, one (linear) clock — local
+                # timestamps must be monotone along the surviving log.
+                time = event.time
+                if time is not None:
+                    if last_time is not None and time < last_time:
+                        add(warning(
+                            "LC005", f"{name}:{lineno}",
+                            f"timestamp {time} precedes {last_time} at "
+                            f"line {last_time_lineno}; the log is reordered or "
+                            "the clock stepped backwards",
+                        ))
+                    last_time = time
+                    last_time_lineno = lineno
+
+                # The origin's own gen records carry strictly increasing seqs.
+                if gen is not None and gen.origin == node:
+                    if last_gen_seq is not None and gen.seq <= last_gen_seq:
+                        add(warning(
+                            "LC005", f"{name}:{lineno}",
+                            f"gen sequence {gen.seq} does not increase past "
+                            f"{last_gen_seq}; duplicated or reordered generation "
+                            "records",
+                        ))
+                    last_gen_seq = gen.seq
+                yield lineno, event
+        finally:
+            stats = self.stats
+            stats["lines"] += lines
+            stats["events"] += events
+            stats["corrupt"] += corrupt
 
 
 def check_corpus(

@@ -39,6 +39,7 @@ per-stage wall-time table (see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -53,7 +54,6 @@ from repro.check.corpus import CorpusLint
 from repro.check.runner import model_errors, record_corpus
 from repro.core.backends import BACKENDS, make_backend
 from repro.core.session import ReconstructionSession
-from repro.core.tracing import trace_packet
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
 from repro.events.store import ShardTap, StoreMetadata, load_store, save_store
@@ -261,6 +261,24 @@ def _analyze_template(args: argparse.Namespace):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    """``refill analyze`` with automatic cyclic garbage collection paused.
+
+    Load, reconstruct, diagnose and encode build no reference cycles, so
+    reference counting frees all they drop; the cyclic collector would only
+    rescan a heap that grows with the store (0.15-0.30 s a run on the
+    120-node bench store).  The caller's collector state comes back on the
+    way out.  ``refill serve`` keeps its collector (see ARCHITECTURE.md).
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _analyze(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     try:
         spec, template = _analyze_template(args)
@@ -308,11 +326,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print()
         for key, value in split.items():
             print(f"  {key:<16} {value:5.1f}%")
-    if args.flows_out:
-        from repro.core.serialize import encode_flows
+        if args.flows_out:
+            from repro.core.serialize import flows_document_parts
 
-        pathlib.Path(args.flows_out).write_text(encode_flows(flows) + "\n")
-        log.info("analyze.flows-written", path=args.flows_out)
+            # the encode_flows document written a flow at a time, never held whole
+            with span("analyze.encode"), pathlib.Path(args.flows_out).open("w") as out:
+                out.writelines(flows_document_parts(flows))
+                out.write("\n")
+            log.info("analyze.flows-written", path=args.flows_out)
     if args.metrics_out:
         snapshot = registry.snapshot()
         pathlib.Path(args.metrics_out).write_text(snapshot.to_json_str() + "\n")
@@ -556,6 +577,8 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.core.tracing import trace_packet
+
     store = _open_store("trace", args.logs)
     if store is None:
         return 2
@@ -591,9 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser = argparse.ArgumentParser(prog="refill", description=__doc__)
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version_string()}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser(
@@ -870,6 +891,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default="figures")
     p_fig.set_defaults(fn=_cmd_figures)
     return parser
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: print ``refill <version>`` and exit.  The version is
+    looked up only here, because :mod:`importlib.metadata` costs every
+    other command tens of milliseconds of imports and a ``sys.path`` scan."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, **kwargs) -> None:
+        super().__init__(
+            option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+            help="show program's version number and exit", **kwargs,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        print(f"{parser.prog} {_version_string()}")
+        parser.exit()
 
 
 def _version_string() -> str:

@@ -4,7 +4,9 @@ This is the paper's primary contribution (§IV): per-node FSM inference
 engines connected by intra-node and inter-node transitions, a recursive
 event-processing algorithm that reconstructs the network-wide event flow and
 infers lost events, plus the downstream consumers of the flow — loss
-diagnosis (§V-B) and per-packet tracing.
+diagnosis (§V-B), per-packet tracing (:mod:`repro.core.tracing`) and the
+logging advisor (:mod:`repro.core.logging_advisor`), the last two imported
+from their own modules.
 """
 
 from repro.core.event_flow import EventFlow, FlowEntry
@@ -21,23 +23,8 @@ from repro.core.backends import (
     make_backend,
 )
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
-from repro.core.tracing import PacketTrace, trace_packet
-from repro.core.logging_advisor import (
-    LabelAdvice,
-    LoggingPlan,
-    advise,
-    advised_plan,
-    apply_plan,
-    full_plan,
-)
 
 __all__ = [
-    "LabelAdvice",
-    "LoggingPlan",
-    "advise",
-    "advised_plan",
-    "apply_plan",
-    "full_plan",
     "EventFlow",
     "FlowEntry",
     "EngineInstance",
@@ -56,6 +43,4 @@ __all__ = [
     "LossCause",
     "LossReport",
     "classify_flow",
-    "PacketTrace",
-    "trace_packet",
 ]

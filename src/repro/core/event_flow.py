@@ -114,6 +114,12 @@ class EventFlow:
         self._hb: set[tuple[int, int]] = set()
         #: Count of inferred entries, maintained by :meth:`append`.
         self.inferred_count = 0
+        #: ``(template, ids)`` while the flow is as the shape memo built it:
+        #: its shape's :class:`~repro.core.serialize.FlowTemplate` and its
+        #: node ids in rank order.  :meth:`append`, :meth:`add_order` and
+        #: :meth:`add_orders` drop it; the encoder fills the template only
+        #: while it is here.
+        self.encoding: Optional[tuple[Any, Any]] = None
 
     # ------------------------------------------------------------------ #
     # construction (used by the transition algorithm)
@@ -127,6 +133,7 @@ class EventFlow:
         provenance: str = "logged",
     ) -> int:
         """Append an entry; ``after`` are indices that happen before it."""
+        self.encoding = None
         entries = self.entries
         index = len(entries)
         entries.append(FlowEntry(event, inferred, provenance))
@@ -143,6 +150,7 @@ class EventFlow:
     def add_orders(self, edges: Iterable[tuple[int, int]]) -> None:
         """Record happens-before pairs already known to be valid (a replayed
         flow's edges, see :mod:`repro.core.memo`)."""
+        self.encoding = None
         self._hb.update(edges)
 
     def add_order(self, before: int, after: int) -> None:
@@ -151,6 +159,7 @@ class EventFlow:
             0 <= after < len(self.entries)
         ):
             raise ValueError(f"invalid happens-before pair ({before}, {after})")
+        self.encoding = None
         self._hb.add((before, after))
 
     # ------------------------------------------------------------------ #

@@ -27,7 +27,11 @@ the packet's own :class:`~repro.events.event.Event` objects (picked by
 queue position, so their times are the packet's), inferred events are
 rebuilt from ranks, and the structured notes render into provenance and
 anomaly strings with the packet's ids.  A replay adds exactly the counters
-the engine run would have.
+the engine run would have.  A stored record also carries its shape's
+:class:`ShapeEncoding`: the flow's canonical JSON in rank terms, built once
+from the key and the record when a flow of the shape is first encoded.
+Every flow of the shape, the recording run's included, is written by
+filling it with its own ids, packet key, times and ``info`` values.
 
 Only templates whose callables read ids that way may use a memo
 (:meth:`ShapeMemo.for_template`): per-node ``template_for`` factories,
@@ -42,6 +46,7 @@ import re
 from typing import Any, Hashable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.core.event_flow import LOGGED, EventFlow, FlowEntry, Note
+from repro.core.serialize import FlowTemplate, shape_template
 from repro.core.transition_algorithm import PacketReconstructor, ReconCounters, Tally
 from repro.events.event import Event
 from repro.events.packet import PacketKey
@@ -79,6 +84,8 @@ class ShapeRecord(NamedTuple):
     #: per engine: ``(node, final state, visited states)``
     states: tuple[tuple[int, str, tuple[str, ...]], ...]
     tally: Tally
+    #: the shape's byte template; a record gets it when a memo stores it
+    encoding: Optional["ShapeEncoding"] = None
 
 
 class Pending:
@@ -157,15 +164,20 @@ class ShapeMemo:
             return None, order
         return key, order
 
-    def put(self, key: Hashable, entry: Union[ShapeRecord, Pending]) -> None:
+    def put(
+        self, key: Hashable, entry: Union[ShapeRecord, Pending]
+    ) -> Union[ShapeRecord, Pending]:
+        """Store ``entry`` under ``key``; returns what is stored."""
         records = self.records
         if len(records) >= MEMO_CAP:
             del records[next(iter(records))]
         if len(self.atoms) >= ATOMS_CAP:
             self.atoms = {}
+        key = _shared(key, self.atoms)
         if isinstance(entry, ShapeRecord):
-            entry = self._shared_record(entry)
-        records[_shared(key, self.atoms)] = entry
+            entry = self._shared_record(key, entry)
+        records[key] = entry
+        return entry
 
     def settle(self, pending: Pending, record: Optional[ShapeRecord]) -> None:
         """A worker's record for ``pending`` is back: keep it in its place."""
@@ -174,13 +186,14 @@ class ShapeMemo:
             if record is None:
                 del self.records[pending.key]
             else:
-                self.records[pending.key] = self._shared_record(record)
+                self.records[pending.key] = self._shared_record(pending.key, record)
 
-    def _shared_record(self, record: ShapeRecord) -> ShapeRecord:
-        return ShapeRecord._make([
+    def _shared_record(self, key: Hashable, record: ShapeRecord) -> ShapeRecord:
+        shared = ShapeRecord._make([
             _shared(field, self.atoms) if type(field) is tuple else field
             for field in record
         ])
+        return shared._replace(encoding=ShapeEncoding(key, shared))
 
     # ------------------------------------------------------------------ #
 
@@ -204,7 +217,9 @@ class ShapeMemo:
         if key is not None:
             record = record_of(reconstructor, ids)
             if record is not None:
-                self.put(key, record)
+                stored = self.put(key, record)
+                assert isinstance(stored, ShapeRecord)
+                flow.encoding = (stored.encoding, ids)
         return flow
 
 
@@ -355,5 +370,68 @@ def replay(
         name = names[node]
         final_states[name] = state  # type: ignore[index]
         visited_states[name] = frozenset(visited)  # type: ignore[index]
+    if record.encoding is not None:
+        flow.encoding = (record.encoding, ids)
     counters.add(flow, record.tally)
     return flow
+
+
+# ---------------------------------------------------------------------- #
+# the byte template
+
+
+class ShapeEncoding:
+    """One shape's :class:`~repro.core.serialize.FlowTemplate`, built from
+    the shape's key and record the first time a flow of the shape is
+    encoded: a daemon records far more shapes (partial evidence between
+    refreshes) than its final flows have, and those cost no template."""
+
+    __slots__ = ("_parts", "_template")
+
+    def __init__(self, key: Hashable, record: ShapeRecord) -> None:
+        # the record's parts, not the record: the record holds this object
+        self._parts: Optional[tuple[Any, ...]] = (
+            key, record.entries, record.happens_before, record.omitted, record.states,
+        )
+        self._template: Optional[FlowTemplate] = None
+
+    @property
+    def template(self) -> FlowTemplate:
+        if self._template is None:
+            parts = self._parts
+            assert parts is not None
+            self._template = _flow_template(*parts)
+            self._parts = None
+        return self._template
+
+
+def _flow_template(
+    key: tuple[Any, ...],
+    entries: tuple[tuple[Any, ...], ...],
+    happens_before: tuple[int, ...],
+    omitted: tuple[EventRef, ...],
+    states: tuple[tuple[int, str, tuple[str, ...]], ...],
+) -> FlowTemplate:
+    """The template of the flows :func:`replay` builds from this record: a
+    logged event's label and peers are the key's, at its queue position."""
+    queues = dict(key[2])
+
+    def described(ref: tuple[Any, ...]) -> tuple[Any, ...]:
+        """``(etype, node, src, dst, logged)``, ``None`` for no id."""
+        if len(ref) == 2:
+            etype, at, src, dst, _info = queues[ref[0]][ref[1]]
+            return etype, at, src, dst, True
+        etype, at, src, dst = ref[:4]
+        return etype, _no_id(at), _no_id(src), _no_id(dst), False
+
+    pairs = iter(happens_before)
+    return shape_template(
+        [described(ref) for ref in entries],
+        [described(ref) for ref in omitted],
+        zip(pairs, pairs),
+        states,
+    )
+
+
+def _no_id(rank: int) -> Optional[int]:
+    return None if rank == -1 else rank

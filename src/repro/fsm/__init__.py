@@ -13,6 +13,10 @@ raw graph this package derives:
 - concrete templates: the CTP forwarding FSM of the evaluation workload and
   small dissemination FSMs exercising 1-to-many / many-to-1 inter-node
   transitions (:mod:`repro.fsm.templates`).
+
+Template lint (:mod:`repro.fsm.validate`) and k-tails mining
+(:mod:`repro.learn.ktails`) are imported from their own modules: the
+engines load neither.
 """
 
 from repro.fsm.graph import Transition, TransitionGraph
@@ -26,8 +30,6 @@ from repro.fsm.templates import (
     forwarder_template,
     query_templates,
 )
-from repro.learn.ktails import accepts, mine_fsm
-from repro.fsm.validate import validate_role_family, validate_template
 
 __all__ = [
     "Transition",
@@ -42,8 +44,4 @@ __all__ = [
     "chain_template",
     "dissemination_templates",
     "query_templates",
-    "mine_fsm",
-    "accepts",
-    "validate_template",
-    "validate_role_family",
 ]

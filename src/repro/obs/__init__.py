@@ -17,7 +17,10 @@ Quickstart::
         print(reg.snapshot().to_json_str())
 
 See ``docs/OBSERVABILITY.md`` for the metric-name catalogue and the span
-hierarchy the built-in pipeline emits.
+hierarchy the built-in pipeline emits.  The daemon's parts, trace context
+(:mod:`repro.obs.tracing`), flight recorder (:mod:`repro.obs.recorder`)
+and Prometheus text (:mod:`repro.obs.promtext`), are imported from their
+own modules, so a batch run loads none of them.
 """
 
 from repro.obs.registry import (
@@ -33,16 +36,6 @@ from repro.obs.registry import (
     timer,
     use_registry,
 )
-from repro.obs.promtext import CONTENT_TYPE as PROM_CONTENT_TYPE
-from repro.obs.promtext import parse_exposition, render_snapshot
-from repro.obs.recorder import (
-    EventRecord,
-    FlightRecorder,
-    SpanRecord,
-    get_recorder,
-    set_recorder,
-    use_recorder,
-)
 from repro.obs.spans import Span, current_span, span
 from repro.obs.structlog import (
     DEBUG,
@@ -53,15 +46,6 @@ from repro.obs.structlog import (
     configure_logging,
     get_logger,
     reset_logging,
-)
-from repro.obs.tracing import (
-    current_trace_id,
-    mint_request_id,
-    mint_trace_id,
-    set_trace_id,
-    traced,
-    use_trace,
-    valid_trace_id,
 )
 
 __all__ = [
@@ -79,22 +63,6 @@ __all__ = [
     "Span",
     "span",
     "current_span",
-    "traced",
-    "mint_trace_id",
-    "mint_request_id",
-    "valid_trace_id",
-    "current_trace_id",
-    "set_trace_id",
-    "use_trace",
-    "FlightRecorder",
-    "SpanRecord",
-    "EventRecord",
-    "get_recorder",
-    "set_recorder",
-    "use_recorder",
-    "PROM_CONTENT_TYPE",
-    "render_snapshot",
-    "parse_exposition",
     "StructLogger",
     "get_logger",
     "configure_logging",

@@ -7,20 +7,27 @@
 - Differential runs: the memo's flows and counters equal the direct
   engine's on a 120-node store, the defective-deployment fixture and the
   corpora of a ``refill stress`` campaign.
+- The byte template: packets of one shape that differ in everything the
+  shape key leaves out (ids, packet key, times, equal but differently
+  encoded ``info`` values) fill their shape's template with the bytes the
+  field encoder and the dict route write; a flow mutated after the memo
+  built it encodes its mutation.
 - Bypasses: per-node template factories, explicit-node and ``TARGETS``
   prerequisite peers never touch the memo.
 """
 
+import math
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.backends import IncrementalBackend, SerialBackend
 from repro.core.event_flow import Note
 from repro.core.memo import ATOMS_CAP, MEMO_CAP, Pending, ShapeMemo, record_of, replay
-from repro.core.serialize import flow_json
+from repro.core import serialize
+from repro.core.serialize import dumps_canonical, flow_json, flow_to_dict
 from repro.core.session import ReconstructionSession
 from repro.core.transition_algorithm import PacketReconstructor, ReconCounters
 from repro.events.event import Event
@@ -139,6 +146,126 @@ def test_relabelling_the_evidence_relabels_the_flow(data, drawn):
     assert record is not None
     counters = ReconCounters(MetricsRegistry())
     assert flow_json(replay(record, moved, moved_group, ids_b, counters)) == flow_json(b)
+
+
+# ---------------------------------------------------------------------- #
+# the byte template
+
+#: Times the key leaves out, among them values :mod:`json` writes its own way.
+TIMES = (None, -0.0, 0.0, 1e16, 1.5, math.nan, math.inf, -math.inf, 3, -7)
+#: ``info`` values by equality class: one key, several encodings.
+INFO_CLASSES = ((1, 1.0, True), ("1",), (0, -0.0, False), (2.5,), (None,))
+
+
+@st.composite
+def same_shape_packets(draw):
+    """Two packets of one shape: the second relabels the first's ids in
+    order, has another packet key, and draws every time and every ``info``
+    value (within its equality class) afresh."""
+    packet, group = draw(packet_groups())
+    f = _relabelling(draw, _ids_of(packet, group))
+    moved = PacketKey(f[packet.origin], packet.seq + 1 + draw(st.integers(0, 5)))
+    time = st.sampled_from(TIMES)
+
+    def info(classes):
+        return tuple([
+            (name, draw(st.sampled_from(INFO_CLASSES[c]))) for name, c in classes
+        ])
+
+    first, second = {}, {}
+    for node, events in group.items():
+        first[node], second[f[node]] = [], []
+        for e in events:
+            classes = draw(st.lists(
+                st.tuples(st.sampled_from(("a", "n", "z")), st.integers(0, len(INFO_CLASSES) - 1)),
+                max_size=2, unique_by=lambda kv: kv[0],
+            ))
+            classes.sort()
+            first[node].append(
+                Event(e.etype, e.node, e.src, e.dst, packet, draw(time), info(classes))
+            )
+            second[f[node]].append(Event(
+                e.etype, f[e.node], f[e.src], f[e.dst], moved, draw(time), info(classes)
+            ))
+    return (packet, first), (moved, second)
+
+
+def _memo_flows(template, *groups):
+    """Each group's flow through one memo, and the memo's counters."""
+    memo = ShapeMemo.for_template(template)
+    reconstructor = PacketReconstructor(template, None)
+    flows = []
+    with use_registry(MetricsRegistry()) as registry:
+        for packet, group in groups:
+            reconstructor.packet = packet
+            flows.append(memo.flow(reconstructor, group))
+    return flows, registry.snapshot().counters
+
+
+def _timed(group) -> bool:
+    """Whether every event has a time the template writes (finite, a plain
+    ``int`` or ``float``); other flows are written field by field."""
+    return all(
+        type(e.time) in (int, float) and e.time - e.time == 0
+        for events in group.values() for e in events
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_shape_packets())
+@example((
+    (PacketKey(9, 1), {9: [Event("gen", 9, None, None, PacketKey(9, 1), 3, (("n", 1),))],
+                       10: [Event("recv", 10, 9, 10, PacketKey(9, 1), math.nan)]}),
+    (PacketKey(99, 7), {99: [Event("gen", 99, None, None, PacketKey(99, 7), -0.0, (("n", True),))],
+                        100: [Event("recv", 100, 99, 100, PacketKey(99, 7), 1e16)]}),
+))
+def test_template_fills_are_the_field_encoders_bytes(pair):
+    (packet, group), (moved, moved_group) = pair
+    template = forwarder_template()
+    (miss, hit), counters = _memo_flows(template, (packet, group), (moved, moved_group))
+    assert counters["refill.memo.hits"] == 1
+    direct = PacketReconstructor(template, moved).run(moved_group)
+    for flow, evidence in ((miss, group), (hit, moved_group)):
+        expected = dumps_canonical(flow_to_dict(flow))
+        assert serialize._fields_json(flow) == expected
+        assert flow_json(flow) == expected
+        filled = serialize._filled_json(flow, *flow.encoding)
+        assert filled is not None or not _timed(evidence)
+        assert filled in (None, expected)
+    assert flow_json(hit) == serialize._fields_json(direct)
+
+
+def _chain_packet(packet):
+    """Evidence of a two-hop forward whose flow infers entries and orders
+    them."""
+    o = packet.origin
+    return {
+        o: [Event("gen", o, None, None, packet, 1.0),
+            Event("trans", o, o, o + 1, packet, 2.0)],
+        o + 1: [Event("trans", o + 1, o + 1, o + 2, packet, 3.0)],
+        o + 2: [Event("recv", o + 2, o + 1, o + 2, packet, 4.0)],
+    }
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda flow: flow.append(Event("dup", 1, 2, 1), inferred=True, provenance="late"),
+    lambda flow: flow.add_order(0, len(flow) - 1),
+    lambda flow: flow.add_orders([(len(flow) - 1, 0)]),
+    lambda flow: flow.anomalies.append("checked by hand"),
+    lambda flow: flow.omitted.append(flow.entries[0].event),
+], ids=["append", "add_order", "add_orders", "anomalies", "omitted"])
+def test_a_mutated_replay_encodes_its_mutation(mutate):
+    packets = [PacketKey(10, 1), PacketKey(20, 2)]
+    (_, hit), counters = _memo_flows(
+        forwarder_template(), *[(p, _chain_packet(p)) for p in packets]
+    )
+    assert counters["refill.memo.hits"] == 1 and hit.encoding is not None
+    before = flow_json(hit)
+    assert len(hit) >= 2 and before == dumps_canonical(flow_to_dict(hit))
+    mutate(hit)
+    after = flow_json(hit)
+    assert after != before
+    assert after == dumps_canonical(flow_to_dict(hit))
 
 
 # ---------------------------------------------------------------------- #

@@ -92,10 +92,3 @@ class TestReplayStates:
         graph = mine_fsm([["a"]], k=1)
         assert replay_states(graph, []) == [graph.initial]
 
-
-class TestFsmReexports:
-    def test_fsm_package_reexports_the_same_functions(self):
-        from repro import fsm
-
-        assert fsm.mine_fsm is mine_fsm
-        assert fsm.accepts is accepts

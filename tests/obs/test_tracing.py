@@ -4,13 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.obs import (
-    FlightRecorder,
-    MetricsRegistry,
-    NullRegistry,
-    use_recorder,
-    use_registry,
-)
+from repro.obs import MetricsRegistry, NullRegistry, use_registry
+from repro.obs.recorder import FlightRecorder, use_recorder
 from repro.obs.tracing import (
     current_trace_id,
     mint_request_id,

@@ -104,6 +104,45 @@ class TestAnalyze:
         assert "stage" in err and "p95_ms" in err
         assert "analyze.reconstruct" in err
 
+    def test_encode_has_its_own_span(self, log_dir, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
+        assert main(["analyze", "-q", "--logs", str(log_dir), "--profile",
+                     "--flows-out", str(tmp_path / "flows.json"),
+                     "--metrics-out", str(metrics)]) == 0
+        assert "analyze.encode" in capsys.readouterr().err
+        histograms = json.loads(metrics.read_text())["histograms"]
+        assert histograms["span.analyze.encode"]["count"] == 1
+        # no flows file, nothing to encode
+        assert main(["analyze", "-q", "--logs", str(log_dir),
+                     "--metrics-out", str(metrics)]) == 0
+        assert "span.analyze.encode" not in json.loads(metrics.read_text())["histograms"]
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_analyze_pauses_the_collector_and_restores_it(
+        self, log_dir, tmp_path, monkeypatch, collecting
+    ):
+        import gc
+
+        import repro.cli
+
+        seen = []
+        diagnose_store = repro.cli._diagnose_store
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return diagnose_store(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "_diagnose_store", spy)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(["analyze", "-q", "--logs", str(log_dir),
+                         "--flows-out", str(tmp_path / "flows.json")]) == 0
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
 
 class TestVerbosityFlags:
     def test_default_narrates_on_stderr(self, log_dir, capsys):

@@ -4,7 +4,8 @@
 simulator (``repro.simnet``), the loss model (``repro.lognet``) and numpy
 belong to ``refill simulate`` alone.  A serial ``refill analyze`` also
 loads neither the ``refill check --code`` analyzer, the process pool, the
-daemon, the stress engine nor the figure renderer.
+daemon, the stress engine, the figure renderer, the FSM miner
+(``repro.learn``) nor ``importlib.metadata`` (``--version`` alone reads it).
 Each door runs in a fresh interpreter
 under ``-X importtime``, which names every module the process imported
 over its whole life.
@@ -32,6 +33,8 @@ SIMULATOR_ONLY = ("numpy", "repro.simnet", "repro.lognet")
 #: Modules a serial ``refill analyze`` does not run.
 NOT_IN_SERIAL_ANALYZE = (
     *SIMULATOR_ONLY,
+    "importlib.metadata",
+    "repro.learn",
     "repro.check.code",
     "repro.serve",
     "repro.stress",
