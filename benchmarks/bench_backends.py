@@ -12,7 +12,7 @@ import time
 import tracemalloc
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.backends import ProcessPoolBackend, SerialBackend
+from repro.core.backends import ProcessPoolBackend
 from repro.core.session import ReconstructionSession
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee
@@ -51,11 +51,10 @@ def timed(fn):
 def test_backend_throughput(emit):
     logs = prepare()
     runs = {
-        "serial": lambda: ReconstructionSession(
-            backend=SerialBackend()
-        ).reconstruct(logs),
+        # the in-process default session; the row keeps the key history reads
+        "serial": lambda: ReconstructionSession().reconstruct(logs),
         "process(2)": lambda: ReconstructionSession(
-            backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=100
+            backend=ProcessPoolBackend(workers=2, min_packets=1)
         ).reconstruct(logs),
     }
     rows = []

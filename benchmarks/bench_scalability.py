@@ -84,7 +84,7 @@ def test_parallel_reconstruction(benchmark, emit):
 
     workers = min(4, os.cpu_count() or 1)
     parallel = ReconstructionSession(
-        backend=ProcessPoolBackend(workers=workers, min_packets=1), batch_size=200
+        backend=ProcessPoolBackend(workers=workers, min_packets=1)
     )
     parallel_flows = benchmark.pedantic(
         lambda: parallel.reconstruct(logs), rounds=3, iterations=1

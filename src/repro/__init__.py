@@ -24,9 +24,10 @@ Quickstart::
     flows = session.reconstruct(logs)  # logs: per-node NodeLog objects
     reports = session.diagnose(flows)
 
-Parallel and live runs pass a backend to the same session
-(``ProcessPoolBackend``, ``IncrementalBackend``); see ``docs/API.md`` and
-``docs/ARCHITECTURE.md`` for the backend model.
+Batch and live runs share one accumulate-then-refresh backend
+(``IncrementalBackend``); ``ProcessPoolBackend`` runs large refreshes in a
+worker pool.  See ``docs/API.md`` and ``docs/ARCHITECTURE.md`` for the
+backend model.
 """
 
 from repro.events.event import Event, EventType

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.baselines.sink_view import SinkView
-from repro.core.backends import ExecutionBackend, make_backend
 from repro.core.diagnosis import LossReport
 from repro.core.event_flow import EventFlow
 from repro.core.session import ReconstructionSession, RefillOptions
@@ -76,7 +75,6 @@ def evaluate(
     refill_options: RefillOptions = RefillOptions(),
     sim: Optional[SimulationResult] = None,
     preflight: bool = True,
-    backend: ExecutionBackend | str | None = None,
     template=None,
 ) -> EvalResult:
     """Run the whole pipeline for one scenario.
@@ -90,20 +88,11 @@ def evaluate(
     — a broken FSM silently corrupts every reconstructed flow, so the
     pipeline refuses to start from one.
 
-    ``backend`` selects the execution strategy for the reconstruction
-    session — an :class:`~repro.core.backends.ExecutionBackend` instance or
-    a registry name (``"serial"`` | ``"process"`` | ``"incremental"``);
-    the default is serial.  Results are backend-independent by contract.
-
     ``template`` overrides the inference model (default: the hand-written
     CTP forwarder) — this is how learned specs are scored against held-out
     corpora (:mod:`repro.learn.evaluate`).
     """
-    if isinstance(backend, str):
-        backend = make_backend(backend)
-    session = ReconstructionSession(
-        template, options=refill_options, backend=backend
-    )
+    session = ReconstructionSession(template, options=refill_options)
     if preflight:  # fail fast on a broken model, before paying for simulation
         session.preflight()
     if sim is None:

@@ -49,10 +49,7 @@ from typing import Optional
 from repro.analysis.causes import attribute_server_outages, cause_shares, sink_split
 from repro.analysis.report import render_cause_shares
 from repro.baselines.sink_view import SinkView
-from repro.check import Severity, load_spec, run_check
-from repro.check.corpus import CorpusLint
-from repro.check.runner import model_errors, record_corpus
-from repro.core.backends import BACKENDS, make_backend
+from repro.core.backends import BACKENDS, IncrementalBackend, make_backend
 from repro.core.session import ReconstructionSession
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -106,6 +103,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.code is not None:
         return _cmd_check_code(args)
+    from repro.check import load_spec, run_check
+
     try:
         spec = load_spec(args.spec)
     except (ValueError, ImportError) as exc:
@@ -223,6 +222,9 @@ def _preflight_analyze(spec) -> bool:
     it fails fast, before any shard is read.  The corpus half of the check
     rides the store load instead (:func:`_report_corpus`).
     """
+    from repro.check import run_check
+    from repro.check.runner import model_errors
+
     with span("analyze.preflight"):
         report = run_check(spec)
     errors = model_errors(report)
@@ -233,6 +235,9 @@ def _preflight_analyze(spec) -> bool:
 
 def _report_corpus(findings, stats) -> None:
     """Count the corpus lint; its errors only warn (field data is dirty)."""
+    from repro.check import Severity
+    from repro.check.runner import record_corpus
+
     record_corpus(findings, stats)
     errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     if errors:
@@ -248,6 +253,8 @@ def _analyze_template(args: argparse.Namespace):
     module-level factory — required by ``--backend process``, which pickles
     the factory by reference into workers.
     """
+    from repro.check import load_spec
+
     spec = load_spec(args.spec)
     if args.spec == "ctp":
         return spec, None
@@ -279,6 +286,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analyze(args: argparse.Namespace) -> int:
+    from repro.check.corpus import CorpusLint
+
     registry = MetricsRegistry()
     try:
         spec, template = _analyze_template(args)
@@ -368,13 +377,13 @@ def _diagnose_store(
     store,
     *,
     template=None,
-    backend_name: str = "serial",
+    backend_name: str = IncrementalBackend.name,
     workers: Optional[int] = None,
 ):
     """Shared reconstruct + diagnose over a loaded store.
 
-    Every door goes through one :class:`ReconstructionSession`; the backend
-    is the only variable.  ``store`` is a
+    Every door goes through one :class:`ReconstructionSession`; where its
+    refresh runs is the only variable.  ``store`` is a
     :class:`~repro.events.store.LoadedStore`.  ``template`` overrides the
     inference model (``analyze --spec``); ``None`` keeps the hand-written
     CTP forwarder default.
@@ -723,8 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a per-stage wall-time table to stderr",
     )
     p_an.add_argument(
-        "--backend", choices=sorted(BACKENDS), default="serial",
-        help="execution backend for reconstruction (default: serial)",
+        "--backend", choices=sorted(BACKENDS), default=IncrementalBackend.name,
+        help="where reconstruction runs: in-process (incremental, the "
+             "default) or in a worker pool (process)",
     )
     p_an.add_argument(
         "--workers", type=int, default=None, metavar="N",

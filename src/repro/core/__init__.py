@@ -15,11 +15,9 @@ from repro.core.context import PacketContext
 from repro.core.transition_algorithm import PacketReconstructor, ReconstructorOptions
 from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
 from repro.core.backends import (
-    ExecutionBackend,
     ExecutionPlan,
     IncrementalBackend,
     ProcessPoolBackend,
-    SerialBackend,
     make_backend,
 )
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
@@ -33,9 +31,7 @@ __all__ = [
     "ReconstructorOptions",
     "ReconstructionSession",
     "SessionResult",
-    "ExecutionBackend",
     "ExecutionPlan",
-    "SerialBackend",
     "ProcessPoolBackend",
     "IncrementalBackend",
     "make_backend",

@@ -1,60 +1,44 @@
-"""Pluggable execution backends for :class:`~repro.core.session.ReconstructionSession`.
+"""Execution backends for :class:`~repro.core.session.ReconstructionSession`.
 
-One reconstruction pipeline, three execution shapes:
+One reconstruction pipeline, one lifecycle — accumulate evidence, then
+refresh the dirty set — and two ways to run a refresh:
 
-- :class:`SerialBackend` — in-process, the reference semantics;
-- :class:`ProcessPoolBackend` — sharded over a worker pool, lazy startup;
-- :class:`IncrementalBackend` — stateful accumulation for live ingest.
+- :class:`IncrementalBackend` — in-process; every door's default;
+- :class:`ProcessPoolBackend` — the same backend, refreshing large dirty
+  sets in a worker pool (lazy startup).
 
-``make_backend(name)`` resolves the CLI spelling.  To write a custom
-backend, subclass :class:`ExecutionBackend` — see ``docs/ARCHITECTURE.md``.
+``make_backend(name)`` resolves the CLI spelling.
 """
 
-from repro.core.backends.base import (
-    ExecutionBackend,
+from repro.core.backends.incremental import (
     ExecutionPlan,
+    IncrementalBackend,
     TemplateFactory,
 )
-from repro.core.backends.incremental import IncrementalBackend
 from repro.core.backends.process import ProcessPoolBackend
-from repro.core.backends.serial import SerialBackend
 
 #: CLI / config spelling → constructor.
 BACKENDS = {
-    SerialBackend.name: SerialBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
     IncrementalBackend.name: IncrementalBackend,
+    ProcessPoolBackend.name: ProcessPoolBackend,
 }
 
 
-def make_backend(
-    name: str,
-    *,
-    workers: "int | None" = None,
-    min_packets: "int | None" = None,
-) -> ExecutionBackend:
-    """Build a backend from its registry name (``serial`` | ``process`` |
-    ``incremental``); ``workers``/``min_packets`` apply to ``process``."""
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    if cls is ProcessPoolBackend:
-        if min_packets is None:
-            return ProcessPoolBackend(workers=workers)
-        return ProcessPoolBackend(workers=workers, min_packets=min_packets)
-    return cls()
+def make_backend(name: str, *, workers: "int | None" = None) -> IncrementalBackend:
+    """Build a backend from its registry name (``incremental`` |
+    ``process``); ``workers`` applies to ``process``."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")
+    if name == ProcessPoolBackend.name:
+        return ProcessPoolBackend(workers=workers)
+    return IncrementalBackend()
 
 
 __all__ = [
     "BACKENDS",
-    "ExecutionBackend",
     "ExecutionPlan",
     "IncrementalBackend",
     "ProcessPoolBackend",
-    "SerialBackend",
     "TemplateFactory",
     "make_backend",
 ]

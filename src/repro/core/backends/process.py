@@ -1,19 +1,20 @@
 """Worker-pool execution across processes.
 
 Per-packet flows are independent — reconstruction is embarrassingly
-parallel.  Each worker builds its FSM template once (via a picklable
-factory passed to the pool initializer) and processes whole batches, so
-per-task overhead is one pickle of the batch's events and one of the
-resulting flows.
+parallel.  :class:`ProcessPoolBackend` accumulates evidence exactly as the
+in-process backend does and differs only in how ``finish`` runs the sorted
+dirty set: in pool tasks.  Each worker builds its FSM template once (via a
+picklable factory passed to the pool initializer) and processes whole
+tasks, so per-task overhead is one pickle of the task's events and one of
+the resulting flows.
 
 Guides' advice applied: measure before optimizing — the serial engine does
 ~60k events/s, so parallelism only pays past ~10^5 logged events.  The pool
-is therefore *lazy*: submitted batches buffer until ``min_packets`` groups
-have arrived, and a run that never reaches the threshold (or has
-``workers <= 1``) reconstructs serially in-process on ``finish``, skipping
-pool startup entirely.
+is therefore *lazy*: a dirty set below ``min_packets`` groups (or any dirty
+set at ``workers <= 1``) is reconstructed in-process, skipping pool startup
+entirely.
 
-Worker metrics land in private per-batch registries that ride back with the
+Worker metrics land in private per-task registries that ride back with the
 flows (they pickle cleanly — plain dicts, no locks) and are folded into the
 parent's active registry, so counter totals match a serial run exactly.
 
@@ -29,9 +30,13 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-from repro.core.backends.base import ExecutionBackend, ExecutionPlan, TemplateFactory
+from repro.core.backends.incremental import (
+    ExecutionPlan,
+    IncrementalBackend,
+    TemplateFactory,
+)
 from repro.core.event_flow import EventFlow
 from repro.core.memo import Pending, ShapeRecord, record_of, replay
 from repro.core.transition_algorithm import (
@@ -64,15 +69,15 @@ def _init_worker(factory: TemplateFactory, options: ReconstructorOptions) -> Non
 RecordIds = Optional[list[int]]
 
 
-def _reconstruct_batch(
-    batch: Sequence[PacketGroup], record_ids: Sequence[RecordIds]
+def _reconstruct_task(
+    task: Sequence[PacketGroup], record_ids: Sequence[RecordIds]
 ) -> tuple[list[tuple[PacketKey, EventFlow, Optional[ShapeRecord]]], MetricsRegistry]:
-    """One batch in one worker; metrics land in a private registry."""
+    """One task in one worker; metrics land in a private registry."""
     assert _worker_template is not None, "worker not initialized"
     out = []
     reconstructor = PacketReconstructor(_worker_template, None, _worker_options)
     with use_registry(MetricsRegistry()) as registry:
-        for (packet, events_by_node), ids in zip(batch, record_ids):
+        for (packet, events_by_node), ids in zip(task, record_ids):
             reconstructor.packet = packet
             flow = reconstructor.reconstruct(events_by_node)
             record = None if ids is None else record_of(reconstructor, ids)
@@ -98,20 +103,25 @@ class _Task:
         self.hits = hits
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Shard batches over a ``multiprocessing`` pool.
+#: Pool tasks per worker in one ``finish``: enough to balance uneven
+#: packets across workers, few enough that pickling stays per-task cheap.
+TASKS_PER_WORKER = 4
+
+
+class ProcessPoolBackend(IncrementalBackend):
+    """Reconstruct the dirty set in a ``multiprocessing`` pool.
 
     Parameters
     ----------
     workers:
         Process count (default: ``os.cpu_count()``).
     min_packets:
-        Below this many packets the pool is not worth its startup cost and
-        reconstruction runs serially on ``finish``.
+        Below this many dirty packets the pool is not worth its startup
+        cost and ``finish`` reconstructs in-process.
     max_inflight:
-        Cap on unfinished pool tasks (default ``2 * workers``); ``submit``
+        Cap on unfinished pool tasks (default ``2 * workers``); ``finish``
         drains completed ones past the cap, so a run keeps a bounded
-        number of batches pickled at any moment.
+        number of tasks pickled at any moment.
     """
 
     name = "process"
@@ -129,8 +139,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self.max_inflight = max_inflight or 2 * self.workers
         self._pool: Optional[ProcessPoolExecutor] = None
         self._tasks: deque[_Task] = deque()
-        self._buffer: list[list[PacketGroup]] = []
-        self._buffered = 0
 
     def start(self, plan: ExecutionPlan) -> None:
         if plan.template_factory is None:
@@ -140,34 +148,22 @@ class ProcessPoolBackend(ExecutionBackend):
                 "construct the session with template_factory=..."
             )
         super().start(plan)
-        self._buffer, self._buffered = [], 0
 
-    def submit(
-        self, batch: Sequence[PacketGroup]
-    ) -> Iterable[tuple[PacketKey, EventFlow]]:
-        if not batch:
-            return ()
-        if self._pool is None:
-            self._buffer.append(list(batch))
-            self._buffered += len(batch)
-            if self._buffered < self.min_packets or self.workers <= 1:
-                return ()
-            self._open_pool()
-            pending, self._buffer, self._buffered = self._buffer, [], 0
-            replayed = [flow for buffered in pending for flow in self._dispatch(buffered)]
-            return [*replayed, *self._drain(keep=self.max_inflight)]
-        replayed = self._dispatch(batch)
-        return [*replayed, *self._drain(keep=self.max_inflight)]
-
-    def finish(self) -> Iterable[tuple[PacketKey, EventFlow]]:
-        if self._pool is None:
-            # Never reached min_packets: the pool would cost more than it
-            # saves — reconstruct the buffered groups in-process instead.
-            pending, self._buffer, self._buffered = self._buffer, [], 0
-            for buffered in pending:
-                yield from self._reconstruct_serially(buffered)
+    def finish(self) -> Iterator[tuple[PacketKey, EventFlow]]:
+        if len(self.dirty) < self.min_packets or self.workers <= 1:
+            # the pool would cost more than it saves
+            yield from super().finish()
             return
+        dirty = sorted(self.dirty)
+        if self._pool is None:
+            self._open_pool()
+        events = self._events
+        size = -(-len(dirty) // (TASKS_PER_WORKER * self.workers))
+        for lo in range(0, len(dirty), size):
+            yield from self._dispatch([(p, events[p]) for p in dirty[lo : lo + size]])
+            yield from self._drain(keep=self.max_inflight)
         yield from self._drain(keep=0)
+        self.dirty.clear()
 
     def close(self) -> None:
         super().close()
@@ -175,12 +171,11 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool.shutdown()
             self._pool = None
         self._tasks.clear()
-        self._buffer, self._buffered = [], 0
 
     # ------------------------------------------------------------------ #
 
-    def _open_pool(self) -> ProcessPoolExecutor:
-        # imported here so serial runs never load multiprocessing
+    def _open_pool(self) -> None:
+        # imported here so in-process runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         plan = self._plan()
@@ -189,10 +184,9 @@ class ProcessPoolBackend(ExecutionBackend):
             initializer=_init_worker,
             initargs=(plan.template_factory, plan.options),
         )
-        return self._pool
 
-    def _dispatch(self, batch: Sequence[PacketGroup]) -> list[tuple[PacketKey, EventFlow]]:
-        """Send ``batch``'s packets of new shapes to the pool as one task;
+    def _dispatch(self, groups: Sequence[PacketGroup]) -> list[tuple[PacketKey, EventFlow]]:
+        """Send ``groups``' packets of new shapes to the pool as one task;
         returns the packets replayed here from a record already at hand."""
         assert self._pool is not None
         memo = self.memo
@@ -202,7 +196,7 @@ class ProcessPoolBackend(ExecutionBackend):
         pending: list[Optional[Pending]] = []
         hits: list[tuple[Pending, PacketGroup, list[int]]] = []
         replayed: list[tuple[PacketKey, EventFlow]] = []
-        for group in batch:
+        for group in groups:
             slot: Optional[Pending] = None
             wanted: RecordIds = None
             if memo is not None:
@@ -226,7 +220,7 @@ class ProcessPoolBackend(ExecutionBackend):
             record_ids.append(wanted)
             pending.append(slot)
         if send or hits:
-            future = self._pool.submit(_reconstruct_batch, send, record_ids)
+            future = self._pool.submit(_reconstruct_task, send, record_ids)
             self._tasks.append(_Task(future, pending, hits))
         return replayed
 
@@ -246,7 +240,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def _drain(self, *, keep: int) -> Iterator[tuple[PacketKey, EventFlow]]:
         """Yield results of completed tasks until ≤ ``keep`` remain in flight.
 
-        FIFO order: batches were submitted in sorted-packet order and the
+        FIFO order: tasks were submitted in sorted-packet order and the
         session re-sorts its flow map anyway, so blocking on the oldest
         task keeps memory bounded without hurting determinism — and every
         shape a task's parked packets wait for was recorded by it or by an

@@ -4,21 +4,22 @@ REFILL's per-packet independence means one pipeline serves every workload —
 batch, parallel, and live.  :class:`ReconstructionSession` owns that
 pipeline: group events by packet in the merge layer, apply
 :class:`RefillOptions` (including ``strip_times``) in exactly one place,
-delegate execution to a pluggable
-:class:`~repro.core.backends.ExecutionBackend`, diagnose, and record
-metrics.  Every caller — the library API, ``analysis/pipeline.py``, the CLI
-and the serve daemon — constructs a session directly and picks a backend,
-so preflight, metrics/spans, and options semantics are identical no matter
+accumulate the evidence in an
+:class:`~repro.core.backends.IncrementalBackend`, refresh it, diagnose, and
+record metrics.  Every caller — the library API, ``analysis/pipeline.py``,
+the CLI and the serve daemon — constructs a session directly, so
+preflight, metrics/spans, and options semantics are identical no matter
 which door you enter through.
 
-Two driving modes:
+Every door accumulates evidence, then refreshes it; only the ingest
+framing differs:
 
 - **one-shot** — :meth:`reconstruct` groups a log collection into
-  *complete* packet groups in one pass and pushes them through the backend
-  in batches;
-- **streaming ingest** — :meth:`ingest` feeds *partial* evidence batches to
-  an accumulating backend (live collection rounds); :meth:`refresh`
-  re-derives exactly the dirtied flows and re-diagnoses them.
+  *complete* packet groups, submits them once, refreshes once and releases
+  the backend;
+- **streaming ingest** — :meth:`ingest` feeds *partial* evidence batches
+  (live collection rounds); :meth:`refresh` re-derives exactly the dirtied
+  flows and re-diagnoses them.
 
 A streaming session's resumable state (:meth:`export_state`) is its
 evidence and nothing derived from it; this module owns that layout, its
@@ -30,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from repro.core.backends import ExecutionBackend, ExecutionPlan, SerialBackend
-from repro.core.backends.base import TemplateFactory
+from repro.core.backends import ExecutionPlan, IncrementalBackend, TemplateFactory
 from repro.core.diagnosis import LossReport, classify_flow
 from repro.core.event_flow import EventFlow
 from repro.core.transition_algorithm import (
@@ -94,10 +94,13 @@ class ReconstructionSession:
         Defaults to the CTP forwarder.
     options:
         The :class:`RefillOptions`; ``strip_times`` is applied to every
-        event *before* it reaches any backend, so pooled and incremental
-        runs see exactly what a serial run sees.
+        event *before* it reaches the backend, so pooled and in-process
+        runs see the same events.
     backend:
-        The execution strategy (default :class:`SerialBackend`).
+        Where refreshes run (default: an in-process
+        :class:`~repro.core.backends.IncrementalBackend`;
+        :class:`~repro.core.backends.ProcessPoolBackend` runs large ones in
+        a worker pool).
     template_factory:
         Zero-argument *module-level* template builder — required by
         :class:`~repro.core.backends.ProcessPoolBackend` (it must pickle by
@@ -106,9 +109,6 @@ class ReconstructionSession:
     delivery_node:
         Base-station node id for :meth:`diagnose` (``None`` disables
         delivery detection).
-    batch_size:
-        Packet groups per backend submission (the process pool's task
-        size).
     """
 
     def __init__(
@@ -116,13 +116,10 @@ class ReconstructionSession:
         template: FsmTemplate | TemplateFor | None = None,
         options: RefillOptions = RefillOptions(),
         *,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[IncrementalBackend] = None,
         template_factory: Optional[TemplateFactory] = None,
         delivery_node: Optional[int] = None,
-        batch_size: int = 256,
     ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         if template is None:
             if template_factory is None:
                 template_factory = forwarder_template
@@ -130,9 +127,8 @@ class ReconstructionSession:
         self.template: FsmTemplate | TemplateFor = template
         self.template_factory = template_factory
         self.options = options
-        self.backend = backend if backend is not None else SerialBackend()
+        self.backend = backend if backend is not None else IncrementalBackend()
         self.delivery_node = delivery_node
-        self.batch_size = batch_size
         self.batches_ingested = 0
         self._started = False
         #: streaming-ingest caches (refresh keeps them current)
@@ -145,19 +141,21 @@ class ReconstructionSession:
     def reconstruct(self, logs: Logs) -> dict[PacketKey, EventFlow]:
         """Event flow of every packet mentioned anywhere in ``logs``.
 
-        ``logs`` is a ``{node: NodeLog}`` mapping.  Runs the backend's full
-        lifecycle and releases it; the returned map is sorted by packet key
-        regardless of the backend's completion order.
+        ``logs`` is a ``{node: NodeLog}`` mapping.  Submits every packet's
+        evidence once, refreshes once and releases the backend; the
+        returned map is sorted by packet key regardless of the backend's
+        completion order.  A session that is ingesting refuses: releasing
+        the backend would drop the evidence its cached flows came from.
         """
+        if self._started:
+            raise RuntimeError("reconstruct() on an ingesting session; use refresh()")
         with span("reconstruct"):
             self._start_backend()
-            flows: dict[PacketKey, EventFlow] = {}
             try:
-                for batch in self._batches(logs):
-                    for packet, flow in self.backend.submit(self._normalize(batch)):
-                        flows[packet] = flow
-                for packet, flow in self.backend.finish():
-                    flows[packet] = flow
+                with span("reconstruct.merge"):
+                    groups = list(group_by_packet(logs).items())
+                self.backend.submit(self._normalize(groups))
+                flows = dict(self.backend.finish())
             finally:
                 # release the backend even when merge/reconstruction raises
                 # (the stress harness feeds sessions deliberately hostile
@@ -214,17 +212,14 @@ class ReconstructionSession:
             return reports
 
     # ------------------------------------------------------------------ #
-    # streaming ingest (accumulating backends only)
+    # streaming ingest
 
     def ingest(self, batch: IngestBatch) -> set[PacketKey]:
         """Add a batch of per-node log segments; returns the dirtied packets.
 
         Within one node, segments must arrive in log order (collection
         preserves per-node order); across batches any interleaving is fine.
-        Requires an accumulating backend
-        (:class:`~repro.core.backends.IncrementalBackend`).
         """
-        self._require_accumulating("ingest")
         self._start_backend()
         partial: dict[PacketKey, dict[int, list[Event]]] = {}
         for node, events in batch.items():
@@ -232,15 +227,13 @@ class ReconstructionSession:
                 if event.packet is None:
                     continue
                 partial.setdefault(event.packet, {}).setdefault(node, []).append(event)
-        for _ in self.backend.submit(self._normalize(sorted(partial.items()))):
-            pass  # accumulating backends defer flows to refresh()
+        self.backend.submit(self._normalize(list(partial.items())))
         self.batches_ingested += 1
         return set(partial)
 
     def refresh(self) -> set[PacketKey]:
         """Re-reconstruct all dirty packets (and re-diagnose them); returns
         what was refreshed."""
-        self._require_accumulating("refresh")
         self._start_backend()
         refreshed: dict[PacketKey, EventFlow] = {}
         for packet, flow in self.backend.finish():
@@ -253,34 +246,31 @@ class ReconstructionSession:
     # queries (auto-refresh for convenience)
 
     def flow(self, packet: PacketKey) -> Optional[EventFlow]:
-        if packet in self._dirty_set():
+        if packet in self.backend.dirty:
             self.refresh()
         return self._flows.get(packet)
 
     def flows(self) -> dict[PacketKey, EventFlow]:
-        if self._dirty_set():
+        if self.backend.dirty:
             self.refresh()
         return {p: self._flows[p] for p in sorted(self._flows)}
 
     def reports(self) -> dict[PacketKey, LossReport]:
-        if self._dirty_set():
+        if self.backend.dirty:
             self.refresh()
         return {p: self._reports[p] for p in sorted(self._reports)}
 
     @property
     def pending(self) -> int:
         """Dirty packets awaiting a refresh."""
-        return len(self._dirty_set())
+        return len(self.backend.dirty)
 
     def packets(self) -> list[PacketKey]:
-        """Every packet the session has seen evidence or flows for."""
-        backend_packets = getattr(self.backend, "packets", None)
-        if callable(backend_packets):
-            return backend_packets()
-        return sorted(self._flows)
+        """Every packet the session has seen evidence for."""
+        return self.backend.packets()
 
     # ------------------------------------------------------------------ #
-    # resumable state (streaming ingest only)
+    # resumable state
 
     def export_state(self) -> dict[str, Any]:
         """JSON-compatible snapshot of a streaming-ingest session.
@@ -292,7 +282,6 @@ class ReconstructionSession:
         The serve layer's checkpoint wraps this with its per-source ingest
         offsets, so a restarted daemon is re-sent no line.
         """
-        self._require_accumulating("export_state")
         return _payload(self.backend.export_state(), self.batches_ingested)
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -301,7 +290,6 @@ class ReconstructionSession:
         Every restored packet is pending until the next :meth:`refresh`.
         Version-1 payloads restore too (see :func:`session_evidence`).
         """
-        self._require_accumulating("restore_state")
         events, batches = session_evidence(state)
         self._start_backend()
         self.backend.restore_state({"events": events})
@@ -342,12 +330,6 @@ class ReconstructionSession:
             self.backend.start(self.plan())
             self._started = True
 
-    def _batches(self, logs: Logs):
-        with span("reconstruct.merge"):
-            groups = sorted(group_by_packet(logs).items())
-        for i in range(0, len(groups), self.batch_size):
-            yield groups[i : i + self.batch_size]
-
     def _normalize(
         self, groups: Sequence[tuple[Optional[PacketKey], dict[int, list[Event]]]]
     ) -> list[PacketGroup]:
@@ -365,17 +347,6 @@ class ReconstructionSession:
             )
             for packet, events_by_node in groups
         ]
-
-    def _dirty_set(self) -> set[PacketKey]:
-        return getattr(self.backend, "dirty", set())
-
-    def _require_accumulating(self, method: str) -> None:
-        if not self.backend.accumulates:
-            raise TypeError(
-                f"ReconstructionSession.{method}() needs an accumulating "
-                f"backend (e.g. IncrementalBackend); "
-                f"{type(self.backend).__name__} processes complete groups only"
-            )
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,9 @@ def collect_into(
     Losses and clock skew are applied once over the whole collection (crash
     truncation and chunk loss act on full logs), then each node's surviving
     log is delivered in ``rounds`` in-order segments, the way repeated CTP
-    collection rounds would hand them to an operator.  The session must run
-    an accumulating backend; call :meth:`ReconstructionSession.refresh` (or
-    any auto-refreshing query) for up-to-date flows.  Returns the complete
+    collection rounds would hand them to an operator.  Call
+    :meth:`ReconstructionSession.refresh` (or any auto-refreshing query)
+    for up-to-date flows.  Returns the complete
     collected logs for reference (e.g. one-shot comparison runs).
     """
     collected = collect_logs(

@@ -14,9 +14,10 @@ The oracles (paper Table II turned into an automated harness):
   corpora the lint rejects are recorded as *rejected*, not violations.
 - **ST002 determinism** — two identical runs over the same corpus must
   produce byte-identical flows and diagnoses.
-- **ST003 backend equivalence** — every configured execution backend must
-  agree byte-for-byte with the serial reference on corrupted corpora, not
-  only clean ones.
+- **ST003 route equivalence** — independent reconstruction routes (a
+  memo-free per-packet run, a node-by-node ingest and refresh) must agree
+  byte-for-byte with the default session on corrupted corpora, not only
+  clean ones.
 - **ST004 locality** — REFILL is per-packet independent: packets whose
   evidence a corruption did not touch must keep byte-identical flows.
 - **ST005 monotonicity** — diagnosis accuracy must not *improve* as log
@@ -36,7 +37,6 @@ from typing import Any, Mapping, Optional
 
 from repro.analysis.accuracy import cause_accuracy, event_recovery
 from repro.check.findings import Finding, error, register_rules
-from repro.core.backends import make_backend
 from repro.core.diagnosis import LossReport
 from repro.core.serialize import flow_json
 from repro.core.session import ReconstructionSession
@@ -53,7 +53,7 @@ from repro.simnet.truth import GroundTruth
 ORACLES: dict[str, str] = {
     "ST001": "reconstruction crashed on a corpus the lint passes at warning level",
     "ST002": "nondeterminism: identical runs produced different flows or diagnoses",
-    "ST003": "backend divergence: a backend disagrees with the serial reference",
+    "ST003": "route divergence: an independent route disagrees with the default session",
     "ST004": "locality violation: a packet untouched by corruption changed flows",
     "ST005": "monotonicity violation: accuracy improved as log loss worsened",
     "ST006": "differential accuracy below the campaign floor",
@@ -63,12 +63,38 @@ ORACLES: dict[str, str] = {
 register_rules(ORACLES)
 
 
+def _per_packet_route(logs, delivery_node):
+    """Memo-free: one :meth:`ReconstructionSession.reconstruct_group` per
+    packet, so no shape is ever replayed."""
+    session = ReconstructionSession(delivery_node=delivery_node)
+    flows = {
+        packet: session.reconstruct_group(packet, events_by_node)
+        for packet, events_by_node in sorted(group_by_packet(logs).items())
+    }
+    return flows, session.diagnose(flows)
+
+
+def _ingest_route(logs, delivery_node):
+    """The serve framing: each node's log ingested and refreshed on its own,
+    so packets are re-derived as their evidence grows."""
+    session = ReconstructionSession(delivery_node=delivery_node)
+    for node in sorted(logs):
+        session.ingest({node: logs[node]})
+        session.refresh()
+    return session.flows(), session.reports()
+
+
+#: ST003's routes, each ``(logs, delivery_node) -> (flows, reports)``.
+ROUTES = {"per-packet": _per_packet_route, "incremental": _ingest_route}
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Thresholds and comparison set of one campaign's oracle bundle."""
 
-    #: Backends compared byte-for-byte against the serial reference.
-    backends: tuple[str, ...] = ("incremental",)
+    #: :data:`ROUTES` compared byte-for-byte against the default session
+    #: (the field keeps the name reproducer files already carry).
+    backends: tuple[str, ...] = tuple(ROUTES)
     #: Differential floors (only scored when ground truth is available).
     min_cause_accuracy: float = 0.3
     min_event_precision: float = 0.3
@@ -77,6 +103,11 @@ class OracleConfig:
     monotonicity_tolerance: float = 0.05
     #: Loss-scale ladder driven through :meth:`LogLossSpec.scaled`.
     monotonicity_factors: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0)
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.backends) - set(ROUTES))
+        if unknown:
+            raise ValueError(f"unknown ST003 routes {unknown}; choose from {sorted(ROUTES)}")
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -175,13 +206,10 @@ class StoreCase:
     config: OracleConfig = field(default_factory=OracleConfig)
 
 
-def _reconstruct(directory, backend_name: str = "serial"):
+def _reconstruct(directory):
     """One fresh-session reconstruction + diagnosis over a store directory."""
     loaded = load_store(directory)
-    session = ReconstructionSession(
-        backend=make_backend(backend_name),
-        delivery_node=loaded.metadata.base_station,
-    )
+    session = ReconstructionSession(delivery_node=loaded.metadata.base_station)
     result = session.run(loaded.logs)
     return loaded, result.flows, result.reports
 
@@ -228,7 +256,7 @@ def run_store_oracles(
         if "ST002" in active:
             _check_determinism(case, reference, ref_reports, outcome)
         if "ST003" in active:
-            _check_backends(case, reference, ref_reports, outcome)
+            _check_routes(case, loaded, reference, ref_reports, outcome)
         if "ST007" in active:
             _check_coverage(case, loaded.logs, flows, outcome)
         if case.base_dir is not None and "ST004" in active:
@@ -264,26 +292,26 @@ def _check_determinism(case, reference, ref_reports, outcome) -> None:
         )
 
 
-def _check_backends(case, reference, ref_reports, outcome) -> None:
-    for backend_name in case.config.backends:
-        _, flows_b, reports_b = _reconstruct(case.corpus_dir, backend_name)
-        got = flow_fingerprints(flows_b)
+def _check_routes(case, loaded, reference, ref_reports, outcome) -> None:
+    for name in case.config.backends:
+        flows_r, reports_r = ROUTES[name](loaded.logs, loaded.metadata.base_station)
+        got = flow_fingerprints(flows_r)
         if got != reference:
             outcome.findings.append(
                 error(
                     "ST003",
                     case.label,
-                    f"backend {backend_name!r} diverges from serial on flow "
+                    f"route {name!r} diverges from the default session on flow "
                     f"{_first_diff(reference, got)}",
                 )
             )
-        elif report_fingerprints(reports_b) != ref_reports:
+        elif report_fingerprints(reports_r) != ref_reports:
             outcome.findings.append(
                 error(
                     "ST003",
                     case.label,
-                    f"backend {backend_name!r} diverges from serial on diagnosis "
-                    f"{_first_diff(ref_reports, report_fingerprints(reports_b))}",
+                    f"route {name!r} diverges from the default session on diagnosis "
+                    f"{_first_diff(ref_reports, report_fingerprints(reports_r))}",
                 )
             )
 

@@ -1,10 +1,12 @@
 """Backend equivalence: results are execution-strategy-independent.
 
 REFILL's per-packet independence is the paper's licence to parallelize; the
-session layer's contract is that serial, process-pool, and incremental
-execution produce *byte-identical* flows, identical diagnoses, and identical
-merged counter totals — for every options configuration, including
-``strip_times`` and the ablation switches.
+session layer's contract is that a one-shot run, a process-pool run and
+streaming ingest in any number of batches produce *byte-identical* flows
+and identical diagnoses — all equal to a memo-free engine run per packet —
+and that the pool's merged counter totals equal an in-process run's, for
+every options configuration, including ``strip_times`` and the ablation
+switches.
 """
 
 import random
@@ -12,14 +14,11 @@ import random
 import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.backends import (
-    IncrementalBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.core.backends import ProcessPoolBackend
 from repro.core.serialize import flow_json
 from repro.core.session import ReconstructionSession, RefillOptions
 from repro.events.log import NodeLog
+from repro.events.merge import group_by_packet
 from repro.lognet.collector import collect_logs
 from repro.obs import MetricsRegistry, use_registry
 from repro.simnet.scenarios import citysee
@@ -50,11 +49,21 @@ def canonical(flows):
     return {str(p): flow_json(f) for p, f in flows.items()}
 
 
-def run_backend(logs, delivery_node, options, backend, *, ingest_batches=None):
+def run_direct(logs, delivery_node, options):
+    """The memo-free reference: one engine run per packet."""
+    session = ReconstructionSession(options=options, delivery_node=delivery_node)
+    flows = {
+        packet: session.reconstruct_group(packet, events_by_node)
+        for packet, events_by_node in sorted(group_by_packet(logs).items())
+    }
+    return flows, session.diagnose(flows)
+
+
+def run_backend(logs, delivery_node, options, backend=None, *, ingest_batches=None):
     """One full session run under its own registry.
 
-    ``ingest_batches`` switches to the streaming-ingest door (accumulating
-    backends): evidence arrives in that many per-node ordered segments.
+    ``ingest_batches`` switches to the streaming-ingest door: evidence
+    arrives in that many per-node ordered segments.
     """
     session = ReconstructionSession(
         options=options, backend=backend, delivery_node=delivery_node
@@ -94,9 +103,8 @@ def test_backends_byte_identical(corpus, config):
     logs, bs = corpus
     options = CONFIGS[config]
 
-    serial_flows, serial_reports, serial_snap = run_backend(
-        logs, bs, options, SerialBackend()
-    )
+    direct_flows, direct_reports = run_direct(logs, bs, options)
+    one_shot_flows, one_shot_reports, one_shot_snap = run_backend(logs, bs, options)
     pool_flows, pool_reports, pool_snap = run_backend(
         logs, bs, options, ProcessPoolBackend(workers=2, min_packets=1)
     )
@@ -106,20 +114,22 @@ def test_backends_byte_identical(corpus, config):
         "many batches": shuffled_segments(logs, 11, seed=42),
     }
 
-    reference = canonical(serial_flows)
+    reference = canonical(direct_flows)
+    assert canonical(one_shot_flows) == reference
+    assert one_shot_reports == direct_reports
     assert canonical(pool_flows) == reference
-    assert pool_reports == serial_reports
+    assert pool_reports == direct_reports
 
     for label, batches in inc_runs.items():
         inc_flows, inc_reports, _ = run_backend(
-            logs, bs, options, IncrementalBackend(), ingest_batches=batches
+            logs, bs, options, ingest_batches=batches
         )
         assert canonical(inc_flows) == reference, label
-        assert inc_reports == serial_reports, label
+        assert inc_reports == direct_reports, label
 
     # counter totals survive sharding: the pool merges worker registries
     # back without losing or double-counting a packet
-    assert pool_snap.counters == serial_snap.counters
+    assert pool_snap.counters == one_shot_snap.counters
 
 
 @pytest.fixture(scope="module")
@@ -156,23 +166,26 @@ def test_backends_byte_identical_on_corrupted_corpus(corrupted_corpus, config):
     logs, bs = corrupted_corpus
     options = CONFIGS[config]
 
-    serial_flows, serial_reports, _ = run_backend(logs, bs, options, SerialBackend())
+    direct_flows, direct_reports = run_direct(logs, bs, options)
+    one_shot_flows, one_shot_reports, _ = run_backend(logs, bs, options)
     pool_flows, pool_reports, _ = run_backend(
         logs, bs, options, ProcessPoolBackend(workers=2, min_packets=1)
     )
-    reference = canonical(serial_flows)
+    reference = canonical(direct_flows)
+    assert canonical(one_shot_flows) == reference
+    assert one_shot_reports == direct_reports
     assert canonical(pool_flows) == reference
-    assert pool_reports == serial_reports
+    assert pool_reports == direct_reports
 
     for label, batches in {
         "one batch": [logs],
         "five batches": shuffled_segments(logs, 5, seed=13),
     }.items():
         inc_flows, inc_reports, _ = run_backend(
-            logs, bs, options, IncrementalBackend(), ingest_batches=batches
+            logs, bs, options, ingest_batches=batches
         )
         assert canonical(inc_flows) == reference, label
-        assert inc_reports == serial_reports, label
+        assert inc_reports == direct_reports, label
 
 
 def test_incremental_batched_refresh_with_late_truncation_on_corrupted_corpus(
@@ -182,8 +195,8 @@ def test_incremental_batched_refresh_with_late_truncation_on_corrupted_corpus(
     reconstructs the whole dirty set in one serial pass with a reused
     reconstructor.  Refreshing after every shuffled batch — with one node's
     tail lost after the early rounds and another vanishing entirely — must
-    stay byte-identical to a from-scratch serial run over the evidence that
-    was actually delivered."""
+    stay byte-identical to a memo-free run over the evidence that was
+    actually delivered."""
     logs, bs = corrupted_corpus
     options = CONFIGS["default"]
     nodes = sorted(n for n in logs if n != bs and len(logs[n]) >= 3)
@@ -201,9 +214,7 @@ def test_incremental_batched_refresh_with_late_truncation_on_corrupted_corpus(
         if batch:
             delivered.append(batch)
 
-    session = ReconstructionSession(
-        options=options, backend=IncrementalBackend(), delivery_node=bs
-    )
+    session = ReconstructionSession(options=options, delivery_node=bs)
     for batch in delivered:
         session.ingest(batch)
         session.refresh()  # one dirty-set recomputation per batch
@@ -215,18 +226,14 @@ def test_incremental_batched_refresh_with_late_truncation_on_corrupted_corpus(
         for node, events in batch.items():
             union.setdefault(node, []).extend(events)
     union_logs = {node: NodeLog(node, events) for node, events in union.items()}
-    serial_flows, serial_reports, _ = run_backend(
-        union_logs, bs, options, SerialBackend()
-    )
-    assert canonical(inc_flows) == canonical(serial_flows)
-    assert inc_reports == serial_reports
+    direct_flows, direct_reports = run_direct(union_logs, bs, options)
+    assert canonical(inc_flows) == canonical(direct_flows)
+    assert inc_reports == direct_reports
 
 
 def test_incremental_counters_cover_every_packet(corpus):
     logs, bs = corpus
-    _, reports, snap = run_backend(
-        logs, bs, RefillOptions(), IncrementalBackend(), ingest_batches=[logs]
-    )
+    _, reports, snap = run_backend(logs, bs, RefillOptions(), ingest_batches=[logs])
     assert snap.counters["refill.packets"] == len(reports)
     assert snap.counters["diagnose.packets"] == len(reports)
     assert snap.histograms["span.reconstruct.packet"].count == len(reports)

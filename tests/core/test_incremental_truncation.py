@@ -4,7 +4,7 @@ Collection is not append-only in the field — a node can crash and lose its
 log tail, or vanish entirely, *after* earlier rounds already delivered a
 prefix.  The incremental backend's contract under that shape:
 
-- flows equal a from-scratch serial run over the union of evidence that
+- flows equal a from-scratch one-shot run over the union of evidence that
   was actually delivered (the withheld tail simply never existed);
 - the dirty set stays exact — packets whose evidence saw no new events are
   neither re-reconstructed nor re-reported by ``refresh``.
@@ -13,7 +13,6 @@ prefix.  The incremental backend's contract under that shape:
 import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.backends import IncrementalBackend, SerialBackend
 from repro.core.session import ReconstructionSession
 from repro.events.log import NodeLog
 from repro.lognet.collector import collect_logs
@@ -64,17 +63,17 @@ def test_truncated_and_vanished_nodes_match_from_scratch_serial(corpus):
     truncated, vanished = nodes[0], nodes[1]
     first, second = _split(logs, truncated, vanished)
 
-    inc = ReconstructionSession(backend=IncrementalBackend(), delivery_node=bs)
+    inc = ReconstructionSession(delivery_node=bs)
     inc.ingest(first)
     inc.refresh()
     inc.ingest(second)
     inc_flows = inc.flows()
     inc_reports = inc.reports()
 
-    serial = ReconstructionSession(backend=SerialBackend(), delivery_node=bs)
-    flows = serial.reconstruct(_delivered_union(first, second))
+    one_shot = ReconstructionSession(delivery_node=bs)
+    flows = one_shot.reconstruct(_delivered_union(first, second))
     assert canonical(inc_flows) == canonical(flows)
-    assert inc_reports == serial.diagnose(flows)
+    assert inc_reports == one_shot.diagnose(flows)
 
 
 def test_dirty_set_is_exactly_the_second_round_evidence(corpus):
@@ -83,7 +82,7 @@ def test_dirty_set_is_exactly_the_second_round_evidence(corpus):
     truncated, vanished = nodes[0], nodes[1]
     first, second = _split(logs, truncated, vanished)
 
-    session = ReconstructionSession(backend=IncrementalBackend(), delivery_node=bs)
+    session = ReconstructionSession(delivery_node=bs)
     session.ingest(first)
     refreshed_first = session.refresh()
 

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.backends import IncrementalBackend, SerialBackend
+from repro.core.backends import IncrementalBackend
 from repro.core.event_flow import Note
 from repro.core.memo import ATOMS_CAP, MEMO_CAP, Pending, ShapeMemo, record_of, replay
 from repro.core import serialize
@@ -275,7 +275,7 @@ def test_a_mutated_replay_encodes_its_mutation(mutate):
 def _memo_and_direct(groups, template=None):
     """Flows and counters of a memo run and of the direct engine."""
     template = template or forwarder_template()
-    session = ReconstructionSession(template, backend=SerialBackend())
+    session = ReconstructionSession(template)
     with use_registry(MetricsRegistry()) as registry:
         session._start_backend()
         flows = dict(session.backend._reconstruct_serially(groups))

@@ -1,4 +1,5 @@
-"""Tests for parallel reconstruction (results must match serial exactly)."""
+"""Tests for parallel reconstruction (results must match the in-process
+default session exactly)."""
 
 import pytest
 
@@ -26,7 +27,7 @@ class TestParallelMatchesSerial:
     def test_identical_flows(self, collected_logs):
         serial = ReconstructionSession().reconstruct(collected_logs)
         parallel = ReconstructionSession(
-            backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=50
+            backend=ProcessPoolBackend(workers=2, min_packets=1)
         ).reconstruct(collected_logs)
         assert set(serial) == set(parallel)
         for packet in serial:
@@ -68,7 +69,6 @@ class TestParallelMatchesSerial:
         parallel = ReconstructionSession(
             options=options,
             backend=ProcessPoolBackend(workers=2, min_packets=1),
-            batch_size=50,
         ).reconstruct(collected_logs)
         for packet, flow in parallel.items():
             assert all(e.time is None for e in flow.events), packet
@@ -95,7 +95,7 @@ class TestWorkerMetricsMerge:
             ReconstructionSession().reconstruct(collected_logs)
         with use_registry(MetricsRegistry()) as parallel_reg:
             ReconstructionSession(
-                backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=50
+                backend=ProcessPoolBackend(workers=2, min_packets=1)
             ).reconstruct(collected_logs)
         serial = serial_reg.snapshot().counters
         parallel = parallel_reg.snapshot().counters
@@ -107,7 +107,7 @@ class TestWorkerMetricsMerge:
     def test_span_observations_cover_every_packet(self, collected_logs):
         with use_registry(MetricsRegistry()) as reg:
             flows = ReconstructionSession(
-                backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=50
+                backend=ProcessPoolBackend(workers=2, min_packets=1)
             ).reconstruct(collected_logs)
         per_packet = reg.snapshot().histograms["span.reconstruct.packet"]
         assert per_packet.count == len(flows)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.backends import IncrementalBackend, SerialBackend, make_backend
+from repro.core.backends import IncrementalBackend, make_backend
 from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
 from repro.core.transition_algorithm import PacketReconstructor
 from repro.events.event import Event
@@ -57,15 +57,12 @@ class TestOneShot:
             p: f.labels() for p, f in second.items()
         }
 
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            ReconstructionSession(batch_size=0)
-
     def test_string_backends_resolve(self):
-        assert make_backend("serial").name == "serial"
         assert make_backend("incremental").name == "incremental"
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu")
+        assert make_backend("process", workers=2).workers == 2
+        for gone in ("serial", "gpu"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                make_backend(gone)
 
 
 class TestNormalization:
@@ -115,12 +112,25 @@ class TestDiagnoseInstrumented:
 
 
 class TestStreamingIngest:
-    def test_requires_accumulating_backend(self):
-        session = ReconstructionSession(
-            forwarder_template(with_gen=False), backend=SerialBackend()
-        )
-        with pytest.raises(TypeError, match="accumulating"):
-            session.ingest({1: [ev("trans", 1, 1, 2)]})
+    def test_default_session_ingests_and_refreshes(self, logs):
+        """Batch and streaming share one backend: a default session takes
+        partial evidence, and its refresh matches a one-shot run."""
+        template = forwarder_template(with_gen=False)
+        session = ReconstructionSession(template, delivery_node=99)
+        assert isinstance(session.backend, IncrementalBackend)
+        for node, log in logs.items():
+            assert session.ingest({node: log}) == {PKT}
+        assert session.refresh() == {PKT}
+        one_shot = ReconstructionSession(template).reconstruct(logs)
+        assert session.flows()[PKT].labels() == one_shot[PKT].labels()
+        assert not session.reports()[PKT].lost
+
+    def test_one_shot_refused_while_ingesting(self, logs):
+        session = ReconstructionSession(forwarder_template(with_gen=False))
+        session.ingest({1: logs[1]})
+        with pytest.raises(RuntimeError, match="ingesting session"):
+            session.reconstruct(logs)
+        assert session.packets() == [PKT]  # the evidence is still there
 
     def test_ingest_refresh_cycle(self):
         session = ReconstructionSession(

@@ -83,6 +83,32 @@ class TestDifferentialOracle:
         assert outcome.violated == []
 
 
+class TestRouteOracle:
+    def test_a_tampered_replay_trips_st003(self, clean_store, tiny_sim, monkeypatch):
+        """Memo hits that hand back a wrong flow: the memo-free route sees it."""
+        from repro.core import memo
+
+        replay = memo.replay
+
+        def tampered(*args, **kwargs):
+            flow = replay(*args, **kwargs)
+            flow.anomalies.append("tampered")
+            return flow
+
+        monkeypatch.setattr(memo, "replay", tampered)
+        outcome = run_store_oracles(_case(clean_store, tiny_sim), only={"ST003"})
+        assert outcome.violated == ["ST003"]
+        # the ingest route replays other packets than the one-shot run does,
+        # so it may diverge too; the memo-free route must
+        assert "route 'per-packet'" in {
+            f.message.split(" diverges")[0] for f in outcome.findings
+        }
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match="unknown ST003 routes"):
+            OracleConfig(backends=("serial",))
+
+
 class TestRejection:
     def test_metadata_corrupt_store_is_rejected_not_violated(
         self, clean_store, tiny_sim
@@ -151,7 +177,7 @@ class TestFingerprints:
 class TestOracleConfig:
     def test_json_round_trip(self):
         cfg = OracleConfig(
-            backends=("serial",),
+            backends=("per-packet",),
             min_cause_accuracy=0.42,
             monotonicity_factors=(0.5, 1.0),
         )

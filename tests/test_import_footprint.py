@@ -2,11 +2,13 @@
 
 ``refill analyze`` and ``refill serve`` reconstruct from a store; the
 simulator (``repro.simnet``), the loss model (``repro.lognet``) and numpy
-belong to ``refill simulate`` alone.  A serial ``refill analyze`` also
+belong to ``refill simulate`` alone.  An in-process ``refill analyze`` also
 loads neither the ``refill check --code`` analyzer, the process pool, the
 daemon, the stress engine, the figure renderer, the FSM miner
 (``repro.learn``) nor ``importlib.metadata`` (``--version`` alone reads it).
-Each door runs in a fresh interpreter
+``refill serve`` and ``refill --help`` load no ``repro.check`` either: the
+static analyzer belongs to ``analyze``, ``check`` and the commands that
+lint.  Each door runs in a fresh interpreter
 under ``-X importtime``, which names every module the process imported
 over its whole life.
 
@@ -30,8 +32,8 @@ SRC = REPO / "src"
 STORE = REPO / "tests" / "fixtures" / "defective-deployment"
 #: Modules only ``refill simulate`` needs.
 SIMULATOR_ONLY = ("numpy", "repro.simnet", "repro.lognet")
-#: Modules a serial ``refill analyze`` does not run.
-NOT_IN_SERIAL_ANALYZE = (
+#: Modules an in-process ``refill analyze`` does not run.
+NOT_IN_ANALYZE = (
     *SIMULATOR_ONLY,
     "importlib.metadata",
     "repro.learn",
@@ -42,6 +44,8 @@ NOT_IN_SERIAL_ANALYZE = (
     "multiprocessing",
     "concurrent.futures.process",
 )
+#: Modules neither ``refill serve`` nor ``refill --help`` runs.
+NOT_IN_SERVE = (*SIMULATOR_ONLY, "repro.check")
 #: Where the static import walk starts: the CLI and every script directory.
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 ENTRY_DIRS = ("examples", "benchmarks", "refillbench")
@@ -135,7 +139,7 @@ def _loaded(importtime: str, tops=SIMULATOR_ONLY) -> list[str]:
 
 
 def test_analyze_loads_no_simulator_module(tmp_path):
-    """No simulator module, and (a serial run) no analyzer or process pool."""
+    """No simulator module, and (an in-process run) no analyzer or process pool."""
     with open(tmp_path / "stderr", "w") as stderr:
         proc = _refill(
             stderr, "analyze", "-q", "--logs", str(STORE),
@@ -145,7 +149,7 @@ def test_analyze_loads_no_simulator_module(tmp_path):
     importtime = (tmp_path / "stderr").read_text()
     assert proc.returncode == 0, importtime[-2000:]
     assert (tmp_path / "flows.json").stat().st_size > 2
-    assert _loaded(importtime, NOT_IN_SERIAL_ANALYZE) == []
+    assert _loaded(importtime, NOT_IN_ANALYZE) == []
 
 
 def test_serve_loads_no_simulator_module(tmp_path):
@@ -172,4 +176,13 @@ def test_serve_loads_no_simulator_module(tmp_path):
         stderr.close()
     importtime = (tmp_path / "stderr").read_text()
     assert proc.returncode == 0, importtime[-2000:]
-    assert _loaded(importtime) == []
+    assert _loaded(importtime, NOT_IN_SERVE) == []
+
+
+def test_help_loads_no_static_analyzer(tmp_path):
+    with open(tmp_path / "stderr", "w") as stderr:
+        proc = _refill(stderr, "--help", stdout=subprocess.DEVNULL)
+        proc.wait(timeout=120)
+    importtime = (tmp_path / "stderr").read_text()
+    assert proc.returncode == 0, importtime[-2000:]
+    assert _loaded(importtime, NOT_IN_SERVE) == []
