@@ -67,49 +67,45 @@ def test_reconstruction_scalability(benchmark, emit):
 
 
 def test_parallel_reconstruction(benchmark, emit):
-    """S1b — per-packet independence makes reconstruction parallel.
+    """S1b — per-packet independence makes analyze parallel.
 
-    Correctness parity is asserted; speedup depends on host cores and is
-    reported, not asserted (CI machines vary).
+    ``--workers 1`` against every usable CPU (:mod:`repro.core.split`):
+    reconstruct, diagnose and encode.  Byte identity is asserted; speedup
+    depends on host cores and is reported, not asserted (CI machines vary).
     """
-    import os
     import time
 
-    from repro.core.backends import ProcessPoolBackend
+    from repro.core.split import reconstruct_slices, usable_cpus
 
     logs, events = prepare(SIZES[-1])
     serial_start = time.perf_counter()
-    serial_flows = ReconstructionSession().reconstruct(logs)
+    serial = reconstruct_slices(logs, workers=1, encode=True)
     serial_elapsed = time.perf_counter() - serial_start
 
-    workers = min(4, os.cpu_count() or 1)
-    parallel = ReconstructionSession(
-        backend=ProcessPoolBackend(workers=workers, min_packets=1)
+    workers = usable_cpus()
+    parallel = benchmark.pedantic(
+        lambda: reconstruct_slices(logs, workers=workers, encode=True),
+        rounds=3,
+        iterations=1,
     )
-    parallel_flows = benchmark.pedantic(
-        lambda: parallel.reconstruct(logs), rounds=3, iterations=1
-    )
-
-    assert {p: f.labels() for p, f in parallel_flows.items()} == {
-        p: f.labels() for p, f in serial_flows.items()
-    }
+    assert "".join(parallel.document_parts()) == "".join(serial.document_parts())
 
     parallel_start = time.perf_counter()
-    parallel.reconstruct(logs)
+    reconstruct_slices(logs, workers=workers, encode=True)
     parallel_elapsed = time.perf_counter() - parallel_start
     emit(
         "scalability_parallel",
         render_table(
             ["variant", "seconds", "events_per_s"],
             [
-                ("serial", round(serial_elapsed, 2), int(events / serial_elapsed)),
+                ("--workers 1", round(serial_elapsed, 2), int(events / serial_elapsed)),
                 (
-                    f"parallel x{workers}",
+                    f"--workers {workers} ({parallel.processes} processes)",
                     round(parallel_elapsed, 2),
                     int(events / parallel_elapsed),
                 ),
             ],
-            title="S1b — serial vs multi-process reconstruction "
+            title="S1b — analyze at --workers 1 against every usable CPU "
             f"({events} log events)",
         ),
     )

@@ -25,9 +25,9 @@ Quickstart::
     reports = session.diagnose(flows)
 
 Batch and live runs share one accumulate-then-refresh backend
-(``IncrementalBackend``); ``ProcessPoolBackend`` runs large refreshes in a
-worker pool.  See ``docs/API.md`` and ``docs/ARCHITECTURE.md`` for the
-backend model.
+(``IncrementalBackend``); ``refill analyze`` runs one session per core on
+a slice of the store (:mod:`repro.core.split`).  See ``docs/API.md`` and
+``docs/ARCHITECTURE.md`` for the backend model.
 """
 
 from repro.events.event import Event, EventType
@@ -35,7 +35,6 @@ from repro.events.packet import PacketKey
 from repro.events.log import LogRecord, NodeLog
 from repro.core.event_flow import EventFlow, FlowEntry
 from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
-from repro.core.backends import make_backend
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
 from repro.fsm.templates import forwarder_template
 
@@ -52,7 +51,6 @@ __all__ = [
     "RefillOptions",
     "ReconstructionSession",
     "SessionResult",
-    "make_backend",
     "LossCause",
     "LossReport",
     "classify_flow",

@@ -49,9 +49,9 @@ from typing import Optional
 from repro.analysis.causes import attribute_server_outages, cause_shares, sink_split
 from repro.analysis.report import render_cause_shares
 from repro.baselines.sink_view import SinkView
-from repro.core.backends import BACKENDS, IncrementalBackend, make_backend
 from repro.core.session import ReconstructionSession
 from repro.events.log import NodeLog
+from repro.events.merge import group_by_packet
 from repro.events.packet import PacketKey
 from repro.events.store import ShardTap, StoreMetadata, load_store, save_store
 from repro.obs import (
@@ -62,6 +62,7 @@ from repro.obs import (
     MetricsSnapshot,
     configure_logging,
     get_logger,
+    get_registry,
     span,
     use_registry,
 )
@@ -249,9 +250,8 @@ def _analyze_template(args: argparse.Namespace):
 
     The inference session drives a single template, so the spec must be
     uniform-role (the built-in ``ctp`` default and every learned spec are).
-    The default spec resolves to ``template=None`` so the session keeps its
-    module-level factory — required by ``--backend process``, which pickles
-    the factory by reference into workers.
+    The default spec resolves to ``template=None``: the session's own
+    forwarder default.
     """
     from repro.check import load_spec
 
@@ -287,8 +287,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _analyze(args: argparse.Namespace) -> int:
     from repro.check.corpus import CorpusLint
+    from repro.core.split import usable_cpus
 
     registry = MetricsRegistry()
+    workers = args.workers or usable_cpus()
     try:
         spec, template = _analyze_template(args)
     except (ValueError, ImportError, OSError) as exc:
@@ -319,28 +321,29 @@ def _analyze(args: argparse.Namespace) -> int:
                 "analyze.reconstructing",
                 node_logs=len(loaded.logs),
                 events=loaded.total_events,
-                backend=args.backend,
+                workers=workers,
             )
-            flows, reports, _est = _diagnose_store(
+            diagnosed = _diagnose_store(
                 loaded,
                 template=template,
-                backend_name=args.backend,
-                workers=args.workers,
+                workers=workers,
+                encode=args.flows_out is not None,
             )
+            if diagnosed is None:
+                return 1
+            run, reports, _est = diagnosed
             _report_corrupt_lines(registry, loaded.corrupt_lines)
         lost = sum(1 for r in reports.values() if r.lost)
-        print(f"{len(flows)} packets reconstructed, {lost} diagnosed as lost\n")
+        print(f"{len(reports)} packets reconstructed, {lost} diagnosed as lost\n")
         print(render_cause_shares(cause_shares(reports)))
         split = sink_split(reports, loaded.metadata.sink)
         print()
         for key, value in split.items():
             print(f"  {key:<16} {value:5.1f}%")
         if args.flows_out:
-            from repro.core.serialize import flows_document_parts
-
-            # the encode_flows document written a flow at a time, never held whole
+            # the encode_flows document, written a slice at a time
             with span("analyze.encode"), pathlib.Path(args.flows_out).open("w") as out:
-                out.writelines(flows_document_parts(flows))
+                out.writelines(run.document_parts())
                 out.write("\n")
             log.info("analyze.flows-written", path=args.flows_out)
     if args.metrics_out:
@@ -377,29 +380,47 @@ def _diagnose_store(
     store,
     *,
     template=None,
-    backend_name: str = IncrementalBackend.name,
     workers: Optional[int] = None,
+    encode: bool = False,
+    command: str = "analyze",
 ):
-    """Shared reconstruct + diagnose over a loaded store.
+    """Shared reconstruct + diagnose over a loaded store, on ``workers``
+    processes (default: every usable CPU).
 
-    Every door goes through one :class:`ReconstructionSession`; where its
-    refresh runs is the only variable.  ``store`` is a
+    Each process reconstructs, diagnoses and (with ``encode``) encodes one
+    slice of the packets (:func:`repro.core.split.reconstruct_slices`);
+    the outage attribution then runs here on every report.  ``store`` is a
     :class:`~repro.events.store.LoadedStore`.  ``template`` overrides the
     inference model (``analyze --spec``); ``None`` keeps the hand-written
-    CTP forwarder default.
+    CTP forwarder default.  Returns ``(slice run, reports, loss-time
+    estimates)``, or ``None`` after one ``<command>.worker-failed`` error.
     """
+    from repro.core.split import WorkerFailed, reconstruct_slices, usable_cpus
+
+    try:
+        run = reconstruct_slices(
+            store.logs,
+            template=template,
+            delivery_node=store.metadata.base_station,
+            workers=workers or usable_cpus(),
+            encode=encode,
+        )
+    except WorkerFailed as exc:
+        log.error(f"{command}.worker-failed", error=str(exc))
+        return None
+    get_registry().gauge("analyze.processes").set(run.processes)
+    log.debug(f"{command}.split", processes=run.processes)
+    return (run, *_attribute_outages(store, run.reports))
+
+
+def _attribute_outages(store, reports):
+    """``(reports, loss-time estimates)``: sink-anchored losses inside a
+    server-outage window become ``SERVER_OUTAGE`` (the one cross-packet
+    step of the diagnosis)."""
     meta = store.metadata
     bs = meta.base_station
     bs_log = store.logs.get(bs, NodeLog(bs))
-    session = ReconstructionSession(
-        template,
-        backend=make_backend(backend_name, workers=workers),
-        delivery_node=bs,
-    )
-    with span("analyze.reconstruct"):
-        flows = session.reconstruct(store.logs)
     with span("analyze.diagnose"):
-        reports = session.diagnose(flows)
         bs_arrivals = [
             (e.packet, e.time)
             for e in bs_log
@@ -410,7 +431,7 @@ def _diagnose_store(
         reports = attribute_server_outages(
             reports, est, outages=meta.outages, sink=meta.sink, base_station=bs
         )
-    return flows, reports, est
+    return reports, est
 
 
 def _render_profile(snapshot: MetricsSnapshot) -> str:
@@ -441,7 +462,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     log.info("figures.reconstructing", node_logs=len(store.logs))
-    _flows, reports, est = _diagnose_store(store)
+    diagnosed = _diagnose_store(store, command="figures")
+    if diagnosed is None:
+        return 1
+    _run, reports, est = diagnosed
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sources = loss_scatter(reports, est, axis="source")
@@ -592,12 +616,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     packet = PacketKey.parse(args.packet)
-    # the diagnosis refill analyze counts, server-outage attribution included
-    flows, reports, _est = _diagnose_store(store)
-    flow = flows.get(packet)
-    if flow is None:
+    group = group_by_packet(store.logs).get(packet)
+    if group is None:
         log.error("trace.packet-not-found", packet=str(packet))
         return 1
+    # the packet's flow depends on its own evidence alone; its diagnosis is
+    # the one refill analyze counts, server-outage attribution included
+    session = ReconstructionSession(delivery_node=store.metadata.base_station)
+    flow = session.reconstruct_groups([(packet, group)])[packet]
+    reports, _est = _attribute_outages(store, session.diagnose({packet: flow}))
     report = reports[packet]
     trace = trace_packet(flow)
     print(f"packet {packet}")
@@ -605,6 +632,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"  path:      {trace.path_string()}")
     print(f"  diagnosis: {report.cause} at node {report.position}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -732,13 +766,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a per-stage wall-time table to stderr",
     )
     p_an.add_argument(
-        "--backend", choices=sorted(BACKENDS), default=IncrementalBackend.name,
-        help="where reconstruction runs: in-process (incremental, the "
-             "default) or in a worker pool (process)",
+        "--workers", type=_positive_int, default=None, metavar="N",
+        help="processes that reconstruct, diagnose and encode one slice of "
+             "the packets each (default: the usable CPUs; 1 runs in-process)",
     )
     p_an.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for --backend process (default: cpu count)",
+        "--backend", choices=("incremental", "process"), default="incremental",
+        help="ignored: every run takes the --workers split; kept only for "
+             "refillbench's traced step, which still passes it",
     )
     p_an.set_defaults(fn=_cmd_analyze)
 

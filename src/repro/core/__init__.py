@@ -14,12 +14,7 @@ from repro.core.engine import EngineInstance
 from repro.core.context import PacketContext
 from repro.core.transition_algorithm import PacketReconstructor, ReconstructorOptions
 from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
-from repro.core.backends import (
-    ExecutionPlan,
-    IncrementalBackend,
-    ProcessPoolBackend,
-    make_backend,
-)
+from repro.core.backends import ExecutionPlan, IncrementalBackend
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
 
 __all__ = [
@@ -32,9 +27,7 @@ __all__ = [
     "ReconstructionSession",
     "SessionResult",
     "ExecutionPlan",
-    "ProcessPoolBackend",
     "IncrementalBackend",
-    "make_backend",
     "RefillOptions",
     "LossCause",
     "LossReport",

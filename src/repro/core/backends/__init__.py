@@ -1,44 +1,15 @@
-"""Execution backends for :class:`~repro.core.session.ReconstructionSession`.
+"""The execution backend of :class:`~repro.core.session.ReconstructionSession`.
 
 One reconstruction pipeline, one lifecycle — accumulate evidence, then
-refresh the dirty set — and two ways to run a refresh:
-
-- :class:`IncrementalBackend` — in-process; every door's default;
-- :class:`ProcessPoolBackend` — the same backend, refreshing large dirty
-  sets in a worker pool (lazy startup).
-
-``make_backend(name)`` resolves the CLI spelling.
+refresh the dirty set — in one in-process backend,
+:class:`IncrementalBackend`, every door's default.  Multi-core runs split
+the store above the session instead (:mod:`repro.core.split`): each
+process owns its own session, backend and shape memo.
 """
 
-from repro.core.backends.incremental import (
-    ExecutionPlan,
-    IncrementalBackend,
-    TemplateFactory,
-)
-from repro.core.backends.process import ProcessPoolBackend
-
-#: CLI / config spelling → constructor.
-BACKENDS = {
-    IncrementalBackend.name: IncrementalBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
-}
-
-
-def make_backend(name: str, *, workers: "int | None" = None) -> IncrementalBackend:
-    """Build a backend from its registry name (``incremental`` |
-    ``process``); ``workers`` applies to ``process``."""
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")
-    if name == ProcessPoolBackend.name:
-        return ProcessPoolBackend(workers=workers)
-    return IncrementalBackend()
-
+from repro.core.backends.incremental import ExecutionPlan, IncrementalBackend
 
 __all__ = [
-    "BACKENDS",
     "ExecutionPlan",
     "IncrementalBackend",
-    "ProcessPoolBackend",
-    "TemplateFactory",
-    "make_backend",
 ]

@@ -33,7 +33,7 @@ lives across its refreshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.event_flow import EventFlow
 from repro.core.memo import ShapeMemo
@@ -48,24 +48,15 @@ from repro.events.packet import PacketKey
 from repro.fsm.templates import FsmTemplate
 from repro.obs.spans import span
 
-#: A zero-argument, *module-level* (hence picklable-by-reference) function
-#: returning the FSM template — process workers call it once each.
-TemplateFactory = Callable[[], FsmTemplate]
-
-
 @dataclass(frozen=True)
 class ExecutionPlan:
     """Everything a backend needs to reconstruct: model + switches.
 
-    ``template`` is always usable in-process (an :class:`FsmTemplate` or a
-    per-node factory); ``template_factory`` is the picklable spelling that
-    process pools require and is ``None`` when the session was built from a
-    bare template.
+    ``template`` is an :class:`FsmTemplate` or a per-node factory.
     """
 
     template: FsmTemplate | TemplateFor
     options: ReconstructorOptions
-    template_factory: Optional[TemplateFactory] = None
 
 
 class IncrementalBackend:
@@ -77,9 +68,6 @@ class IncrementalBackend:
     arrive in log order (collection preserves per-node order); across
     batches any interleaving is fine.
     """
-
-    #: Stable identifier (CLI ``--backend`` value).
-    name = "incremental"
 
     def __init__(self) -> None:
         self.plan: Optional[ExecutionPlan] = None
@@ -124,7 +112,7 @@ class IncrementalBackend:
         self.dirty.clear()
 
     def close(self) -> None:
-        """Release resources (worker pools, accumulated state, the memo)."""
+        """Release resources (accumulated state, the memo)."""
         self.memo = None
         self._events.clear()
         self.dirty.clear()

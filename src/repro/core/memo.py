@@ -43,7 +43,7 @@ hashable.
 from __future__ import annotations
 
 import re
-from typing import Any, Hashable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Hashable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.event_flow import LOGGED, EventFlow, FlowEntry, Note
 from repro.core.serialize import FlowTemplate, shape_template
@@ -88,16 +88,6 @@ class ShapeRecord(NamedTuple):
     encoding: Optional["ShapeEncoding"] = None
 
 
-class Pending:
-    """A shape a pool worker is recording; ``record`` lands when it is back."""
-
-    __slots__ = ("key", "record")
-
-    def __init__(self, key: Hashable) -> None:
-        self.key = key
-        self.record: Optional[ShapeRecord] = None
-
-
 class _Unrecordable(Exception):
     """The run left something a rank record cannot carry."""
 
@@ -107,7 +97,7 @@ class ShapeMemo:
 
     def __init__(self, pinned: tuple[Optional[int], ...] = ()) -> None:
         self.pinned = pinned
-        self.records: dict[Hashable, Union[ShapeRecord, Pending]] = {}
+        self.records: dict[Hashable, ShapeRecord] = {}
         #: One copy of each tuple and string the stored keys and records are
         #: made of: shapes share most of their parts (a bench-store push's
         #: 2,828 shapes take 1.6 MB shared, 11.8 MB unshared).
@@ -164,36 +154,21 @@ class ShapeMemo:
             return None, order
         return key, order
 
-    def put(
-        self, key: Hashable, entry: Union[ShapeRecord, Pending]
-    ) -> Union[ShapeRecord, Pending]:
-        """Store ``entry`` under ``key``; returns what is stored."""
+    def put(self, key: Hashable, record: ShapeRecord) -> ShapeRecord:
+        """Store ``record`` under ``key``; returns what is stored (the
+        record with its parts shared and its :class:`ShapeEncoding`)."""
         records = self.records
         if len(records) >= MEMO_CAP:
             del records[next(iter(records))]
         if len(self.atoms) >= ATOMS_CAP:
             self.atoms = {}
         key = _shared(key, self.atoms)
-        if isinstance(entry, ShapeRecord):
-            entry = self._shared_record(key, entry)
-        records[key] = entry
-        return entry
-
-    def settle(self, pending: Pending, record: Optional[ShapeRecord]) -> None:
-        """A worker's record for ``pending`` is back: keep it in its place."""
-        pending.record = record
-        if self.records.get(pending.key) is pending:
-            if record is None:
-                del self.records[pending.key]
-            else:
-                self.records[pending.key] = self._shared_record(pending.key, record)
-
-    def _shared_record(self, key: Hashable, record: ShapeRecord) -> ShapeRecord:
         shared = ShapeRecord._make([
             _shared(field, self.atoms) if type(field) is tuple else field
             for field in record
         ])
-        return shared._replace(encoding=ShapeEncoding(key, shared))
+        stored = records[key] = shared._replace(encoding=ShapeEncoding(key, shared))
+        return stored
 
     # ------------------------------------------------------------------ #
 
@@ -209,7 +184,6 @@ class ShapeMemo:
         record = None if key is None else self.records.get(key)
         counters = ReconCounters.for_registry(get_registry())
         if record is not None:
-            assert isinstance(record, ShapeRecord)  # Pending only in a pool's memo
             counters.memo_hits.inc()
             return replay(record, packet, events_by_node, ids, counters)
         counters.memo_misses.inc()
@@ -218,7 +192,6 @@ class ShapeMemo:
             record = record_of(reconstructor, ids)
             if record is not None:
                 stored = self.put(key, record)
-                assert isinstance(stored, ShapeRecord)
                 flow.encoding = (stored.encoding, ids)
         return flow
 

@@ -27,7 +27,7 @@ import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.diagnosis import LossCause, LossReport
 from repro.core.event_flow import EventFlow, FlowEntry
@@ -453,15 +453,12 @@ def encode_flows(flows: Mapping[PacketKey, EventFlow]) -> str:
 
     Each flow is encoded once and the pieces are joined once.
     """
-    return "".join(flows_document_parts(flows))
+    return "{" + ",".join(document_members(flows)) + "}"
 
 
-def flows_document_parts(flows: Mapping[PacketKey, EventFlow]) -> Iterator[str]:
-    """:func:`encode_flows`'s document in pieces, one per flow, for a
-    writer that need not hold the whole document (``refill analyze
-    --flows-out``)."""
-    separator = "{"
-    for key, flow in _document_order(flows):
-        yield separator + _json_str(key) + ":" + flow_json(flow)
-        separator = ","
-    yield "}" if flows else "{}"
+def document_members(flows: Mapping[PacketKey, EventFlow]) -> list[str]:
+    """:func:`encode_flows`'s members, ``"p<o>.<s>":flow_json(...)``, in
+    document order.  Members of contiguous runs of the document order
+    join into the document the same way (``refill analyze`` encodes one
+    such run per process)."""
+    return [_json_str(key) + ":" + flow_json(flow) for key, flow in _document_order(flows)]

@@ -1,7 +1,7 @@
 """The unified reconstruction session (paper Fig. 1, one spine for every door).
 
 REFILL's per-packet independence means one pipeline serves every workload —
-batch, parallel, and live.  :class:`ReconstructionSession` owns that
+batch, multi-core, and live.  :class:`ReconstructionSession` owns that
 pipeline: group events by packet in the merge layer, apply
 :class:`RefillOptions` (including ``strip_times``) in exactly one place,
 accumulate the evidence in an
@@ -16,7 +16,8 @@ framing differs:
 
 - **one-shot** — :meth:`reconstruct` groups a log collection into
   *complete* packet groups, submits them once, refreshes once and releases
-  the backend;
+  the backend (:meth:`reconstruct_groups` takes groups already made:
+  :mod:`repro.core.split` hands each process one slice of them);
 - **streaming ingest** — :meth:`ingest` feeds *partial* evidence batches
   (live collection rounds); :meth:`refresh` re-derives exactly the dirtied
   flows and re-diagnoses them.
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from repro.core.backends import ExecutionPlan, IncrementalBackend, TemplateFactory
+from repro.core.backends import ExecutionPlan, IncrementalBackend
 from repro.core.diagnosis import LossReport, classify_flow
 from repro.core.event_flow import EventFlow
 from repro.core.transition_algorithm import (
@@ -94,18 +95,13 @@ class ReconstructionSession:
         Defaults to the CTP forwarder.
     options:
         The :class:`RefillOptions`; ``strip_times`` is applied to every
-        event *before* it reaches the backend, so pooled and in-process
-        runs see the same events.
+        event *before* it reaches the backend, so every door sees the same
+        events.
     backend:
-        Where refreshes run (default: an in-process
-        :class:`~repro.core.backends.IncrementalBackend`;
-        :class:`~repro.core.backends.ProcessPoolBackend` runs large ones in
-        a worker pool).
-    template_factory:
-        Zero-argument *module-level* template builder — required by
-        :class:`~repro.core.backends.ProcessPoolBackend` (it must pickle by
-        reference into workers).  When only the factory is given, the local
-        template is built from it.
+        The :class:`~repro.core.backends.IncrementalBackend` that keeps the
+        evidence and runs refreshes (default: a fresh one).  A session
+        runs in one process; :func:`repro.core.split.reconstruct_slices`
+        runs one session per core.
     delivery_node:
         Base-station node id for :meth:`diagnose` (``None`` disables
         delivery detection).
@@ -117,15 +113,11 @@ class ReconstructionSession:
         options: RefillOptions = RefillOptions(),
         *,
         backend: Optional[IncrementalBackend] = None,
-        template_factory: Optional[TemplateFactory] = None,
         delivery_node: Optional[int] = None,
     ) -> None:
-        if template is None:
-            if template_factory is None:
-                template_factory = forwarder_template
-            template = template_factory()
-        self.template: FsmTemplate | TemplateFor = template
-        self.template_factory = template_factory
+        self.template: FsmTemplate | TemplateFor = (
+            forwarder_template() if template is None else template
+        )
         self.options = options
         self.backend = backend if backend is not None else IncrementalBackend()
         self.delivery_node = delivery_node
@@ -147,22 +139,32 @@ class ReconstructionSession:
         completion order.  A session that is ingesting refuses: releasing
         the backend would drop the evidence its cached flows came from.
         """
+        with span("reconstruct"):
+            with span("reconstruct.merge"):
+                groups = list(group_by_packet(logs).items())
+            return self._reconstruct(groups)
+
+    def reconstruct_groups(self, groups: Sequence[PacketGroup]) -> dict[PacketKey, EventFlow]:
+        """:meth:`reconstruct` over packet groups already made, one per
+        packet (as :func:`~repro.events.merge.group_by_packet` makes them;
+        the backend takes ownership of their per-node dicts and lists)."""
+        with span("reconstruct"):
+            return self._reconstruct(groups)
+
+    def _reconstruct(self, groups: Sequence[PacketGroup]) -> dict[PacketKey, EventFlow]:
         if self._started:
             raise RuntimeError("reconstruct() on an ingesting session; use refresh()")
-        with span("reconstruct"):
-            self._start_backend()
-            try:
-                with span("reconstruct.merge"):
-                    groups = list(group_by_packet(logs).items())
-                self.backend.submit(self._normalize(groups))
-                flows = dict(self.backend.finish())
-            finally:
-                # release the backend even when merge/reconstruction raises
-                # (the stress harness feeds sessions deliberately hostile
-                # corpora and must be able to reuse the process afterwards)
-                self.backend.close()
-                self._started = False
-            return {packet: flows[packet] for packet in sorted(flows)}
+        self._start_backend()
+        try:
+            self.backend.submit(self._normalize(groups))
+            flows = dict(self.backend.finish())
+        finally:
+            # release the backend even when reconstruction raises (the
+            # stress harness feeds sessions deliberately hostile corpora
+            # and must be able to reuse the process afterwards)
+            self.backend.close()
+            self._started = False
+        return {packet: flows[packet] for packet in sorted(flows)}
 
     def run(self, logs: Logs) -> "SessionResult":
         """:meth:`reconstruct` + :meth:`diagnose` in one call."""
@@ -315,9 +317,7 @@ class ReconstructionSession:
     def plan(self) -> ExecutionPlan:
         """The execution plan handed to the backend."""
         return ExecutionPlan(
-            template=self.template,
-            options=self.options.reconstructor_options(),
-            template_factory=self.template_factory,
+            template=self.template, options=self.options.reconstructor_options()
         )
 
     def _start_backend(self) -> None:

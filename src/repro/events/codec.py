@@ -16,6 +16,13 @@ order and spacing never change the result, and every malformed line is a
 ``ValueError`` — the first fault in token order, then missing
 ``node``/``type``, then the conversions in field order.
 
+A store repeats line heads: the text before `` pkt=`` (``node=… type=…
+src=… dst=…`` and any ``info``) recurs on every packet a link carries.  So
+:func:`decode_event` decodes each head once and keeps it; a line whose
+rest is exactly ``<pkt> t=<time>`` then costs two value parses.  Any
+other line takes the full pass, so values and error messages are the
+full pass's.
+
 Every door — store loader, corpus lint, push client, file tailer, daemon
 framing — turns bytes into text with :func:`decode_text`, cuts lines with
 :func:`cut_lines` and decodes them with :func:`scan_lines`, so all of them
@@ -171,6 +178,11 @@ def encode_event(event: Event) -> str:
 #: labels via :func:`intern_vocabulary`.
 _LABELS: dict[str, str] = {}
 
+#: Memoized line heads (the text before a line's first `` pkt=``):
+#: ``(etype, node, src, dst, info)``, or ``None`` for a head that does not
+#: decode alone or holds a ``pkt``/``t`` token.  Bounded like ``_PACKETS``.
+_HEADS: dict[str, Optional[tuple[Any, ...]]] = {}
+
 #: Memoized ``p<origin>.<seq>`` parses.
 #: A corpus mentions each packet on many lines; parsing each key once makes
 #: the pkt field a dict hit.  Bounded defensively — a long-lived daemon
@@ -205,6 +217,33 @@ def _parse_packet(text: str) -> PacketKey:
     return packet
 
 
+#: :class:`Event` built through its slot descriptors: the frozen
+#: dataclass ``__init__`` pays an ``object.__setattr__`` call per field.
+#: ``Event`` has no ``__post_init__``, so the two build equal events.
+_new_event = object.__new__
+(
+    _set_etype, _set_node, _set_src, _set_dst, _set_packet, _set_time, _set_info
+) = (
+    Event.__dict__[name].__set__
+    for name in ("etype", "node", "src", "dst", "packet", "time", "info")
+)
+
+
+def _event(etype, node, src, dst, packet, time, info) -> Event:
+    event = _new_event(Event)
+    _set_etype(event, etype)
+    _set_node(event, node)
+    _set_src(event, src)
+    _set_dst(event, dst)
+    _set_packet(event, packet)
+    _set_time(event, time)
+    _set_info(event, info)
+    return event
+
+
+_UNSEEN = object()
+
+
 def decode_event(line: str) -> Event:
     """Parse one log line back into an :class:`Event`.
 
@@ -213,6 +252,48 @@ def decode_event(line: str) -> Event:
     (first in token order), then a missing ``node``/``type``, then a bad
     ``node``, ``src``, ``dst``, ``pkt`` or ``t`` value, in that order.
     """
+    cut = line.find(" pkt=")
+    if cut > 0:
+        head = _HEADS.get(line[:cut], _UNSEEN)
+        if head is _UNSEEN:
+            head = _learn_head(line[:cut])
+        if head is not None:
+            # the fast path: the rest is exactly ``<pkt> t=<time>``, so the
+            # full pass would read the same two values after the same head
+            rest = line[cut + 5 :]
+            tokens = rest.split()
+            if len(tokens) == 2 and tokens[1][:2] == "t=" and not rest[0].isspace():
+                try:
+                    packet = _parse_packet(tokens[0])
+                    time = float(tokens[1][2:])
+                except ValueError:
+                    pass  # the full pass raises its own message
+                else:
+                    etype, node, src, dst, info = head
+                    return _event(etype, node, src, dst, packet, time, info)
+    return _decode_line(line)
+
+
+def _learn_head(head: str) -> Optional[tuple[Any, ...]]:
+    """Decode and keep one line head (``None``: not fast-path material)."""
+    try:
+        event = _decode_line(head)
+    except ValueError:
+        entry = None
+    else:
+        entry = (
+            None
+            if event.packet is not None or event.time is not None
+            else (event.etype, event.node, event.src, event.dst, event.info)
+        )
+    if len(_HEADS) >= _PACKETS_MAX:
+        _HEADS.clear()
+    _HEADS[head] = entry
+    return entry
+
+
+def _decode_line(line: str) -> Event:
+    """The full pass :func:`decode_event` describes."""
     slots: list[Optional[str]] = [None] * 6
     info: dict[str, str] = {}
     for token in line.split():
@@ -231,7 +312,7 @@ def decode_event(line: str) -> Event:
     node, etype, src, dst, pkt, t = slots
     if node is None or etype is None:
         raise ValueError(f"log line missing node/type: {line!r}")
-    return Event(
+    return _event(
         _intern_label(etype),
         int(node),
         None if src is None else int(src),
@@ -240,6 +321,21 @@ def decode_event(line: str) -> Event:
         None if t is None else float(t),
         tuple(sorted(info.items())) if info else (),
     )
+
+
+def line_packet(line: str) -> Optional[PacketKey]:
+    """The packet key of a line's first ``pkt`` token, parsed as
+    :func:`decode_event` parses it, without decoding the rest; ``None``
+    when the line has no such token or its value is no packet key.  For
+    every line that decodes, this is the decoded event's ``packet``."""
+    if "pkt=" in line:
+        for token in line.split():
+            if token[:4] == "pkt=":
+                try:
+                    return _parse_packet(token[4:])
+                except ValueError:
+                    return None
+    return None
 
 
 def encode_log(log: NodeLog) -> str:

@@ -42,6 +42,16 @@ class NodeLog:
         for event in events:
             self.append(event)
 
+    @classmethod
+    def adopt(cls, node: int, events: list[Event]) -> "NodeLog":
+        """A log that takes ``events`` as its list, unchecked: the caller
+        has already held every event to ``node`` (as
+        :func:`~repro.events.codec.scan_lines` does for a shard) and hands
+        the list over."""
+        log = cls(node)
+        log._events = events
+        return log
+
     def append(self, event: Event) -> None:
         """Append ``event``; it must belong to this node's location."""
         if event.node != self.node:

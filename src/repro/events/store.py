@@ -147,7 +147,8 @@ def _decode_shard(
             bad += 1
         else:
             events.append(decoded)
-    return NodeLog(node, events), bad
+    # the scan bound every line to ``node``, the one check append makes
+    return NodeLog.adopt(node, events), bad
 
 
 def iter_store_logs(

@@ -10,22 +10,19 @@ seq)``), never the built-in ``hash()``: ``PYTHONHASHSEED`` randomizes
 different shards between the router and a restarted worker.
 
 Routing happens on the *raw line*, before any decode: the codec's framing
-puts the packet key on the wire as a ``pkt=p<origin>.<seq>`` token, so a
-compiled regex lifts the key without paying for full event decoding at the
-router.  Lines with no parseable key — packetless boot events, blank lines,
-corrupt bytes — all go to shard 0, again deterministically, so corrupt-line
+puts the packet key on the wire as a ``pkt=p<origin>.<seq>`` token, and
+:func:`~repro.events.codec.line_packet` parses that token exactly as the
+decoder does (``p+1.2`` and ``p1_0.2`` included) without decoding the rest
+of the line, so a packet's lines all reach the shard that owns its key.
+Lines with no parseable key — packetless boot events, blank lines, corrupt
+bytes — all go to shard 0, again deterministically, so corrupt-line
 accounting stays reproducible.
 """
 
 from __future__ import annotations
 
-import re
-
+from repro.events.codec import line_packet
 from repro.events.packet import PacketKey
-
-#: The codec's packet token (``pkt=p<origin>.<seq>``) as it appears between
-#: whitespace-delimited ``k=v`` fields of a data line.
-_PKT_TOKEN = re.compile(r"(?:^|\s)pkt=p(\d+)\.(\d+)(?=\s|$)")
 
 #: Fixed multipliers for the integer mix (fractional parts of well-known
 #: constants, as in splitmix/murmur finalizers).  Arbitrary but frozen:
@@ -59,7 +56,5 @@ def shard_for_line(line: str, shards: int) -> int:
     """
     if shards <= 1:
         return 0
-    match = _PKT_TOKEN.search(line)
-    if match is None:
-        return 0
-    return shard_for_key(int(match.group(1)), int(match.group(2)), shards)
+    packet = line_packet(line)
+    return 0 if packet is None else shard_for_key(packet.origin, packet.seq, shards)

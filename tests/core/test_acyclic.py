@@ -13,7 +13,6 @@ import pathlib
 
 from repro.analysis.pipeline import default_loss_spec
 from repro.cli import _diagnose_store
-from repro.core.serialize import encode_flows
 from repro.events.store import StoreMetadata, load_store, save_store
 from repro.lognet.collector import collect_logs
 from repro.simnet.scenarios import citysee, run_scenario
@@ -41,10 +40,11 @@ def _cyclic_garbage(store: pathlib.Path) -> int:
     gc.disable()
     try:
         loaded = load_store(store)
-        flows, reports, _est = _diagnose_store(loaded)
-        assert flows and reports
-        encode_flows(flows)
-        del loaded, flows, reports, _est
+        # one slice, in this process: every stage runs where gc can see it
+        run, reports, _est = _diagnose_store(loaded, workers=1, encode=True)
+        assert run.parts and reports
+        "".join(run.document_parts())
+        del loaded, run, reports, _est
         return gc.collect()
     finally:
         if collecting:

@@ -1,12 +1,13 @@
 """Backend equivalence: results are execution-strategy-independent.
 
 REFILL's per-packet independence is the paper's licence to parallelize; the
-session layer's contract is that a one-shot run, a process-pool run and
-streaming ingest in any number of batches produce *byte-identical* flows
-and identical diagnoses — all equal to a memo-free engine run per packet —
-and that the pool's merged counter totals equal an in-process run's, for
-every options configuration, including ``strip_times`` and the ablation
-switches.
+session layer's contract is that a one-shot run, a run split over forked
+workers (:mod:`repro.core.split`) and streaming ingest in any number of
+batches produce *byte-identical* flows and identical diagnoses — all equal
+to a memo-free engine run per packet — and that the split's merged counter
+totals equal an in-process run's (the shape memo's hit/miss split aside:
+each process has its own memo), for every options configuration,
+including ``strip_times`` and the ablation switches.
 """
 
 import random
@@ -14,9 +15,9 @@ import random
 import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.backends import ProcessPoolBackend
-from repro.core.serialize import flow_json
+from repro.core.serialize import encode_flows, flow_json
 from repro.core.session import ReconstructionSession, RefillOptions
+from repro.core.split import reconstruct_slices
 from repro.events.log import NodeLog
 from repro.events.merge import group_by_packet
 from repro.lognet.collector import collect_logs
@@ -80,6 +81,28 @@ def run_backend(logs, delivery_node, options, backend=None, *, ingest_batches=No
     return flows, reports, registry.snapshot()
 
 
+def run_split(logs, delivery_node, options, workers=2):
+    """The store split over ``workers`` processes, under its own registry:
+    ``(flows document, reports, snapshot)``."""
+    with use_registry(MetricsRegistry()) as registry:
+        run = reconstruct_slices(
+            logs, options=options, delivery_node=delivery_node,
+            workers=workers, encode=True,
+        )
+    return "".join(run.document_parts()), run.reports, registry.snapshot()
+
+
+def without_memo_split(counters):
+    """Counters with the shape memo's hits and misses folded into their
+    sum, which must be every packet; where each packet falls depends on
+    which process's memo saw its shape first."""
+    counters = dict(counters)
+    hits = counters.pop("refill.memo.hits", 0)
+    misses = counters.pop("refill.memo.misses", 0)
+    assert hits + misses == counters["refill.packets"]
+    return counters
+
+
 def shuffled_segments(logs, n_batches, seed):
     """Split each node's log into in-order segments scattered across
     ``n_batches`` batches — arbitrary cross-node interleaving, per-node
@@ -105,9 +128,7 @@ def test_backends_byte_identical(corpus, config):
 
     direct_flows, direct_reports = run_direct(logs, bs, options)
     one_shot_flows, one_shot_reports, one_shot_snap = run_backend(logs, bs, options)
-    pool_flows, pool_reports, pool_snap = run_backend(
-        logs, bs, options, ProcessPoolBackend(workers=2, min_packets=1)
-    )
+    split_document, split_reports, split_snap = run_split(logs, bs, options)
     inc_runs = {
         "one batch": [logs],
         "three batches": shuffled_segments(logs, 3, seed=7),
@@ -117,8 +138,8 @@ def test_backends_byte_identical(corpus, config):
     reference = canonical(direct_flows)
     assert canonical(one_shot_flows) == reference
     assert one_shot_reports == direct_reports
-    assert canonical(pool_flows) == reference
-    assert pool_reports == direct_reports
+    assert split_document == encode_flows(direct_flows)
+    assert split_reports == direct_reports
 
     for label, batches in inc_runs.items():
         inc_flows, inc_reports, _ = run_backend(
@@ -127,9 +148,11 @@ def test_backends_byte_identical(corpus, config):
         assert canonical(inc_flows) == reference, label
         assert inc_reports == direct_reports, label
 
-    # counter totals survive sharding: the pool merges worker registries
-    # back without losing or double-counting a packet
-    assert pool_snap.counters == one_shot_snap.counters
+    # counter totals survive the split: the parent folds the workers'
+    # registries in without losing or double-counting a packet
+    assert without_memo_split(split_snap.counters) == without_memo_split(
+        one_shot_snap.counters
+    )
 
 
 @pytest.fixture(scope="module")
@@ -168,14 +191,12 @@ def test_backends_byte_identical_on_corrupted_corpus(corrupted_corpus, config):
 
     direct_flows, direct_reports = run_direct(logs, bs, options)
     one_shot_flows, one_shot_reports, _ = run_backend(logs, bs, options)
-    pool_flows, pool_reports, _ = run_backend(
-        logs, bs, options, ProcessPoolBackend(workers=2, min_packets=1)
-    )
+    split_document, split_reports, _ = run_split(logs, bs, options, workers=3)
     reference = canonical(direct_flows)
     assert canonical(one_shot_flows) == reference
     assert one_shot_reports == direct_reports
-    assert canonical(pool_flows) == reference
-    assert pool_reports == direct_reports
+    assert split_document == encode_flows(direct_flows)
+    assert split_reports == direct_reports
 
     for label, batches in {
         "one batch": [logs],

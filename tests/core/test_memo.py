@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.backends import IncrementalBackend
 from repro.core.event_flow import Note
-from repro.core.memo import ATOMS_CAP, MEMO_CAP, Pending, ShapeMemo, record_of, replay
+from repro.core.memo import ATOMS_CAP, MEMO_CAP, ShapeMemo, ShapeRecord, record_of, replay
 from repro.core import serialize
 from repro.core.serialize import dumps_canonical, flow_json, flow_to_dict
 from repro.core.session import ReconstructionSession
@@ -369,8 +369,9 @@ def test_incremental_refreshes_share_one_memo(bench_logs):
 
 def test_memo_is_bounded():
     memo = ShapeMemo()
+    record = ShapeRecord((), 0, (), (), (), (), (0, 0, 0, 0, 0))
     for n in range(ATOMS_CAP + 10):
-        memo.put(((n, "shape"),), Pending(None))
+        memo.put(((n, "shape"),), record)
         # a fresh table starts once the cap is reached (one shape's parts over)
         assert len(memo.atoms) <= ATOMS_CAP + 2
     assert len(memo.records) == MEMO_CAP

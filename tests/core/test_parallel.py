@@ -1,14 +1,21 @@
-"""Tests for parallel reconstruction (results must match the in-process
-default session exactly)."""
+"""Tests for multi-core reconstruction (:mod:`repro.core.split`): every
+split must give the reports, flows document and counters of the
+in-process default session exactly."""
+
+import os
+import signal
 
 import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.backends import ProcessPoolBackend
+from repro.core import split
+from repro.core.serialize import encode_flows
 from repro.core.session import ReconstructionSession, RefillOptions
+from repro.core.split import WorkerFailed, can_fork, reconstruct_slices
+from repro.events.log import NodeLog
 from repro.lognet.collector import collect_logs
 from repro.obs import MetricsRegistry, use_registry
-from repro.simnet.scenarios import citysee, small_network
+from repro.simnet.scenarios import citysee
 
 
 @pytest.fixture(scope="module")
@@ -23,91 +30,191 @@ def collected_logs():
     )
 
 
+def in_process(logs, options=RefillOptions()):
+    session = ReconstructionSession(options=options)
+    flows = session.reconstruct(logs)
+    return flows, session.diagnose(flows)
+
+
+def document(run):
+    return "".join(run.document_parts())
+
+
 class TestParallelMatchesSerial:
     def test_identical_flows(self, collected_logs):
-        serial = ReconstructionSession().reconstruct(collected_logs)
-        parallel = ReconstructionSession(
-            backend=ProcessPoolBackend(workers=2, min_packets=1)
-        ).reconstruct(collected_logs)
-        assert set(serial) == set(parallel)
-        for packet in serial:
-            assert serial[packet].labels() == parallel[packet].labels(), packet
-            assert serial[packet].omitted == parallel[packet].omitted
+        flows, reports = in_process(collected_logs)
+        run = reconstruct_slices(collected_logs, workers=2, encode=True)
+        assert document(run) == encode_flows(flows)
+        assert run.reports == reports
+        if can_fork():
+            assert run.processes == 2
 
     def test_small_inputs_run_serially(self, collected_logs):
-        # below min_packets no pool is spun up (and results still correct)
-        session = ReconstructionSession(
-            backend=ProcessPoolBackend(workers=4, min_packets=10**9)
-        )
-        flows = session.reconstruct(collected_logs)
-        serial = ReconstructionSession().reconstruct(collected_logs)
-        assert {p: f.labels() for p, f in flows.items()} == {
-            p: f.labels() for p, f in serial.items()
-        }
+        # a store with fewer packets than workers forks one worker per
+        # packet at most, and an empty one forks none
+        run = reconstruct_slices({}, workers=4, encode=True)
+        assert (document(run), run.reports, run.processes) == ("{}", {}, 1)
+        node, log = next((n, log) for n, log in sorted(collected_logs.items()) if log.packets())
+        keep = sorted(log.packets())[:3]
+        three = {node: NodeLog(node, [e for e in log if e.packet in keep])}
+        few = reconstruct_slices(three, workers=6, encode=True)
+        assert len(few.reports) == 3 and few.processes <= 3
+        assert document(few) == encode_flows(ReconstructionSession().reconstruct(three))
 
     def test_options_forwarded(self, collected_logs):
         options = RefillOptions(enable_inter=False)
-        serial = ReconstructionSession(options=options).reconstruct(collected_logs)
-        parallel = ReconstructionSession(
-            options=options, backend=ProcessPoolBackend(workers=2, min_packets=1)
-        ).reconstruct(collected_logs)
-        sample = sorted(serial)[:50]
-        for packet in sample:
-            # options took effect in the workers: flows match the serial
-            # inter-disabled run (intra-jump inference may remain)
-            assert serial[packet].labels() == parallel[packet].labels()
-            assert (
-                parallel[packet].inferred_events()
-                == serial[packet].inferred_events()
-            )
+        flows, reports = in_process(collected_logs, options)
+        run = reconstruct_slices(collected_logs, options=options, workers=2, encode=True)
+        # options took effect in the workers: flows match the in-process
+        # inter-disabled run (intra-jump inference may remain)
+        assert document(run) == encode_flows(flows)
+        assert run.reports == reports
 
     def test_strip_times_respected_in_workers(self, collected_logs):
-        """Regression: the pooled path used to forward only the
-        reconstructor options, silently dropping ``strip_times`` — workers
-        reconstructed from timestamped events while a serial run did not."""
+        """Regression: a pooled path once forwarded only the reconstructor
+        options, silently dropping ``strip_times`` — workers reconstructed
+        from timestamped events while an in-process run did not."""
         options = RefillOptions(strip_times=True)
-        parallel = ReconstructionSession(
-            options=options,
-            backend=ProcessPoolBackend(workers=2, min_packets=1),
-        ).reconstruct(collected_logs)
-        for packet, flow in parallel.items():
-            assert all(e.time is None for e in flow.events), packet
-        serial = ReconstructionSession(options=options).reconstruct(collected_logs)
-        assert {p: f.labels() for p, f in parallel.items()} == {
-            p: f.labels() for p, f in serial.items()
-        }
+        flows, _ = in_process(collected_logs, options)
+        run = reconstruct_slices(collected_logs, options=options, workers=2, encode=True)
+        assert all(e.time is None for flow in flows.values() for e in flow.events)
+        assert document(run) == encode_flows(flows)
 
-    def test_single_worker_degrades_to_serial(self, collected_logs):
-        flows = ReconstructionSession(
-            backend=ProcessPoolBackend(workers=1, min_packets=1)
-        ).reconstruct(collected_logs)
-        serial = ReconstructionSession().reconstruct(collected_logs)
-        assert {p: f.labels() for p, f in flows.items()} == {
-            p: f.labels() for p, f in serial.items()
-        }
+    def test_single_worker_degrades_to_serial(self, collected_logs, monkeypatch):
+        def no_fork():
+            raise AssertionError("--workers 1 must not fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        flows, reports = in_process(collected_logs)
+        run = reconstruct_slices(collected_logs, workers=1, encode=True)
+        assert (document(run), run.reports, run.processes) == (
+            encode_flows(flows), reports, 1
+        )
+
+    def test_workers_must_be_positive(self, collected_logs):
+        with pytest.raises(ValueError, match="at least 1"):
+            reconstruct_slices(collected_logs, workers=0)
+
+
+class TestSlices:
+    def test_slices_are_contiguous_in_document_order(self, collected_logs):
+        from repro.events.merge import group_by_packet
+
+        groups = group_by_packet(collected_logs)
+        keys = sorted(groups, key=str)
+        for processes in (2, 3, 7):
+            slices = split._cut(keys, groups, processes)
+            assert [k for chunk in slices for k in chunk] == keys
+            assert all(slices) and len(slices) <= processes
+            # about equal evidence: no slice holds twice its share
+            weight = [sum(sum(map(len, groups[k].values())) for k in c) for c in slices]
+            assert max(weight) <= 2 * sum(weight) / processes
+
+    def test_no_fork_beside_other_threads(self, monkeypatch):
+        monkeypatch.setattr(split.threading, "active_count", lambda: 2)
+        assert not can_fork()
 
 
 class TestWorkerMetricsMerge:
     def test_parallel_counters_equal_serial(self, collected_logs):
-        """Worker registries merged back == one serial registry, counter for
-        counter — the pool must not lose or double-count work."""
+        """Worker registries merged back == one in-process registry, counter
+        for counter (the memo's hit/miss split aside) — the split must not
+        lose or double-count work."""
         with use_registry(MetricsRegistry()) as serial_reg:
-            ReconstructionSession().reconstruct(collected_logs)
+            flows, _ = in_process(collected_logs)
         with use_registry(MetricsRegistry()) as parallel_reg:
-            ReconstructionSession(
-                backend=ProcessPoolBackend(workers=2, min_packets=1)
-            ).reconstruct(collected_logs)
+            reconstruct_slices(collected_logs, workers=3)
         serial = serial_reg.snapshot().counters
         parallel = parallel_reg.snapshot().counters
+        for counters in (serial, parallel):
+            hits = counters.pop("refill.memo.hits")
+            misses = counters.pop("refill.memo.misses")
+            assert hits + misses == counters["refill.packets"]
         assert serial == parallel
         # and the run actually counted something
-        assert serial["refill.packets"] == len(ReconstructionSession().reconstruct(collected_logs))
+        assert serial["refill.packets"] == len(flows)
         assert serial["refill.events.logged"] > 0
 
     def test_span_observations_cover_every_packet(self, collected_logs):
         with use_registry(MetricsRegistry()) as reg:
-            flows = ReconstructionSession(
-                backend=ProcessPoolBackend(workers=2, min_packets=1)
-            ).reconstruct(collected_logs)
-        per_packet = reg.snapshot().histograms["span.reconstruct.packet"]
-        assert per_packet.count == len(flows)
+            run = reconstruct_slices(collected_logs, workers=2, encode=True)
+        histograms = reg.snapshot().histograms
+        assert histograms["span.reconstruct.packet"].count == len(run.reports)
+        # one reconstruct, diagnose and encode span per process, plus the
+        # parent's grouping under analyze.reconstruct
+        assert histograms["span.analyze.diagnose"].count == run.processes
+        assert histograms["span.analyze.encode"].count == run.processes
+        assert histograms["span.analyze.reconstruct"].count == run.processes + 1
+
+
+class TestWorkerFailure:
+    """A failed worker fails the whole call, and no worker outlives it."""
+
+    @pytest.fixture(autouse=True)
+    def forked(self, monkeypatch):
+        """The pids of the workers a test forks."""
+        if not can_fork():
+            pytest.skip("forks only from a single-threaded process")
+        fork, self.pids = os.fork, []
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                self.pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+
+    def assert_no_children(self):
+        assert self.pids, "no worker was forked"
+        for pid in self.pids:  # every worker is reaped: none left to wait for
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def failing(self, monkeypatch, fail):
+        parent = os.getpid()
+        real = split.ReconstructionSession
+
+        class Session(real):
+            def reconstruct_groups(self, groups):
+                if os.getpid() != parent:
+                    fail()
+                return super().reconstruct_groups(groups)
+
+        monkeypatch.setattr(split, "ReconstructionSession", Session)
+
+    def test_worker_raises(self, collected_logs, monkeypatch):
+        def fail():
+            raise RuntimeError("boom in a worker")
+
+        self.failing(monkeypatch, fail)
+        with pytest.raises(WorkerFailed, match="RuntimeError: boom in a worker"):
+            reconstruct_slices(collected_logs, workers=3)
+        self.assert_no_children()
+
+    def test_worker_killed(self, collected_logs, monkeypatch):
+        self.failing(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(WorkerFailed, match=f"killed by signal {int(signal.SIGKILL)}"):
+            reconstruct_slices(collected_logs, workers=2)
+        self.assert_no_children()
+
+    def test_worker_exits_nonzero(self, collected_logs, monkeypatch):
+        self.failing(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(WorkerFailed, match="exit status 3"):
+            reconstruct_slices(collected_logs, workers=2)
+        self.assert_no_children()
+
+    def test_parent_failure_reaps_workers(self, collected_logs, monkeypatch):
+        parent = os.getpid()
+        real = split.ReconstructionSession
+
+        class Session(real):
+            def reconstruct_groups(self, groups):
+                if os.getpid() == parent:
+                    raise RuntimeError("the parent's own slice failed")
+                return super().reconstruct_groups(groups)
+
+        monkeypatch.setattr(split, "ReconstructionSession", Session)
+        with pytest.raises(RuntimeError, match="parent's own slice"):
+            reconstruct_slices(collected_logs, workers=3)
+        self.assert_no_children()

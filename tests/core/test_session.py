@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.backends import IncrementalBackend, make_backend
+from repro.core.backends import IncrementalBackend
 from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
 from repro.core.transition_algorithm import PacketReconstructor
 from repro.events.event import Event
@@ -56,13 +56,6 @@ class TestOneShot:
         assert {p: f.labels() for p, f in first.items()} == {
             p: f.labels() for p, f in second.items()
         }
-
-    def test_string_backends_resolve(self):
-        assert make_backend("incremental").name == "incremental"
-        assert make_backend("process", workers=2).workers == 2
-        for gone in ("serial", "gpu"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                make_backend(gone)
 
 
 class TestNormalization:

@@ -15,6 +15,7 @@ from repro.core.session import (
     merge_session_states,
     split_session_state,
 )
+from repro.events.codec import decode_event
 from repro.events.packet import PacketKey
 from repro.events.store import load_store
 from repro.obs.registry import MetricsRegistry, use_registry
@@ -224,6 +225,29 @@ class TestShardHash:
         line = "node=3 type=send src=3 dst=0 pkt=p3.17 t=12"
         assert shard_for_line(line, 4) == shard_for_packet(packet, 4)
         assert shard_for_packet(packet, 4) == shard_for_key(3, 17, 4)
+
+    @pytest.mark.parametrize("line", [
+        "node=3 type=send src=3 dst=0 pkt=p3.17 t=12",
+        "node=1 type=recv src=9 dst=1 pkt=p+1.9 t=4",
+        "node=1 type=recv src=9 dst=1 pkt=p1_0.2 t=4",
+        "node=1 type=recv pkt=p+1_0.+2 t=4",
+        "pkt=p1.2 node=1 type=recv",
+        "node=1\ttype=recv\tpkt=p7.3",
+        "node=1 type=x info=pkt=p5.5 pkt=p1.2",
+        "node=1 type=x blobpkt=p5.5 pkt=p1.2 t=1",
+        "node=1 type=x t=1",
+        "node=1 type=x info=\ufffd pkt=p 001.2",
+    ])
+    def test_lines_route_with_the_decoded_packet(self, line):
+        """The router reads the key the decoder reads, so a packet's lines
+        all reach its shard whatever spelling its key has on the line."""
+        try:
+            packet = decode_event(line).packet
+        except ValueError:
+            return  # undecodable lines only need a deterministic shard
+        for shards in (2, 3, 4):
+            expected = 0 if packet is None else shard_for_packet(packet, shards)
+            assert shard_for_line(line, shards) == expected
 
     def test_keyless_lines_go_to_shard_zero(self):
         assert shard_for_line("node=3 type=boot t=0", 4) == 0

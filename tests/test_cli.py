@@ -110,8 +110,10 @@ class TestAnalyze:
                      "--flows-out", str(tmp_path / "flows.json"),
                      "--metrics-out", str(metrics)]) == 0
         assert "analyze.encode" in capsys.readouterr().err
-        histograms = json.loads(metrics.read_text())["histograms"]
-        assert histograms["span.analyze.encode"]["count"] == 1
+        snapshot = json.loads(metrics.read_text())
+        # each process encodes its slice, then the parent writes the file
+        processes = snapshot["gauges"]["analyze.processes"]
+        assert snapshot["histograms"]["span.analyze.encode"]["count"] == processes + 1
         # no flows file, nothing to encode
         assert main(["analyze", "-q", "--logs", str(log_dir),
                      "--metrics-out", str(metrics)]) == 0
