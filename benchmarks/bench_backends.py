@@ -4,13 +4,15 @@
 process (:mod:`repro.core.split`); results are split-independent, so this
 benchmark records the split-dependent *costs*: packets/second of the
 reconstruct, diagnose and encode stages at ``--workers 1`` (the row keyed
-``serial``, which the history gate reads) and at every usable CPU.
+``serial``, which the history gate reads) and at every usable CPU, and the
+calling process's Python peak memory over the same work, document written.
 """
 
 import json
 import pathlib
 import resource
 import time
+import tracemalloc
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
 from repro.core.split import can_fork, reconstruct_slices, usable_cpus
@@ -52,6 +54,18 @@ def fastest(fn):
     return result, best
 
 
+def python_peak_mb(fn):
+    """The calling process's Python peak (MB) over one ``fn()``, in a call
+    of its own: tracemalloc slows what it traces, so no timed call runs
+    under it.  Forked workers' memory is their own and not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_backend_throughput(emit):
     logs, bs = prepare()
     cpus = usable_cpus()
@@ -60,9 +74,16 @@ def test_backend_throughput(emit):
     document = None
     measured: dict[str, dict] = {}
     for name, workers in runs.items():
-        run, elapsed = fastest(lambda: reconstruct_slices(
-            logs, delivery_node=bs, workers=workers, encode=True
-        ))
+        def call():
+            run = reconstruct_slices(logs, delivery_node=bs, workers=workers, encode=True)
+            # taken piece by piece, as ``refill analyze`` writes it: a
+            # one-process run encodes its flows only here
+            for _ in run.document_parts():
+                pass
+            return run
+
+        run, elapsed = fastest(call)
+        peak_mb = python_peak_mb(call)
         if document is None:
             document = "".join(run.document_parts())
         else:  # cost table only makes sense over identical work
@@ -73,10 +94,16 @@ def test_backend_throughput(emit):
             "processes": run.processes,
             "seconds": round(elapsed, 4),
             "packets_per_s": round(packets / elapsed, 1),
+            "py_peak_mb": round(peak_mb, 2),
         }
-        rows.append((name, run.processes, packets, f"{elapsed:.3f}", f"{packets / elapsed:.0f}"))
+        rows.append((
+            name, run.processes, packets, f"{elapsed:.3f}", f"{packets / elapsed:.0f}",
+            f"{peak_mb:.1f}",
+        ))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    table = render_table(["variant", "processes", "packets", "wall_s", "pkt_per_s"], rows)
+    table = render_table(
+        ["variant", "processes", "packets", "wall_s", "pkt_per_s", "py_peak_MB"], rows
+    )
     note = "" if can_fork() else " (no fork here: every variant ran in-process)"
     emit("bench_backends", table + f"\nprocess ru_maxrss {rss_mb:.0f} MB{note}")
 

@@ -77,21 +77,29 @@ def test_parallel_reconstruction(benchmark, emit):
 
     from repro.core.split import reconstruct_slices, usable_cpus
 
+    def analyze(workers):
+        run = reconstruct_slices(logs, workers=workers, encode=True)
+        # taken piece by piece, as ``refill analyze`` writes it: a
+        # one-process run encodes its flows only here
+        for _ in run.document_parts():
+            pass
+        return run
+
     logs, events = prepare(SIZES[-1])
     serial_start = time.perf_counter()
-    serial = reconstruct_slices(logs, workers=1, encode=True)
+    serial = analyze(1)
     serial_elapsed = time.perf_counter() - serial_start
 
     workers = usable_cpus()
     parallel = benchmark.pedantic(
-        lambda: reconstruct_slices(logs, workers=workers, encode=True),
+        lambda: analyze(workers),
         rounds=3,
         iterations=1,
     )
     assert "".join(parallel.document_parts()) == "".join(serial.document_parts())
 
     parallel_start = time.perf_counter()
-    reconstruct_slices(logs, workers=workers, encode=True)
+    analyze(workers)
     parallel_elapsed = time.perf_counter() - parallel_start
     emit(
         "scalability_parallel",

@@ -27,7 +27,7 @@ import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.diagnosis import LossCause, LossReport
 from repro.core.event_flow import EventFlow, FlowEntry
@@ -453,12 +453,24 @@ def encode_flows(flows: Mapping[PacketKey, EventFlow]) -> str:
 
     Each flow is encoded once and the pieces are joined once.
     """
-    return "{" + ",".join(document_members(flows)) + "}"
+    return "".join(document_parts([document_members(flows)]))
 
 
-def document_members(flows: Mapping[PacketKey, EventFlow]) -> list[str]:
+def document_members(flows: Mapping[PacketKey, EventFlow]) -> Iterator[str]:
     """:func:`encode_flows`'s members, ``"p<o>.<s>":flow_json(...)``, in
-    document order.  Members of contiguous runs of the document order
-    join into the document the same way (``refill analyze`` encodes one
-    such run per process)."""
-    return [_json_str(key) + ":" + flow_json(flow) for key, flow in _document_order(flows)]
+    document order, each encoded when it is taken."""
+    for key, flow in _document_order(flows):
+        yield _json_str(key) + ":" + flow_json(flow)
+
+
+def document_parts(member_runs: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The flows document around the members of contiguous runs of the
+    document order, in pieces a writer can take one at a time (``refill
+    analyze`` encodes one such run per process)."""
+    separator = "{"
+    for members in member_runs:
+        for member in members:
+            yield separator
+            yield member
+            separator = ","
+    yield "}" if separator == "," else "{}"

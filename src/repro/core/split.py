@@ -9,14 +9,17 @@ once, cuts the packets in document order (string-sorted keys, the order
 of about equal evidence, and each process reconstructs, diagnoses and
 encodes one slice with its own session, backend and shape memo.  The
 slices' bytes join in order into the document; cross-packet work (outage
-attribution) is left to the caller, on the union of the reports.
+attribution) is left to the caller, on the union of the reports.  A run
+in one process keeps its flows and encodes each as the document is
+written, so the document is never held whole.
 
 The workers are ``os.fork`` children of the process that loaded the store:
 the evidence reaches them by copy-on-write, never pickled.  A worker sends
 back through a pipe only its slice's encoded flows, its reports and its
 metrics registry, which the parent folds into its own, so counters and the
-``analyze.*`` span totals are work summed over the processes.  The parent
-runs the first slice itself, sized by :data:`PARENT_SHARE`.
+``analyze.*`` span totals are work summed over the processes (not the
+wall time of the parallel stretch: a sum stays comparable with one
+process doing the same work).  The parent runs the first slice itself.
 
 Fork safety:
 
@@ -27,8 +30,9 @@ Fork safety:
   twice; a worker leaves only through ``os._exit``, so it never flushes
   the parent's buffers nor runs the parent's ``finally`` blocks or
   ``atexit`` hooks;
-- a worker that raises, exits non-zero or is killed raises
-  :class:`WorkerFailed` in the parent; whatever way the parent leaves
+- a worker that raises, exits non-zero or is killed, or one that cannot
+  be started (no pipe or no fork), raises :class:`WorkerFailed` in the
+  parent; whatever way the parent leaves
   (a failed worker, its own exception, an interrupt), it kills and reaps
   every worker it has not reaped yet, so no process outlives the call.
 """
@@ -41,10 +45,11 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator, NoReturn, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from repro.core.diagnosis import LossReport
-from repro.core.serialize import document_members
+from repro.core.event_flow import EventFlow
+from repro.core.serialize import document_members, document_parts
 from repro.core.session import ReconstructionSession, RefillOptions
 from repro.core.transition_algorithm import TemplateFor
 from repro.events.event import Event
@@ -54,21 +59,18 @@ from repro.fsm.templates import FsmTemplate
 from repro.obs.registry import MetricsRegistry, NullRegistry, get_registry, use_registry
 from repro.obs.spans import span
 
-#: The parent's slice, relative to a worker's (both in evidence events).
-#: A worker pays copy-on-write faults on the evidence it touches and ran
-#: its equal slice some 25% slower than the parent on the 120-node bench
-#: store (2 vCPUs), more than the parent then spends reading its result;
-#: over 12 shuffled rounds a share of 1.2 gave the lowest median analyze
-#: time after the load (0.69 s, against 0.74 s at 1.0 and 0.72 s at 1.4).
-PARENT_SHARE = 1.2
+#: A slice's flows for the document: encoded members (a forked run's
+#: slices) or the flows themselves (a one-process run, encoded as written).
+SliceFlows = list[str] | dict[PacketKey, EventFlow]
 
-#: What one slice hands back: its flows' document members (``None`` when
-#: not encoding) and its loss reports.
-SliceResult = tuple[Optional[list[str]], dict[PacketKey, LossReport]]
+#: What one slice hands back: its flows (``None`` when not encoding) and
+#: its loss reports.
+SliceResult = tuple[Optional[SliceFlows], dict[PacketKey, LossReport]]
 
 
 class WorkerFailed(RuntimeError):
-    """A worker process raised, exited non-zero or was killed."""
+    """A worker process raised, exited non-zero, was killed or could not
+    be started."""
 
 
 @dataclass
@@ -77,22 +79,20 @@ class SliceRun:
 
     #: every packet's loss report, in packet-key order
     reports: dict[PacketKey, LossReport]
-    #: every flow's document member, per slice in document order (empty
-    #: unless encoding was asked for)
-    parts: list[list[str]] = field(default_factory=list)
+    #: every slice's flows, in document order (empty unless encoding was
+    #: asked for)
+    parts: list[SliceFlows] = field(default_factory=list)
     #: processes that ran a slice (1: everything ran in-process)
     processes: int = 1
 
     def document_parts(self) -> Iterator[str]:
         """The :func:`~repro.core.serialize.encode_flows` document of every
         flow, in pieces a writer can take one at a time."""
-        separator = "{"
-        for members in self.parts:
-            for member in members:
-                yield separator
-                yield member
-                separator = ","
-        yield "}" if separator == "," else "{}"
+        runs: Iterable[Iterable[str]] = (
+            document_members(part) if isinstance(part, dict) else part
+            for part in self.parts
+        )
+        return document_parts(runs)
 
 
 def usable_cpus() -> int:
@@ -133,7 +133,7 @@ def reconstruct_slices(
         groups = group_by_packet(logs)
         keys = sorted(groups, key=str)
 
-    def run_slice(chunk: Sequence[PacketKey]) -> SliceResult:
+    def run_slice(chunk: Sequence[PacketKey], keep_flows: bool = False) -> SliceResult:
         session = ReconstructionSession(template, options, delivery_node=delivery_node)
         with span("analyze.reconstruct"):
             # the session's backend owns the slice's evidence from here and
@@ -143,19 +143,21 @@ def reconstruct_slices(
             reports = session.diagnose(flows)
         if not encode:
             return None, reports
+        if keep_flows:
+            return flows, reports
         with span("analyze.encode"):
-            return document_members(flows), reports
+            return list(document_members(flows)), reports
 
     if workers > 1 and len(keys) > 1 and can_fork():
         results = _run_forked(run_slice, _cut(keys, groups, workers))
     else:
-        results = [run_slice(keys)]
+        results = [run_slice(keys, keep_flows=True)]
     reports: dict[PacketKey, LossReport] = {}
-    parts: list[list[str]] = []
-    for members, slice_reports in results:
+    parts: list[SliceFlows] = []
+    for part, slice_reports in results:
         reports.update(slice_reports)
-        if members is not None:
-            parts.append(members)
+        if part is not None:
+            parts.append(part)
     return SliceRun(
         reports={key: reports[key] for key in sorted(reports)},
         parts=parts,
@@ -169,15 +171,13 @@ def _cut(
     processes: int,
 ) -> list[list[PacketKey]]:
     """Cut ``keys`` into up to ``processes`` contiguous non-empty slices of
-    about equal evidence; the first (the parent's) is :data:`PARENT_SHARE`
-    of a worker's."""
+    about equal evidence."""
     weights = [sum(map(len, groups[key].values())) for key in keys]
-    shares = [PARENT_SHARE] + [1.0] * (processes - 1)
-    scale = sum(weights) / sum(shares)
+    share = sum(weights) / processes
     slices: list[list[PacketKey]] = []
     start, done, bound = 0, 0, 0.0
-    for share in shares[:-1]:
-        bound += share * scale
+    for _ in range(processes - 1):
+        bound += share
         end = start
         while end < len(keys) and done + weights[end] / 2 <= bound:
             done += weights[end]
@@ -202,15 +202,11 @@ def _run_forked(
     pipes: dict[int, BinaryIO] = {}
     try:
         for chunk in slices[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                for pipe in pipes.values():
-                    pipe.close()
-                _worker(write_fd, parent, run_slice, chunk)
-            os.close(write_fd)
-            pipes[pid] = open(read_fd, "rb")
+            try:
+                pid, pipe = _fork(pipes, parent, run_slice, chunk)
+            except OSError as exc:
+                raise WorkerFailed(f"cannot start a worker: {exc}") from exc
+            pipes[pid] = pipe
         results = [run_slice(slices[0])]
         for pid in list(pipes):
             result, registry = _collect(pid, pipes)
@@ -225,6 +221,30 @@ def _run_forked(
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
+
+
+def _fork(
+    pipes: dict[int, BinaryIO],
+    parent: MetricsRegistry,
+    run_slice: Callable[[Sequence[PacketKey]], SliceResult],
+    chunk: Sequence[PacketKey],
+) -> tuple[int, BinaryIO]:
+    """Fork a worker for ``chunk``: its pid and the read end of its pipe.
+    A failed ``pipe`` or ``fork`` leaves no descriptor open."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        for pipe in pipes.values():
+            pipe.close()
+        _worker(write_fd, parent, run_slice, chunk)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def _worker(

@@ -2,6 +2,7 @@
 split must give the reports, flows document and counters of the
 in-process default session exactly."""
 
+import errno
 import os
 import signal
 
@@ -9,7 +10,7 @@ import pytest
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
 from repro.core import split
-from repro.core.serialize import encode_flows
+from repro.core.serialize import document_parts, encode_flows
 from repro.core.session import ReconstructionSession, RefillOptions
 from repro.core.split import WorkerFailed, can_fork, reconstruct_slices
 from repro.events.log import NodeLog
@@ -34,6 +35,10 @@ def in_process(logs, options=RefillOptions()):
     session = ReconstructionSession(options=options)
     flows = session.reconstruct(logs)
     return flows, session.diagnose(flows)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def document(run):
@@ -91,6 +96,13 @@ class TestParallelMatchesSerial:
             encode_flows(flows), reports, 1
         )
 
+    def test_one_process_keeps_its_flows_until_written(self, collected_logs):
+        flows, _ = in_process(collected_logs)
+        run = reconstruct_slices(collected_logs, workers=1, encode=True)
+        # the flows themselves, not their bytes: the document streams
+        assert [type(part) for part in run.parts] == [dict]
+        assert document(run) == document(run) == encode_flows(flows)
+
     def test_workers_must_be_positive(self, collected_logs):
         with pytest.raises(ValueError, match="at least 1"):
             reconstruct_slices(collected_logs, workers=0)
@@ -109,6 +121,12 @@ class TestSlices:
             # about equal evidence: no slice holds twice its share
             weight = [sum(sum(map(len, groups[k].values())) for k in c) for c in slices]
             assert max(weight) <= 2 * sum(weight) / processes
+
+    def test_document_framing_spans_runs(self):
+        assert "".join(document_parts([[], ['"a":1'], [], ['"b":2', '"c":3']])) == (
+            '{"a":1,"b":2,"c":3}'
+        )
+        assert "".join(document_parts([[], []])) == "".join(document_parts([])) == "{}"
 
     def test_no_fork_beside_other_threads(self, monkeypatch):
         monkeypatch.setattr(split.threading, "active_count", lambda: 2)
@@ -141,9 +159,11 @@ class TestWorkerMetricsMerge:
         histograms = reg.snapshot().histograms
         assert histograms["span.reconstruct.packet"].count == len(run.reports)
         # one reconstruct, diagnose and encode span per process, plus the
-        # parent's grouping under analyze.reconstruct
+        # parent's grouping under analyze.reconstruct; a one-process run
+        # encodes as its document is written, outside the call
         assert histograms["span.analyze.diagnose"].count == run.processes
-        assert histograms["span.analyze.encode"].count == run.processes
+        encoded = histograms.get("span.analyze.encode")
+        assert (encoded.count if encoded else 0) == (run.processes if run.processes > 1 else 0)
         assert histograms["span.analyze.reconstruct"].count == run.processes + 1
 
 
@@ -203,6 +223,22 @@ class TestWorkerFailure:
         with pytest.raises(WorkerFailed, match="exit status 3"):
             reconstruct_slices(collected_logs, workers=2)
         self.assert_no_children()
+
+    def test_fork_failure_reaps_workers_and_closes_pipes(self, collected_logs, monkeypatch):
+        recording_fork = os.fork
+
+        def second_fork_fails():
+            if self.pids:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return recording_fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        fds = open_fds()
+        with pytest.raises(WorkerFailed, match="cannot start a worker: .*temporarily"):
+            reconstruct_slices(collected_logs, workers=3)
+        assert len(self.pids) == 1
+        self.assert_no_children()
+        assert open_fds() == fds
 
     def test_parent_failure_reaps_workers(self, collected_logs, monkeypatch):
         parent = os.getpid()

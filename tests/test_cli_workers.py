@@ -94,16 +94,18 @@ def test_bad_worker_counts_exit_2(stores, capsys):
 
 
 #: Runs ``refill analyze`` in a fresh, single-threaded interpreter whose
-#: workers fail as ``FAIL`` says; prints the exit code, the number of
-#: workers forked and those still waiting to be reaped.
+#: forks go as ``FORK`` says and whose workers fail as ``FAIL`` says;
+#: prints the exit code, the number of workers forked and those still
+#: waiting to be reaped.
 FAILING_ANALYZE = textwrap.dedent("""\
-    import json, os, signal, sys
+    import errno, json, os, signal, sys
     from repro.core import split
     from repro.cli import main
 
     parent, pids, fork = os.getpid(), [], os.fork
 
     def recording_fork():
+        FORK
         pid = fork()
         if pid:
             pids.append(pid)
@@ -129,13 +131,14 @@ FAILING_ANALYZE = textwrap.dedent("""\
 """)
 
 
-@pytest.mark.parametrize("fail, reason", [
-    ("raise RuntimeError('boom in a worker')", "RuntimeError: boom in a worker"),
-    ("os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9"),
+@pytest.mark.parametrize("fork, fail, reason, forked", [
+    ("pass", "raise RuntimeError('boom in a worker')", "RuntimeError: boom in a worker", 2),
+    ("pass", "os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9", 2),
+    ("if pids: raise OSError(errno.EAGAIN, 'no fork')", "pass", "cannot start a worker", 1),
 ])
-def test_failed_worker_fails_the_command(stores, tmp_path, fail, reason):
+def test_failed_worker_fails_the_command(stores, tmp_path, fork, fail, reason, forked):
     flows = tmp_path / "flows.json"
-    script = FAILING_ANALYZE.replace("FAIL", fail)
+    script = FAILING_ANALYZE.replace("FORK", fork).replace("FAIL", fail)
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", script, "analyze", "--logs", str(stores["simulated"]),
@@ -144,7 +147,7 @@ def test_failed_worker_fails_the_command(stores, tmp_path, fail, reason):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"code": 1, "forked": 2, "left": []}
+    assert result == {"code": 1, "forked": forked, "left": []}
     assert "event=analyze.worker-failed" in proc.stderr
     assert reason in proc.stderr
     assert not flows.exists()
